@@ -1,83 +1,9 @@
 """Exact arithmetic for quaternion and symbol algebras over Q, Q(sqrt d)
 and the cube-root-of-unity field, with split/division classification of
-degree-3 cyclic algebras at Eisenstein primes."""
+degree-3 cyclic algebras at Eisenstein primes.
 
-from .fields import (
-    QEPS,
-    QQ,
-    QSQRT3,
-    FieldDescriptor,
-    FieldElement,
-    ParseError,
-    Rational,
-    format_element,
-    parse_element,
-    parse_rational,
-    sqrt_field,
-)
-from .eisenstein import (
-    EPS,
-    ONE,
-    UNITS,
-    ZERO,
-    CubicSymbol,
-    EisensteinInt,
-    EisensteinPrime,
-    ResidueField,
-    SplittingData,
-    canonical_associate,
-    conjugate_prime,
-    cubic_residue_symbol,
-    cyclotomic_splitting,
-    divrem,
-    factor_rational_prime,
-    format_eisenstein,
-    format_prime,
-    parse_eisenstein,
-    parse_eisenstein_fraction,
-    residue_field,
-    splitting_in_kummer,
-    valuation,
-)
-from .quaternion import (
-    ConicPoint,
-    Quaternion,
-    QuaternionAlgebra,
-    SplitVerdict,
-    classify_minus1_p,
-    conic_point_sqrt3,
-    gauss_representation,
-    norm_form_zero_search,
-    on_conic,
-    two_square_decomposition,
-    zero_divisor_from_isotropic,
-)
-from .symbol import (
-    MatrixRep,
-    SymbolAlgebra,
-    SymbolElement,
-    element_from_json,
-    element_to_json,
-    find_zero_divisor,
-    left_regular_matrix,
-    matrix_generators,
-    quaternion_crosscheck,
-    rep_is_bijective,
-    verify_relations,
-)
-from .local import (
-    ArtinSymbolResult,
-    LocalAlgebraSpec,
-    NormCertificate,
-    Verdict,
-    artin_symbol,
-    classify,
-    classify_report,
-    is_norm,
-    power_spec,
-    report_inert_prime_power,
-    report_split_prime_power,
-    residual_degree,
-)
+Import from the submodules (fields, eisenstein, quaternion, symbol, local,
+linalg, intmath, cli); the package imports none of them itself, so each
+process loads only what it uses."""
 
 __version__ = "0.1.0"

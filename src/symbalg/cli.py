@@ -12,29 +12,16 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import local as local_mod
-from . import symbol as symbol_mod
-from .eisenstein import (
-    EisensteinInt,
-    cubic_residue_symbol,
-    cyclotomic_splitting,
-    factor_rational_prime,
-    format_eisenstein,
-    parse_eisenstein,
-    parse_eisenstein_fraction,
-    splitting_in_kummer,
-    valuation,
-)
-from .fields import QEPS, QQ, FieldDescriptor, ParseError, parse_element, parse_rational, sqrt_field
-from .quaternion import (
-    QuaternionAlgebra,
-    classify_minus1_p,
-    conic_point_sqrt3,
-    gauss_representation,
-    norm_form_zero_search,
-    on_conic,
-)
+from .fields import QEPS, QQ, QSQRT3, FieldDescriptor, ParseError, parse_element, parse_rational, sqrt_field
+
+# Each handler imports the modules its verb needs, so a process pays only
+# for its own verb; fields is the one module every verb uses.
+if TYPE_CHECKING:
+    from .local import LocalAlgebraSpec
+    from .quaternion import QuaternionAlgebra
+    from .symbol import SymbolAlgebra
 
 SEARCH_BOUND_ENV = "SYMBALG_SEARCH_BOUND"
 DEFAULT_SEARCH_BOUND = 50
@@ -78,6 +65,8 @@ def _point_json(point) -> dict:
 
 
 def _prime_json(prime) -> dict:
+    from .eisenstein import format_eisenstein
+
     out = {
         "kind": prime.kind,
         "pi": format_eisenstein(prime.pi),
@@ -97,7 +86,9 @@ def _load_json(text: str) -> dict:
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
-def _symbol_algebra(args) -> symbol_mod.SymbolAlgebra:
+def _symbol_algebra(args) -> SymbolAlgebra:
+    from .symbol import SymbolAlgebra
+
     desc = _field_descriptor(args.field)
     if args.zeta is not None:
         zeta = parse_element(desc, args.zeta)
@@ -107,7 +98,7 @@ def _symbol_algebra(args) -> symbol_mod.SymbolAlgebra:
         zeta = desc.gen()
     else:
         raise ParseError("provide --zeta for this field/degree combination")
-    return symbol_mod.SymbolAlgebra(
+    return SymbolAlgebra(
         desc, args.n, zeta, parse_element(desc, args.alpha), parse_element(desc, args.beta)
     )
 
@@ -116,6 +107,16 @@ def _symbol_algebra(args) -> symbol_mod.SymbolAlgebra:
 
 
 def _handle_eisenstein(args):
+    from .eisenstein import (
+        cubic_residue_symbol,
+        cyclotomic_splitting,
+        factor_rational_prime,
+        parse_eisenstein,
+        parse_eisenstein_fraction,
+        splitting_in_kummer,
+        valuation,
+    )
+
     if args.verb == "factor":
         return _prime_json(factor_rational_prime(args.p)), None
     if args.verb == "symbol":
@@ -139,11 +140,21 @@ def _handle_eisenstein(args):
 
 
 def _quaternion_algebra(args) -> QuaternionAlgebra:
+    from .quaternion import QuaternionAlgebra
+
     desc = _field_descriptor(args.field)
     return QuaternionAlgebra(desc, parse_element(desc, args.alpha), parse_element(desc, args.beta))
 
 
 def _handle_quaternion(args):
+    from .quaternion import (
+        QuaternionAlgebra,
+        classify_minus1_p,
+        conic_point_sqrt3,
+        gauss_representation,
+        norm_form_zero_search,
+    )
+
     if args.verb == "mul":
         alg = _quaternion_algebra(args)
         a = alg.element(*_parse_coords(alg.desc, args.a))
@@ -181,6 +192,8 @@ def _handle_quaternion(args):
 
 
 def _handle_symbol(args):
+    from . import symbol as symbol_mod
+
     if args.verb == "mul":
         alg = _symbol_algebra(args)
         u = symbol_mod.element_from_json(alg, _load_json(args.u))
@@ -211,8 +224,10 @@ def _handle_symbol(args):
     raise ParseError(f"unknown symbol verb {args.verb!r}")
 
 
-def _cubic_eps_algebra(alpha_text: str, beta_text: str) -> symbol_mod.SymbolAlgebra:
-    return symbol_mod.SymbolAlgebra(
+def _cubic_eps_algebra(alpha_text: str, beta_text: str) -> SymbolAlgebra:
+    from .symbol import SymbolAlgebra
+
+    return SymbolAlgebra(
         QEPS,
         3,
         QEPS.gen(),
@@ -221,14 +236,18 @@ def _cubic_eps_algebra(alpha_text: str, beta_text: str) -> symbol_mod.SymbolAlge
     )
 
 
-def _local_spec(args) -> local_mod.LocalAlgebraSpec:
+def _local_spec(args) -> LocalAlgebraSpec:
+    from .eisenstein import factor_rational_prime, parse_eisenstein, parse_eisenstein_fraction
+    from .local import LocalAlgebraSpec
+
     num, den = parse_eisenstein_fraction(args.beta)
-    return local_mod.LocalAlgebraSpec(
-        parse_eisenstein(args.alpha), num, den, factor_rational_prime(args.p)
-    )
+    return LocalAlgebraSpec(parse_eisenstein(args.alpha), num, den, factor_rational_prime(args.p))
 
 
 def _handle_local(args):
+    from . import local as local_mod
+    from .eisenstein import parse_eisenstein
+
     if args.verb == "classify":
         spec = _local_spec(args)
         report = local_mod.classify_report(spec)
@@ -251,6 +270,17 @@ def _handle_local(args):
 
 def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
     """Fixed composition of the headline computations, fully deterministic."""
+    from . import local as local_mod
+    from . import symbol as symbol_mod
+    from .eisenstein import EisensteinInt
+    from .quaternion import (
+        QuaternionAlgebra,
+        conic_point_sqrt3,
+        gauss_representation,
+        norm_form_zero_search,
+        on_conic,
+    )
+
     division_alg = QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7))
     witness = norm_form_zero_search(division_alg, bound)
     h_part = {
@@ -265,8 +295,6 @@ def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
     for p in (7, 13, 31):
         a, b = gauss_representation(p)
         point = conic_point_sqrt3(p)
-        from .fields import QSQRT3
-
         conic_part.append(
             {
                 "p": p,
@@ -310,8 +338,16 @@ def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, so that main reports them in an
+    envelope; sub-parsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="symbalg", description="exact symbol/quaternion algebra toolkit")
+    ap = _Parser(prog="symbalg", description="exact symbol/quaternion algebra toolkit")
     ap.add_argument("--pretty", action="store_true", help="indent the JSON envelope")
     ap.add_argument("--trace", action="store_true", help="include intermediate values where available")
     top = ap.add_subparsers(dest="group", required=True)
@@ -410,11 +446,18 @@ def _emit(envelope: dict, pretty: bool):
     print(text)
 
 
+def _error(code: str, key: str, exc: Exception, pretty: bool) -> None:
+    _emit({"status": "error", "result": {"code": code, key: str(exc)}}, pretty)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except ParseError as exc:
+        _error("parse_error", "detail", exc, False)
+        return 2
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
         if args.group == "demo":
@@ -422,10 +465,10 @@ def main(argv=None) -> int:
         else:
             result, trace = _HANDLERS[args.group](args)
     except ParseError as exc:
-        _emit({"status": "error", "result": {"code": "parse_error", "detail": str(exc)}}, args.pretty)
+        _error("parse_error", "detail", exc, args.pretty)
         return 2
     except (ValueError, ZeroDivisionError) as exc:
-        _emit({"status": "error", "result": {"code": "domain_error", "precondition": str(exc)}}, args.pretty)
+        _error("domain_error", "precondition", exc, args.pretty)
         return 1
     envelope = {"status": "ok", "result": result}
     if args.trace and trace is not None:

@@ -132,10 +132,6 @@ EPS = EisensteinInt(0, 1)
 UNITS = (ONE, -ONE, EPS, -EPS, EisensteinInt(-1, -1), EisensteinInt(1, 1))
 
 
-def divrem(x: EisensteinInt, y: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
-    return divmod(x, y)
-
-
 def canonical_associate(z: EisensteinInt) -> EisensteinInt:
     """The associate with a > 0 and 0 <= b < a.
 
@@ -237,10 +233,11 @@ class ResidueField:
     def __post_init__(self):
         e = self.eps_image
         if self.degree == 1:
-            assert (e * e + e + 1) % self.char == 0
+            root = (e * e + e + 1) % self.char == 0
         else:
-            t = self.mul(e, e)
-            assert self.add(self.add(t, e), self.one) == self.zero
+            root = self.add(self.add(self.mul(e, e), e), self.one) == self.zero
+        if not root:
+            raise ValueError("eps_image is not a root of t^2 + t + 1")
 
     @property
     def size(self) -> int:

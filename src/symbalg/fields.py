@@ -30,7 +30,12 @@ def parse_rational(text: str) -> Fraction:
     s = re.sub(r"\s+", "", text)
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"not a rational: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator: {text!r}") from exc
+    except ValueError as exc:  # past the interpreter's int-conversion digit limit
+        raise ParseError(f"rational has too many digits ({len(s)} characters)") from exc
 
 
 def is_rational_square(q: Fraction | int) -> bool:

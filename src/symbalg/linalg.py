@@ -11,13 +11,6 @@ def identity(desc: FieldDescriptor, n: int) -> Matrix:
     return [[desc.one() if i == j else desc.zero() for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, c) -> Matrix:
     return [[x * c for x in row] for row in a]
 

@@ -22,7 +22,6 @@ from .eisenstein import (
     SplittingData,
     cubic_residue_symbol,
     factor_rational_prime,
-    format_eisenstein,
     splitting_in_kummer,
     valuation,
 )
@@ -134,8 +133,10 @@ def report_inert_prime_power(alpha: int, p: int, l: int) -> dict:
         raise ValueError("alpha must be coprime to p")
     spec = power_spec(EisensteinInt(alpha), p, l)
     report = classify_report(spec, case="3.2")
-    assert report["symbol"] == "eps^0" and report["f"] == 1
-    assert report["verdict"] == "split" and report["artin_exponent"] == 0
+    if report["symbol"] != "eps^0" or report["f"] != 1:
+        raise ArithmeticError("rational alpha has a nontrivial cubic symbol at an inert prime")
+    if report["verdict"] != "split" or report["artin_exponent"] != 0:
+        raise ArithmeticError("beta = p^(3l) did not classify split")
     return report
 
 
@@ -148,11 +149,6 @@ def report_split_prime_power(alpha: EisensteinInt, p: int, l: int) -> dict:
     spec = power_spec(alpha, p, l)
     symbol = cubic_residue_symbol(spec.alpha, spec.prime)
     report = classify_report(spec, case="3.3-2" if symbol.is_trivial else "3.3-1")
-    assert report["verdict"] == "split" and report["artin_exponent"] == 0
+    if report["verdict"] != "split" or report["artin_exponent"] != 0:
+        raise ArithmeticError("beta = p^(3l) did not classify split")
     return report
-
-
-def beta_description(spec: LocalAlgebraSpec) -> str:
-    if spec.beta_den == ONE:
-        return format_eisenstein(spec.beta_num)
-    return f"{format_eisenstein(spec.beta_num)}/{format_eisenstein(spec.beta_den)}"

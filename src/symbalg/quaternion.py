@@ -17,6 +17,10 @@ from functools import lru_cache
 from .fields import QQ, QSQRT3, FieldDescriptor, FieldElement
 from .intmath import is_prime
 
+# largest coordinate bound norm_form_zero_search accepts; time grows as
+# bound^2 and memory as the number of distinct right-hand values
+MAX_SEARCH_BOUND = 500
+
 
 @dataclass(frozen=True)
 class QuaternionAlgebra:
@@ -223,7 +227,8 @@ def conic_point_sqrt3(p: int) -> ConicPoint:
         QSQRT3.one(),
         QSQRT3.element(Fraction(a, 2)),
     )
-    assert on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), point)
+    if not on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), point):
+        raise ArithmeticError(f"conic point for p = {p} is not on the conic")
     return point
 
 
@@ -246,7 +251,8 @@ def classify_minus1_p(p: int) -> SplitVerdict:
         return SplitVerdict("division")
     x, z = two_square_decomposition(p)
     point = ConicPoint(QQ.lift(x), QQ.one(), QQ.lift(z))
-    assert on_conic(QQ.lift(-1), QQ.lift(p), point)
+    if not on_conic(QQ.lift(-1), QQ.lift(p), point):
+        raise ArithmeticError(f"conic point for p = {p} is not on the conic")
     return SplitVerdict("split", point=point)
 
 
@@ -262,29 +268,46 @@ def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | No
     [-bound, bound]) with vanishing norm form, or None if there is none.
 
     The quartic loop is folded into a pairing of x0^2 - alpha*x1^2 against
-    beta*(x2^2 - alpha*x3^2); a witness exists among all integer vectors
-    iff one exists among the primitive ones.
+    the set of values beta*(x2^2 - alpha*x3^2); only on a hit are the
+    (x2, x3) partners regenerated, so memory is the size of that set.  A
+    witness exists among all integer vectors iff one exists among the
+    primitive ones.  The bound is capped at MAX_SEARCH_BOUND.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    if not 1 <= bound <= MAX_SEARCH_BOUND:
+        raise ValueError(f"bound must be in 1..{MAX_SEARCH_BOUND}")
     if alg.desc != QQ:
         raise ValueError("zero search is defined over Q")
     a = _integer_invariant(alg.alpha)
     b = _integer_invariant(alg.beta)
+    squares = [x * x for x in range(bound + 1)]
+    right = {b * (s2 - a * s3) for s2 in squares for s3 in squares}
     rng = range(-bound, bound + 1)
-    right: dict[int, list[tuple[int, int]]] = {}
-    for x2 in rng:
-        for x3 in rng:
-            right.setdefault(b * (x2 * x2 - a * x3 * x3), []).append((x2, x3))
     for x0 in rng:
         for x1 in rng:
             left = x0 * x0 - a * x1 * x1
-            for x2, x3 in right.get(left, ()):
-                if (x0 or x1 or x2 or x3) and math.gcd(x0, x1, x2, x3) == 1:
+            if left not in right:
+                continue
+            for x2, x3 in _right_partners(a, left // b, bound):
+                if math.gcd(x0, x1, x2, x3) == 1:
                     witness = alg.element(x0, x1, x2, x3)
-                    assert witness.norm().is_zero()
+                    if not witness.norm().is_zero():
+                        raise ArithmeticError("search witness is not isotropic")
                     return witness
     return None
+
+
+def _right_partners(a: int, target: int, bound: int):
+    """(x2, x3) in [-bound, bound]^2 with x2^2 - a*x3^2 = target, in
+    lexicographic order: x3^2 = (x2^2 - target)/a is solved per x2."""
+    for x2 in range(-bound, bound + 1):
+        x3_square, rest = divmod(x2 * x2 - target, a)
+        if rest or x3_square < 0:
+            continue
+        x3 = math.isqrt(x3_square)
+        if x3 * x3 == x3_square and x3 <= bound:
+            yield x2, -x3
+            if x3:
+                yield x2, x3
 
 
 def zero_divisor_from_isotropic(a: Quaternion) -> tuple[Quaternion, Quaternion]:
@@ -295,5 +318,6 @@ def zero_divisor_from_isotropic(a: Quaternion) -> tuple[Quaternion, Quaternion]:
         raise ValueError("quaternion is not isotropic")
     conj = a.conjugate()
     product = a * conj
-    assert product.is_zero() and not conj.is_zero()
+    if not product.is_zero() or conj.is_zero():
+        raise ArithmeticError("a * conj(a) is not a zero-divisor pair")
     return a, conj

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .fields import FieldDescriptor, FieldElement, format_element, parse_element
+from .fields import FieldDescriptor, FieldElement, ParseError, format_element, parse_element
 from .quaternion import QuaternionAlgebra
 
 
@@ -239,12 +239,15 @@ def matrix_generators(alg: SymbolAlgebra) -> MatrixRep:
     ]
     y_mat = linalg.mat_scale(perm, desc.lift(c2))
     ident = linalg.identity(desc, 3)
-    assert linalg.mat_eq(linalg.mat_mul(x_mat, linalg.mat_mul(x_mat, x_mat)),
-                         linalg.mat_scale(ident, alg.alpha))
-    assert linalg.mat_eq(linalg.mat_mul(y_mat, linalg.mat_mul(y_mat, y_mat)),
-                         linalg.mat_scale(ident, alg.beta))
-    assert linalg.mat_eq(linalg.mat_mul(y_mat, x_mat),
-                         linalg.mat_scale(linalg.mat_mul(x_mat, y_mat), z))
+    if not (
+        linalg.mat_eq(linalg.mat_mul(x_mat, linalg.mat_mul(x_mat, x_mat)),
+                      linalg.mat_scale(ident, alg.alpha))
+        and linalg.mat_eq(linalg.mat_mul(y_mat, linalg.mat_mul(y_mat, y_mat)),
+                          linalg.mat_scale(ident, alg.beta))
+        and linalg.mat_eq(linalg.mat_mul(y_mat, x_mat),
+                          linalg.mat_scale(linalg.mat_mul(x_mat, y_mat), z))
+    ):
+        raise ArithmeticError("matrix model violates the defining relations")
     images = []
     for i in range(3):
         row = []
@@ -293,8 +296,8 @@ def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]
 
     u = pullback(0)          # entry (0, 0)
     v = pullback(n + 1)      # entry (1, 1)
-    assert not u.is_zero() and not v.is_zero()
-    assert (u * v).is_zero()
+    if u.is_zero() or v.is_zero() or not (u * v).is_zero():
+        raise ArithmeticError("pulled-back matrix units are not a zero-divisor pair")
     return u, v
 
 
@@ -344,12 +347,18 @@ def element_to_json(element: SymbolElement) -> dict:
     }
 
 
-def element_from_json(alg: SymbolAlgebra, data: dict) -> SymbolElement:
+def element_from_json(alg: SymbolAlgebra, data) -> SymbolElement:
+    """Element from {"n": n, "coeffs": n x n grid of element strings}; a
+    value of the wrong JSON type or shape raises ParseError."""
+    if not isinstance(data, dict):
+        raise ParseError("element must be a JSON object")
     if data.get("n") != alg.n:
         raise ValueError("grid size does not match the algebra degree")
     coeffs = data.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != alg.n or any(
         not isinstance(row, list) or len(row) != alg.n for row in coeffs
     ):
-        raise ValueError("coeffs must be an n x n grid")
+        raise ParseError("coeffs must be an n x n grid")
+    if not all(isinstance(c, str) for row in coeffs for c in row):
+        raise ParseError("coefficients must be strings in the element grammar")
     return alg.element([[parse_element(alg.desc, c) for c in row] for row in coeffs])

@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from symbalg.cli import main
+from symbalg.quaternion import MAX_SEARCH_BOUND
+
+INT_GRID = json.dumps({"n": 3, "coeffs": [[1, 2, 3], [3, 4, 5], [1, 1, 1]]})
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +148,36 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eisenstein", "factor", "--p", "abc"],
+        ["eisenstein", "factor"],
+        ["quaternion"],
+        ["bogus"],
+        ["symbol", "rep", "--alpha=-1", "--beta=1", "--element=null"],
+        ["symbol", "rep", "--alpha=-1", "--beta=1", "--element=[1]"],
+        ["symbol", "mul", "--alpha=-1", "--beta=1", "--u", "[1]", "--v", "[1]"],
+        ["symbol", "mul", "--alpha=-1", "--beta=1", "--u", INT_GRID, "--v", INT_GRID],
+        ["quaternion", "search-zero", "--alpha", "1/0", "--beta", "3"],
+        ["symbol", "crosscheck", "--alpha", "1/0", "--beta", "3"],
+    ],
+)
+def test_malformed_argv_gets_one_parse_error_envelope(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["result"]["code"] == "parse_error"
+
+
+def test_help_still_prints_usage(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: symbalg")
+
+
 def test_demo_contents(capsys):
     code, env = run_cli(capsys, "demo")
     assert code == 0
@@ -194,3 +229,31 @@ def test_search_bound_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SYMBALG_SEARCH_BOUND", "not-a-number")
     code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha", "-1", "--beta", "13")
     assert code == 2
+    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", str(MAX_SEARCH_BOUND + 1))
+    code, env = run_cli(capsys, "demo")
+    assert code == 1 and env["result"]["code"] == "domain_error"
+
+
+def test_search_bound_cap(capsys):
+    argv = ["quaternion", "search-zero", "--alpha", "-1", "--beta", "7", "--bound"]
+    code, env = run_cli(capsys, *argv, "0")
+    assert code == 1 and env["result"]["code"] == "domain_error"
+    code, env = run_cli(capsys, *argv, str(MAX_SEARCH_BOUND))
+    assert code == 0 and env["result"] == {"bound": MAX_SEARCH_BOUND, "witness": None}
+    code, env = run_cli(capsys, *argv, str(MAX_SEARCH_BOUND + 1))
+    assert code == 1 and env["result"]["code"] == "domain_error"
+
+
+def test_cheap_verb_imports_only_its_modules():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from symbalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['eisenstein', 'factor', '--p', '7'])\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert "symbalg.eisenstein" in loaded
+    for name in ("quaternion", "symbol", "local", "linalg"):
+        assert f"symbalg.{name}" not in loaded

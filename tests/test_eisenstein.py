@@ -12,6 +12,7 @@ from symbalg.eisenstein import (
     EisensteinInt,
     EisensteinPrime,
     ParseError,
+    ResidueField,
     canonical_associate,
     conjugate_prime,
     cubic_residue_symbol,
@@ -376,6 +377,14 @@ def test_prime_dataclass_validation():
         EisensteinPrime(EisensteinInt(3, 1), "inert", 7, None, 7)
     with pytest.raises(ValueError):
         EisensteinPrime(EisensteinInt(3, 1), "split", 7, EisensteinInt(2, -1), 11)
+
+
+def test_residue_field_validation():
+    assert ResidueField(7, 1, 2).eps_image == 2
+    with pytest.raises(ValueError):
+        ResidueField(7, 1, 3)  # 3^2 + 3 + 1 = 13 is not 0 mod 7
+    with pytest.raises(ValueError):
+        ResidueField(5, 2, (1, 0))
 
 
 def test_is_prime_helper():

@@ -138,7 +138,7 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational(" 3 / 4 ") == Fraction(3, 4)
-    for bad in ("1.5", "1e3", "3//4", "", "x"):
+    for bad in ("1.5", "1e3", "3//4", "", "x", "1/0", "-5/0", "1" * 5000):
         with pytest.raises(ParseError):
             parse_rational(bad)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symbalg import local
 from symbalg.eisenstein import (
     ONE,
     UNITS,
@@ -147,6 +148,18 @@ def test_split_power_report_rejects_divisible_alpha():
         report_split_prime_power(EisensteinInt(7), 7, 1)
     with pytest.raises(ValueError):
         report_split_prime_power(EisensteinInt(2), 5, 1)
+
+
+def test_prime_power_reports_check_the_verdict(monkeypatch):
+    # the checks must not be asserts, which python -O strips
+    real = local.classify_report
+    monkeypatch.setattr(
+        local, "classify_report", lambda spec, case="general": {**real(spec, case), "verdict": "division"}
+    )
+    with pytest.raises(ArithmeticError):
+        report_inert_prime_power(2, 5, 1)
+    with pytest.raises(ArithmeticError):
+        report_split_prime_power(EisensteinInt(2), 7, 1)
 
 
 def test_non_rational_alpha_at_inert_prime_is_reported_honestly():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symbalg import quaternion
 from symbalg.fields import QEPS, QQ, QSQRT3
 from symbalg.intmath import primes_below
 from symbalg.quaternion import (
@@ -193,24 +194,50 @@ def test_search_split_alpha_one():
     assert witness is not None and witness.norm().is_zero()
 
 
-def test_search_is_deterministic_lex_smallest():
-    alg = QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(13))
-    witness = norm_form_zero_search(alg, 5)
-    coords = tuple(int(c.as_rational()) for c in witness.coords)
-    # oracle: first primitive isotropic vector in lexicographic order
-    rng = range(-5, 6)
-    expected = next(
-        (x0, x1, x2, x3)
-        for x0 in rng
-        for x1 in rng
-        for x2 in rng
-        for x3 in rng
-        if (x0 or x1 or x2 or x3)
-        and math.gcd(x0, x1, x2, x3) == 1
-        and x0 * x0 + x1 * x1 - 13 * x2 * x2 - 13 * x3 * x3 == 0
+def _first_isotropic_oracle(a, b, bound):
+    """First primitive isotropic vector in lexicographic order, by the
+    plain quartic loop over the norm form."""
+    rng = range(-bound, bound + 1)
+    return next(
+        (
+            (x0, x1, x2, x3)
+            for x0 in rng
+            for x1 in rng
+            for x2 in rng
+            for x3 in rng
+            if math.gcd(x0, x1, x2, x3) == 1
+            and x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3 == 0
+        ),
+        None,
     )
-    assert coords == expected
-    assert norm_form_zero_search(alg, 5) == witness
+
+
+def test_search_is_deterministic_lex_smallest():
+    for alpha, beta, bound in [
+        (-1, 13, 5),  # split, non-square alpha
+        (-1, 7, 6),  # division: only the zero vector
+        (2, 3, 6),  # division with positive alpha
+        (4, 5, 4),  # square alpha
+        (1, 1, 2),  # square alpha; the first candidate of the first hit is not primitive
+        (-1, 2, 2),  # the first hit, (x0, x1) = (-2, -2), has only non-primitive partners
+        (2, -1, 3),  # negative beta; the first hit has only non-primitive partners
+        (9, -2, 3),  # square alpha, negative beta
+        (-1, 1, 5),  # (x2, x3) = (-1, -7) also solves the first hit, outside the bound
+    ]:
+        alg = QuaternionAlgebra(QQ, QQ.lift(alpha), QQ.lift(beta))
+        witness = norm_form_zero_search(alg, bound)
+        coords = None if witness is None else tuple(int(c.as_rational()) for c in witness.coords)
+        assert coords == _first_isotropic_oracle(alpha, beta, bound), (alpha, beta, bound)
+        assert norm_form_zero_search(alg, bound) == witness
+
+
+def test_certificate_checks_raise(monkeypatch):
+    # the checks must not be asserts, which python -O strips
+    monkeypatch.setattr(quaternion, "on_conic", lambda *args: False)
+    with pytest.raises(ArithmeticError):
+        conic_point_sqrt3(13)
+    with pytest.raises(ArithmeticError):
+        classify_minus1_p(13)
 
 
 def test_zero_divisor_from_isotropic():

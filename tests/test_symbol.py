@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from symbalg import linalg
-from symbalg.fields import QEPS, QQ
+from symbalg.fields import QEPS, QQ, ParseError
 from symbalg.symbol import (
     SymbolAlgebra,
     element_from_json,
@@ -253,3 +253,6 @@ def test_json_rejects_bad_shapes():
         element_from_json(alg, {"n": 2, "coeffs": [["1", "0"], ["0", "0"]]})
     with pytest.raises(ValueError):
         element_from_json(alg, {"n": 3, "coeffs": [["1"]]})
+    for data in (None, [1], "x", {"n": 3, "coeffs": None}, {"n": 3, "coeffs": [[1, 2, 3]] * 3}):
+        with pytest.raises(ParseError):
+            element_from_json(alg, data)
