@@ -337,6 +337,42 @@ def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
 
 # ------------------------------------------------------------------ parser
 
+# {group: {verb: argument specs}}; every option is "--<name>".  A spec is
+# "name" for a required string, "name:int" for a required int, and
+# "name=default" or "name:int=default" for an optional one, where an empty
+# default means None.  A group with no verbs (demo) takes no arguments.
+_VERBS = {
+    "eisenstein": {
+        "factor": ("p:int",),
+        "symbol": ("alpha", "p:int"),
+        "valuation": ("x", "p:int"),
+        "splitting": ("alpha", "p:int"),
+        "cyclotomic": ("p:int", "l:int"),
+    },
+    "quaternion": {
+        "mul": ("field=q", "alpha", "beta", "a", "b"),
+        "norm": ("field=q", "alpha", "beta", "a"),
+        "classify": ("p:int",),
+        "conic-point": ("p:int",),
+        "gauss": ("p:int",),
+        "search-zero": ("alpha", "beta", "bound:int="),
+    },
+    "symbol": {
+        "mul": ("field=qeps", "n:int=3", "zeta=", "alpha", "beta", "u", "v"),
+        "relations": ("field=qeps", "n:int=3", "zeta=", "alpha", "beta"),
+        "rep": ("alpha", "beta", "element"),
+        "zero-divisor": ("alpha", "beta"),
+        "crosscheck": ("alpha", "beta"),
+    },
+    "local": {
+        "classify": ("alpha", "beta", "p:int"),
+        "artin": ("alpha", "beta", "p:int"),
+        "prop32": ("alpha:int", "p:int", "l:int=1"),
+        "prop33": ("alpha", "p:int", "l:int=1"),
+    },
+    "demo": {},
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ParseError, so that main reports them in an
@@ -346,87 +382,47 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _named_verb(argv) -> tuple[str, str | None] | None:
+    """The known (group, verb) pair named by the first two words of argv
+    once the top-level flags are set aside, or None (help, an option before
+    the verb, an unknown group or verb)."""
+    words = (arg for arg in argv if arg not in ("--pretty", "--trace"))
+    group = next(words, None)
+    verbs = _VERBS.get(group)
+    if verbs == {}:
+        return group, None
+    verb = next(words, None)
+    return (group, verb) if verbs and verb in verbs else None
+
+
+def _add_options(parser: argparse.ArgumentParser, specs) -> None:
+    for spec in specs:
+        head, optional, default = spec.partition("=")
+        name, _, kind = head.partition(":")
+        kind = int if kind else None
+        value = {"default": (kind or str)(default) if default else None} if optional else {"required": True}
+        parser.add_argument(f"--{name}", type=kind, **value)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv: only the group and verb that argv names, or the
+    whole tree when it names no known pair (or argv is None), so that help,
+    usage and error text are those of the whole tree."""
+    chosen = None if argv is None else _named_verb(argv)
     ap = _Parser(prog="symbalg", description="exact symbol/quaternion algebra toolkit")
     ap.add_argument("--pretty", action="store_true", help="indent the JSON envelope")
     ap.add_argument("--trace", action="store_true", help="include intermediate values where available")
     top = ap.add_subparsers(dest="group", required=True)
-
-    eis = top.add_parser("eisenstein").add_subparsers(dest="verb", required=True)
-    sub = eis.add_parser("factor")
-    sub.add_argument("--p", type=int, required=True)
-    sub = eis.add_parser("symbol")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub = eis.add_parser("valuation")
-    sub.add_argument("--x", required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub = eis.add_parser("splitting")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub = eis.add_parser("cyclotomic")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--l", type=int, required=True)
-
-    quat = top.add_parser("quaternion").add_subparsers(dest="verb", required=True)
-    for verb in ("mul", "norm"):
-        sub = quat.add_parser(verb)
-        sub.add_argument("--field", default="q")
-        sub.add_argument("--alpha", required=True)
-        sub.add_argument("--beta", required=True)
-        sub.add_argument("--a", required=True)
-        if verb == "mul":
-            sub.add_argument("--b", required=True)
-    for verb in ("classify", "conic-point", "gauss"):
-        sub = quat.add_parser(verb)
-        sub.add_argument("--p", type=int, required=True)
-    sub = quat.add_parser("search-zero")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
-    sub.add_argument("--bound", type=int, default=None)
-
-    sym = top.add_parser("symbol").add_subparsers(dest="verb", required=True)
-    sub = sym.add_parser("mul")
-    sub.add_argument("--field", default="qeps")
-    sub.add_argument("--n", type=int, default=3)
-    sub.add_argument("--zeta", default=None)
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
-    sub.add_argument("--u", required=True)
-    sub.add_argument("--v", required=True)
-    sub = sym.add_parser("relations")
-    sub.add_argument("--field", default="qeps")
-    sub.add_argument("--n", type=int, default=3)
-    sub.add_argument("--zeta", default=None)
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
-    sub = sym.add_parser("rep")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
-    sub.add_argument("--element", required=True)
-    sub = sym.add_parser("zero-divisor")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
-    sub = sym.add_parser("crosscheck")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
-
-    loc = top.add_parser("local").add_subparsers(dest="verb", required=True)
-    for verb in ("classify", "artin"):
-        sub = loc.add_parser(verb)
-        sub.add_argument("--alpha", required=True)
-        sub.add_argument("--beta", required=True)
-        sub.add_argument("--p", type=int, required=True)
-    sub = loc.add_parser("prop32")
-    sub.add_argument("--alpha", type=int, required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--l", type=int, default=1)
-    sub = loc.add_parser("prop33")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--l", type=int, default=1)
-
-    top.add_parser("demo")
+    for group, verbs in _VERBS.items():
+        if chosen is not None and group != chosen[0]:
+            continue
+        group_parser = top.add_parser(group)
+        if not verbs:
+            continue
+        sub = group_parser.add_subparsers(dest="verb", required=True)
+        for verb, specs in verbs.items():
+            if chosen is None or verb == chosen[1]:
+                _add_options(sub.add_parser(verb), specs)
     return ap
 
 
@@ -451,7 +447,8 @@ def _error(code: str, key: str, exc: Exception, pretty: bool) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except ParseError as exc:

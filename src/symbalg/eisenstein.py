@@ -136,17 +136,11 @@ def canonical_associate(z: EisensteinInt) -> EisensteinInt:
     """The associate with a > 0 and 0 <= b < a.
 
     That window is a fundamental domain for multiplication by the six
-    units, so the representative is unique; the lexicographic fallback
-    is kept as a guard.
+    units, so exactly one associate of a nonzero z lies in it.
     """
     if z.is_zero():
         raise ValueError("zero has no canonical associate")
-    associates = [z * u for u in UNITS]
-    window = [t for t in associates if t.a > 0 and 0 <= t.b < t.a]
-    if window:
-        return min(window, key=lambda t: (t.a, t.b))
-    positive = [t for t in associates if t.a > 0]
-    return min(positive, key=lambda t: (t.a, t.b))
+    return next(t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a)
 
 
 @dataclass(frozen=True)

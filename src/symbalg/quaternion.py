@@ -267,11 +267,14 @@ def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | No
     """First primitive integer vector (lexicographic order, coordinates in
     [-bound, bound]) with vanishing norm form, or None if there is none.
 
-    The quartic loop is folded into a pairing of x0^2 - alpha*x1^2 against
-    the set of values beta*(x2^2 - alpha*x3^2); only on a hit are the
-    (x2, x3) partners regenerated, so memory is the size of that set.  A
-    witness exists among all integer vectors iff one exists among the
-    primitive ones.  The bound is capped at MAX_SEARCH_BOUND.
+    The quartic loop is folded into a pairing: x0^2 - alpha*x1^2 must be
+    beta times a member of S = {x^2 - alpha*y^2 : 0 <= x, y <= bound}, and
+    only on a hit are the (x2, x3) partners regenerated, so memory is the
+    size of S.  Unless alpha is a positive square, only x = y = 0 gives 0,
+    so a witness needs nonzero s, s' in S with beta*s = s'; without one the
+    scan is skipped.  A witness exists among all integer vectors iff one
+    exists among the primitive ones.  The bound is capped at
+    MAX_SEARCH_BOUND.
     """
     if not 1 <= bound <= MAX_SEARCH_BOUND:
         raise ValueError(f"bound must be in 1..{MAX_SEARCH_BOUND}")
@@ -280,14 +283,21 @@ def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | No
     a = _integer_invariant(alg.alpha)
     b = _integer_invariant(alg.beta)
     squares = [x * x for x in range(bound + 1)]
-    right = {b * (s2 - a * s3) for s2 in squares for s3 in squares}
+    values = set()
+    for t in squares:
+        values.update(map((-a * t).__add__, squares))
+    if not (a > 0 and math.isqrt(a) ** 2 == a):
+        # 0 is left out of the scan too: it pairs only with the zero vector
+        values.discard(0)
+        if not any(map(values.__contains__, map(b.__mul__, values))):
+            return None
     rng = range(-bound, bound + 1)
     for x0 in rng:
         for x1 in rng:
-            left = x0 * x0 - a * x1 * x1
-            if left not in right:
+            quotient, rest = divmod(x0 * x0 - a * x1 * x1, b)
+            if rest or quotient not in values:
                 continue
-            for x2, x3 in _right_partners(a, left // b, bound):
+            for x2, x3 in _right_partners(a, quotient, bound):
                 if math.gcd(x0, x1, x2, x3) == 1:
                     witness = alg.element(x0, x1, x2, x3)
                     if not witness.norm().is_zero():

@@ -15,6 +15,7 @@ non-division claims into concrete zero divisors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .fields import FieldDescriptor, FieldElement, ParseError, format_element, parse_element
@@ -278,24 +279,21 @@ def rep_is_bijective(rep: MatrixRep) -> bool:
 
 
 def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]:
-    """Pull the matrix units E11 and E22 back through the matrix model; the
-    preimages multiply to zero without being zero."""
-    rep = matrix_generators(alg)
-    n = alg.n
-    m = _basis_image_matrix(rep)
-    desc = alg.desc
+    """The preimages of the matrix units E11 and E22 under the matrix model;
+    they multiply to zero without being zero.
 
-    def pullback(unit_index: int) -> SymbolElement:
-        rhs = [desc.one() if r == unit_index else desc.zero() for r in range(n * n)]
-        try:
-            coeffs = linalg.solve(m, rhs)
-        except ValueError as exc:
-            raise RuntimeError("matrix model is not bijective") from exc
-        grid = [[coeffs[i * n + j] for j in range(n)] for i in range(n)]
-        return alg.element(grid)
-
-    u = pullback(0)          # entry (0, 0)
-    v = pullback(n + 1)      # entry (1, 1)
+    With c = alpha, (c^-1 X)^i = diag(1, zeta^i, zeta^2i), so
+    u = (1 + c*x + x^2)/3 maps to E11 and v = (1 + zeta^2*c*x + zeta*x^2)/3
+    to E22; the model is bijective, so these are the unique preimages.
+    """
+    if alg.n != 3:
+        raise ValueError("the matrix model is built for degree 3")
+    c = _sign_unit(alg.alpha)
+    _sign_unit(alg.beta)  # the model needs it, though u and v have no y
+    third = alg.desc.lift(Fraction(1, 3))
+    z = alg.zeta
+    u = alg.element([[third, 0, 0], [third * c, 0, 0], [third, 0, 0]])
+    v = alg.element([[third, 0, 0], [third * z * z * c, 0, 0], [third * z, 0, 0]])
     if u.is_zero() or v.is_zero() or not (u * v).is_zero():
         raise ArithmeticError("pulled-back matrix units are not a zero-divisor pair")
     return u, v

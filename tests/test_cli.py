@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from symbalg.cli import main
+from symbalg.cli import _VERBS, build_parser, main
+from symbalg.fields import ParseError
 from symbalg.quaternion import MAX_SEARCH_BOUND
 
+DATA = Path(__file__).parent / "data"
 INT_GRID = json.dumps({"n": 3, "coeffs": [[1, 2, 3], [3, 4, 5], [1, 1, 1]]})
 
 
@@ -178,6 +182,77 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: symbalg")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["eisenstein", "--help"]])
+def test_help_exits_zero_with_usage(argv):
+    out = subprocess.run([sys.executable, "-m", "symbalg", *argv], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.startswith(" ".join(["usage: symbalg", *argv[:-1]]) + " [-h]")
+
+
+# one valid value per option; --zeta is the primitive cube root of unity
+VALUES = {"alpha": "-1", "beta": "1", "a": "1,0,0,0", "b": "0,1,0,0", "x": "343", "zeta": "0+1*w",
+          "field": "qeps", "u": "{}", "v": "{}", "element": "{}"}
+VERB_PAIRS = [(group, verb) for group, verbs in _VERBS.items() for verb in verbs or [None]]
+
+
+def _options(specs, with_optional):
+    argv = []
+    for spec in specs:
+        head, optional, _ = spec.partition("=")
+        name, _, kind = head.partition(":")
+        if with_optional or not optional:
+            argv.append(f"--{name}={'3' if kind else VALUES[name]}")
+    return argv
+
+
+def _parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("group,verb", VERB_PAIRS)
+def test_selected_parser_matches_whole_tree(group, verb):
+    whole = build_parser()
+    specs = _VERBS[group].get(verb, ())
+    words = [group] if verb is None else [group, verb]
+    for with_optional in (False, True):
+        argv = ["--trace", *words, *_options(specs, with_optional)]
+        namespace = build_parser(argv).parse_args(argv)
+        assert namespace == whole.parse_args(argv)
+        assert namespace.group == group and getattr(namespace, "verb", None) == verb
+    required = _options(specs, False)
+    broken = []
+    for i, option in enumerate(required):
+        broken.append([*words, *required[:i], *required[i + 1:]])  # a required option is missing
+        if option.endswith("=3"):
+            broken.append([*words, *required[:i], option[:-1] + "x", *required[i + 1:]])  # a bad int
+    for argv in broken:
+        detail = _parse(build_parser(argv), argv)
+        assert isinstance(detail, str) and detail == _parse(whole, argv), argv
+    argv = [*words, "--no-such-option"]
+    assert _parse(build_parser(argv), argv) == _parse(whole, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["quaternion"],
+        ["eisenstein", "bogus"],
+        ["bogus", "factor"],
+        ["demo", "extra"],
+        ["-1", "eisenstein", "factor", "--p=7"],  # argparse reads -1 as a word
+        ["--pre", "eisenstein", "factor", "--p=7"],  # an abbreviated --pretty
+        ["eisenstein", "--pretty", "factor", "--p=7"],
+        ["--", "eisenstein", "factor", "--p=7"],
+    ],
+)
+def test_selected_parser_matches_whole_tree_on_odd_argv(argv):
+    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+
+
 def test_demo_contents(capsys):
     code, env = run_cli(capsys, "demo")
     assert code == 0
@@ -208,11 +283,9 @@ def test_demo_envelope_has_no_floats(capsys):
 
 
 def test_demo_golden_byte_identical():
-    cmd = [sys.executable, "-m", "symbalg", "demo"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
-    assert first.stdout == second.stdout
-    assert first.returncode == 0
+    env = {k: v for k, v in os.environ.items() if k != "SYMBALG_SEARCH_BOUND"}
+    out = subprocess.run([sys.executable, "-m", "symbalg", "demo"], capture_output=True, check=True, env=env)
+    assert out.stdout == (DATA / "demo.json").read_bytes()
 
 
 def test_pretty_flag(capsys):

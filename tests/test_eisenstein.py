@@ -163,6 +163,16 @@ def test_canonical_associate_examples():
         canonical_associate(EisensteinInt(0))
 
 
+def test_canonical_window_is_a_fundamental_domain():
+    # canonical_associate relies on exactly one associate in the window
+    for a in range(-40, 41):
+        for b in range(-40, 41):
+            if a or b:
+                z = EisensteinInt(a, b)
+                in_window = [t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a]
+                assert len(in_window) == 1, (a, b)
+
+
 @given(z=eisenstein_ints)
 def test_canonical_associate_is_orbit_constant(z):
     if z.is_zero():

@@ -231,6 +231,26 @@ def test_search_is_deterministic_lex_smallest():
         assert norm_form_zero_search(alg, bound) == witness
 
 
+def test_search_matches_quartic_oracle_on_small_grid():
+    # square alpha = 1, 4, 9 is where nonzero (x, y) reach x^2 - alpha*y^2 = 0
+    # and the early "no witness" proof must not be taken
+    invariants = [v for v in range(-12, 13) if v]
+    for alpha in invariants:
+        for beta in invariants:
+            alg = QuaternionAlgebra(QQ, QQ.lift(alpha), QQ.lift(beta))
+            for bound in (1, 2, 3):
+                witness = norm_form_zero_search(alg, bound)
+                coords = None if witness is None else tuple(int(c.as_rational()) for c in witness.coords)
+                assert coords == _first_isotropic_oracle(alpha, beta, bound), (alpha, beta, bound)
+
+
+@pytest.mark.parametrize("beta", [7, 11, 19, 23, 31, 43])
+def test_search_finds_nothing_at_bound_200_for_division(beta):
+    # H(-1, p) is a division algebra for p = 3 mod 4
+    alg = QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(beta))
+    assert norm_form_zero_search(alg, 200) is None
+
+
 def test_certificate_checks_raise(monkeypatch):
     # the checks must not be asserts, which python -O strips
     monkeypatch.setattr(quaternion, "on_conic", lambda *args: False)

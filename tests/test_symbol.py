@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from symbalg import linalg
 from symbalg.fields import QEPS, QQ, ParseError
 from symbalg.symbol import (
     SymbolAlgebra,
+    _basis_image_matrix,
     element_from_json,
     element_to_json,
     find_zero_divisor,
@@ -151,12 +153,53 @@ def test_rep_of_y_minus_one_is_singular():
 # ------------------------------------------------------------ zero divisors
 
 
-@pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 1), (-1, -1), (1, -1)])
-def test_find_zero_divisor(alpha, beta):
-    alg = cubic(alpha, beta)
+def _pulled_back_matrix_units(alg):
+    """Preimages of E11 and E22 by solving the 9 x 9 system of the matrix
+    model's basis images."""
+    rep = matrix_generators(alg)
+    m = _basis_image_matrix(rep)
+    units = []
+    for index in (0, 4):
+        rhs = [QEPS.one() if r == index else QEPS.zero() for r in range(9)]
+        coeffs = linalg.solve(m, rhs)
+        units.append(alg.element([[coeffs[3 * i + j] for j in range(3)] for i in range(3)]))
+    return rep, units
+
+
+def _matrix_unit(r):
+    return [[QEPS.one() if i == j == r else QEPS.zero() for j in range(3)] for i in range(3)]
+
+
+def _check_zero_divisor_against_pullback(alg):
     u, v = find_zero_divisor(alg)
     assert not u.is_zero() and not v.is_zero()
     assert (u * v).is_zero()
+    rep, (e11, e22) = _pulled_back_matrix_units(alg)
+    assert (u, v) == (e11, e22)
+    assert linalg.mat_eq(rep.apply(u), _matrix_unit(0))
+    assert linalg.mat_eq(rep.apply(v), _matrix_unit(1))
+
+
+@pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 1), (-1, -1), (1, -1)])
+def test_find_zero_divisor(alpha, beta):
+    _check_zero_divisor_against_pullback(cubic(alpha, beta))
+
+
+@pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, -1)])
+def test_find_zero_divisor_with_zeta_squared(alpha, beta):
+    eps = QEPS.gen()
+    _check_zero_divisor_against_pullback(SymbolAlgebra(QEPS, 3, eps * eps, QEPS.lift(alpha), QEPS.lift(beta)))
+
+
+def test_find_zero_divisor_needs_the_matrix_model():
+    message = re.escape("only alpha, beta in {-1, 1} admit the diagonal matrix model")
+    for alpha, beta in ((2, 1), (1, 2)):
+        with pytest.raises(ValueError, match=message):
+            matrix_generators(cubic(alpha, beta))
+        with pytest.raises(ValueError, match=message):
+            find_zero_divisor(cubic(alpha, beta))
+    with pytest.raises(ValueError, match="degree 3"):
+        find_zero_divisor(quadratic(-1, 1))
 
 
 def test_telescoping_witness_when_beta_is_one():
