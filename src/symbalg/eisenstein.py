@@ -8,12 +8,18 @@ residue symbols and pi-adic valuations are all computed exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .fields import QEPS, FieldElement, ParseError, parse_element
-from .intmath import euler_phi, is_prime, multiplicative_order
+from .intmath import cornacchia, euler_phi, is_prime, multiplicative_order
+
+# entries kept by the factor_rational_prime and residue_field caches: every
+# fresh prime would otherwise stay in memory for the life of the process
+PRIME_CACHE_SIZE = 128
+# largest l cyclotomic_splitting accepts: factoring l and phi(l) is trial
+# division up to the square root of their largest composite part
+MAX_CYCLOTOMIC_L = 10**12
 
 
 def _round_div(num: int, den: int) -> int:
@@ -44,9 +50,6 @@ class EisensteinInt:
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_unit(self) -> bool:
-        return self.norm() == 1
 
     def is_associate(self, other: "EisensteinInt") -> bool:
         return any(self == other * u for u in UNITS)
@@ -178,18 +181,16 @@ class EisensteinPrime:
 
 
 def _norm_equation(p: int) -> EisensteinInt:
-    # one solution of a^2 - a*b + b^2 = p via the discriminant 4p - 3b^2
-    for b in range(1, math.isqrt(4 * p // 3) + 1):
-        disc = 4 * p - 3 * b * b
-        r = math.isqrt(disc)
-        if r * r == disc and (b + r) % 2 == 0:
-            z = EisensteinInt((b + r) // 2, b)
-            if z.norm() == p:
-                return z
-    raise ArithmeticError(f"no Eisenstein element of norm {p}")
+    # x^2 + 3y^2 = p gives (x + y) + 2y*e, whose norm is
+    # (x + y)^2 - 2y(x + y) + 4y^2 = x^2 + 3y^2
+    x, y = cornacchia(3, p)
+    z = EisensteinInt(x + y, 2 * y)
+    if z.norm() != p:
+        raise ArithmeticError(f"no Eisenstein element of norm {p}")
+    return z
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
 def factor_rational_prime(p: int) -> EisensteinPrime:
     """Classify the rational prime p in Z[e]."""
     if not is_prime(p):
@@ -285,7 +286,7 @@ class ResidueField:
                     yield (c0, c1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
 def residue_field(prime: EisensteinPrime) -> ResidueField:
     if prime.kind == "split":
         a, b = prime.pi.a, prime.pi.b
@@ -387,9 +388,10 @@ def splitting_in_kummer(alpha: EisensteinInt, prime: EisensteinPrime) -> Splitti
 
 def cyclotomic_splitting(p: int, l: int) -> tuple[int, int]:
     """(f, r) for p in the l-th cyclotomic ring: f is the multiplicative
-    order of p mod l and r = phi(l)/f is the number of primes above p."""
-    if l < 3:
-        raise ValueError("l must be at least 3")
+    order of p mod l and r = phi(l)/f is the number of primes above p.
+    l is capped at MAX_CYCLOTOMIC_L."""
+    if not 3 <= l <= MAX_CYCLOTOMIC_L:
+        raise ValueError(f"l must be in 3..{MAX_CYCLOTOMIC_L}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if l % p == 0:

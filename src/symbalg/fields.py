@@ -189,9 +189,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0
 
-    def is_rational(self) -> bool:
-        return self.c1 == 0
-
     def as_rational(self) -> Fraction:
         if self.c1 != 0:
             raise ValueError("element is not rational")

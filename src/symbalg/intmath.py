@@ -1,22 +1,53 @@
-"""Small integer number theory helpers (desk scale, trial division)."""
+"""Exact integer number theory: primality, square roots modulo a prime,
+Cornacchia's algorithm, Euler's phi and multiplicative orders.
+
+Primality is trial division by the first 13 primes followed by the
+Miller-Rabin test to those 13 bases, which is proven exact for every
+n < MILLER_RABIN_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017)); past
+that limit is_prime refuses instead of returning a probable answer.
+Square roots modulo p use Tonelli-Shanks and x^2 + d*y^2 = p uses
+Cornacchia's algorithm (Cohen, A Course in Computational Algebraic Number
+Theory, Alg. 1.5.1 and 1.5.2), so these run in time polynomial in log p.
+Only factoring, which euler_phi and multiplicative_order need, is trial
+division; it stops once the part left is prime, and callers cap its input.
+"""
 
 from __future__ import annotations
 
 import math
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all 13 bases
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
+    """Exact primality of n.  Raises ValueError when n >= MILLER_RABIN_LIMIT
+    and none of the 13 bases divides n, where the test is not proven."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"primality of {n} is not decided: deterministic Miller-Rabin "
+            f"is proven only below {MILLER_RABIN_LIMIT}"
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -24,29 +55,83 @@ def primes_below(bound: int) -> list[int]:
     return [n for n in range(2, bound) if is_prime(n)]
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """x in [0, p) with x^2 = a mod p, for an odd prime p (Tonelli-Shanks).
+    Raises ValueError when a is not a square mod p."""
+    if p < 3 or p % 2 == 0:
+        raise ValueError("sqrt_mod needs an odd prime modulus")
+    a %= p
+    if a == 0:
+        return 0
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        raise ValueError(f"{a} is not a square modulo {p}")
+    m = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> m
+    z = next((z for z in range(2, p) if pow(z, half, p) == p - 1), None)
+    if z is None:
+        raise ValueError(f"{p} is not prime")
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # r^2 = a*t and t has order 2^i; for prime p, i < m, so m falls
+        i = next((i for i in range(1, m) if pow(t, 1 << i, p) == 1), None)
+        if i is None:
+            raise ValueError(f"{p} is not prime")
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def cornacchia(d: int, p: int) -> tuple[int, int]:
+    """Positive (x, y) with x^2 + d*y^2 = p, for 0 < d < p and p an odd
+    prime; such a representation is unique up to signs (and order when
+    d = 1).  Raises ValueError when there is none."""
+    if not 0 < d < p:
+        raise ValueError("cornacchia needs 0 < d < p")
+    a, b = p, sqrt_mod(-d, p)
+    limit = math.isqrt(p)
+    while b > limit:
+        a, b = b, a % b
+    y_square, rest = divmod(p - b * b, d)
+    y = math.isqrt(y_square)
+    if rest or y * y != y_square:
+        raise ValueError(f"{p} is not of the form x^2 + {d}*y^2")
+    return b, y
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order, by trial
+    division that stops once the part left is 1 or prime."""
+    divisors = []
+    d = 2
+    while n > 1 and not is_prime(n):
+        while n % d:
+            d += 1 if d == 2 else 2
+        divisors.append(d)
+        while n % d == 0:
+            n //= d
+    if n > 1:
+        divisors.append(n)
+    return divisors
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
     result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
+    for q in _prime_divisors(n):
+        result -= result // q
     return result
 
 
 def multiplicative_order(a: int, n: int) -> int:
+    """The order of a mod n: phi(n) divided by each of its prime factors
+    for as long as a^(order/q) stays 1."""
     if n < 2 or math.gcd(a, n) != 1:
         raise ValueError("multiplicative order needs gcd(a, n) = 1 and n >= 2")
-    x = a % n
-    order = 1
-    while x != 1:
-        x = x * a % n
-        order += 1
+    order = euler_phi(n)
+    for q in _prime_divisors(order):
+        while order % q == 0 and pow(a, order // q, n) == 1:
+            order //= q
     return order

@@ -27,6 +27,10 @@ from .eisenstein import (
 )
 from .intmath import is_prime
 
+# largest l power_spec accepts: beta = p^(3l) has 3l*log(p) digits and the
+# valuation divides it 3l times, so the time grows about as l^3
+MAX_POWER_L = 100
+
 
 @dataclass(frozen=True)
 class LocalAlgebraSpec:
@@ -113,9 +117,10 @@ def classify_report(spec: LocalAlgebraSpec, case: str = "general") -> dict:
 
 
 def power_spec(alpha: EisensteinInt, p: int, l: int) -> LocalAlgebraSpec:
-    """The spec (alpha, p^(3l)) at the canonical prime above p."""
-    if l < 1:
-        raise ValueError("l must be a positive integer")
+    """The spec (alpha, p^(3l)) at the canonical prime above p, for l in
+    1..MAX_POWER_L."""
+    if not 1 <= l <= MAX_POWER_L:
+        raise ValueError(f"l must be in 1..{MAX_POWER_L}")
     prime = factor_rational_prime(p)
     return LocalAlgebraSpec(alpha, EisensteinInt(p) ** (3 * l), ONE, prime)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .fields import QQ, QSQRT3, FieldDescriptor, FieldElement
-from .intmath import is_prime
+from .intmath import cornacchia, is_prime
 
 # largest coordinate bound norm_form_zero_search accepts; time grows as
 # bound^2 and memory as the number of distinct right-hand values
@@ -211,12 +211,15 @@ def gauss_representation(p: int) -> tuple[int, int]:
     """Positive integers (a, b) with 4p = a^2 + 27 b^2, for p = 1 mod 3."""
     if not is_prime(p) or p % 3 != 1:
         raise ValueError("p must be a prime congruent to 1 mod 3")
-    for b in range(1, math.isqrt(4 * p // 27) + 1):
-        rest = 4 * p - 27 * b * b
-        a = math.isqrt(rest)
-        if a * a == rest and a > 0:
-            return a, b
-    raise ArithmeticError(f"no representation 4*{p} = a^2 + 27*b^2")
+    # x^2 + 3y^2 = p makes 4p = A^2 + 3B^2 for each (A, B) below, and
+    # exactly one B is divisible by 3 because 3 divides neither x nor p
+    x, y = cornacchia(3, p)
+    pairs = ((2 * x, 2 * y), (x + 3 * y, x - y), (x - 3 * y, x + y))
+    big_a, big_b = next(pair for pair in pairs if pair[1] % 3 == 0)
+    a, b = abs(big_a), abs(big_b) // 3
+    if a * a + 27 * b * b != 4 * p:
+        raise ArithmeticError(f"no representation 4*{p} = a^2 + 27*b^2")
+    return a, b
 
 
 def conic_point_sqrt3(p: int) -> ConicPoint:
@@ -233,13 +236,13 @@ def conic_point_sqrt3(p: int) -> ConicPoint:
 
 
 def two_square_decomposition(p: int) -> tuple[int, int]:
-    """(x, z) with x^2 + z^2 = p and 0 < x <= z, for p = 1 mod 4."""
-    for x in range(1, math.isqrt(p) + 1):
-        rest = p - x * x
-        z = math.isqrt(rest)
-        if z * z == rest and z >= x:
-            return x, z
-    raise ArithmeticError(f"{p} is not a sum of two squares")
+    """(x, z) with x^2 + z^2 = p and 0 < x <= z, for a prime p = 1 mod 4."""
+    if not is_prime(p) or p % 4 != 1:
+        raise ValueError("p must be a prime congruent to 1 mod 4")
+    x, z = sorted(cornacchia(1, p))
+    if x * x + z * z != p:
+        raise ArithmeticError(f"{p} is not a sum of two squares")
+    return x, z
 
 
 def classify_minus1_p(p: int) -> SplitVerdict:

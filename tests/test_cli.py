@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbalg.cli import _VERBS, build_parser, main
 from symbalg.fields import ParseError
+from symbalg.intmath import MILLER_RABIN_LIMIT
 from symbalg.quaternion import MAX_SEARCH_BOUND
 
 DATA = Path(__file__).parent / "data"
@@ -134,6 +140,56 @@ def test_local_verbs(capsys):
 
     code, env = run_cli(capsys, "local", "prop33", "--alpha", "2", "--p", "7", "--l", "1")
     assert env["result"]["case"] == "3.3-1"
+
+
+def test_large_inputs_answer_or_refuse(capsys):
+    p = "1000000000000000003"
+    code, env = run_cli(capsys, "eisenstein", "factor", "--p", p)
+    assert code == 0 and env["result"]["pi"] == "1000000001+2*w"
+    code, env = run_cli(capsys, "quaternion", "gauss", "--p", p)
+    assert env["result"] == {"a": 1000000003, "b": 333333333}
+    code, env = run_cli(capsys, "eisenstein", "cyclotomic", "--p", "2", "--l", "1000000007")
+    assert env["result"] == {"f": 500000003, "r": 2}
+    for argv in (
+        ["local", "prop32", "--alpha", "2", "--p", "5", "--l", "100000"],
+        ["local", "prop33", "--alpha", "2", "--p", "7", "--l", "101"],
+        ["eisenstein", "cyclotomic", "--p", "2", "--l", str(10**12 + 1)],
+        ["eisenstein", "factor", "--p", str(MILLER_RABIN_LIMIT)],
+    ):
+        code, env = run_cli(capsys, *argv)
+        assert code == 1 and env["result"]["code"] == "domain_error", argv
+
+
+# the number-theory verbs and their integer options
+FUZZ_VERBS = {
+    ("eisenstein", "factor"): ("p",),
+    ("eisenstein", "symbol"): ("alpha", "p"),
+    ("eisenstein", "splitting"): ("alpha", "p"),
+    ("eisenstein", "cyclotomic"): ("p", "l"),
+    ("quaternion", "classify"): ("p",),
+    ("quaternion", "conic-point"): ("p",),
+    ("quaternion", "gauss"): ("p",),
+    ("local", "classify"): ("alpha", "beta", "p"),
+}
+FUZZ_INTS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.integers(-40, 200),
+    st.sampled_from([10**9 + 7, 10**18 + 3, 10**18 + 9, 10**18 + 31, 999983 * 1000003, MILLER_RABIN_LIMIT]),
+)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(verb=st.sampled_from(sorted(FUZZ_VERBS)), data=st.data())
+def test_number_theory_argv_fuzz(verb, data):
+    argv = [*verb, *(f"--{name}={data.draw(FUZZ_INTS, label=name)}" for name in FUZZ_VERBS[verb])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and err.getvalue() == ""
+    envelope = json.loads(lines[0])
+    assert code in (0, 1, 2)
+    assert (envelope["status"] == "ok") == (code == 0)
 
 
 def test_exit_codes(capsys):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from symbalg.eisenstein import (
     EPS,
+    MAX_CYCLOTOMIC_L,
+    PRIME_CACHE_SIZE,
     ONE,
     UNITS,
     CubicSymbol,
@@ -26,7 +28,7 @@ from symbalg.eisenstein import (
     splitting_in_kummer,
     valuation,
 )
-from symbalg.intmath import euler_phi, is_prime, primes_below
+from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
 
@@ -141,6 +143,61 @@ def test_factor_sweep_small():
             assert (pr.pi * pr.conjugate).is_associate(EisensteinInt(p))
         else:
             assert pr.kind == "inert"
+
+
+def _window_pi_oracle(p):
+    """Oracle: the canonical pi above a split p by an O(sqrt p) scan.  Each
+    of the two primes above p has exactly one associate a + b*e with
+    a > 0 and 0 <= b < a; pi is the smaller one, found as the first a
+    whose discriminant 4p - 3a^2 gives an integer root b in the window."""
+    for a in range(1, math.isqrt(4 * p // 3) + 1):
+        disc = 4 * p - 3 * a * a
+        r = math.isqrt(disc)
+        if r * r != disc:
+            continue
+        window = [b for b in ((a - r) // 2, (a + r) // 2) if (a + r) % 2 == 0 and 0 <= b < a]
+        if window:
+            return EisensteinInt(a, min(window))
+    raise AssertionError(f"no element of norm {p}")
+
+
+def test_factor_matches_scan_oracle_below_1e5():
+    for p in primes_below(10**5):
+        if p % 3 == 1:
+            pr = factor_rational_prime(p)
+            assert pr.pi == _window_pi_oracle(p), p
+            assert pr.conjugate == pr.pi.conjugate()
+
+
+@pytest.mark.parametrize(
+    "p",
+    [1000000000000000003, 1000000000000000009, 1000000000000000177, 3317044064679887385961813],
+)
+def test_factor_large_split_primes(p):
+    pr = factor_rational_prime(p)
+    assert pr.kind == "split" and pr.pi.norm() == p
+    assert pr.pi.a > 0 and 0 <= pr.pi.b < pr.pi.a
+    assert (pr.pi * pr.conjugate).is_associate(EisensteinInt(p))
+    other = conjugate_prime(pr)
+    assert (pr.pi.a, pr.pi.b) < (other.pi.a, other.pi.b)
+    assert cubic_residue_symbol(EisensteinInt(p), pr).is_zero
+    assert not cubic_residue_symbol(pr.conjugate, pr).is_zero
+
+
+def test_factor_large_inert_prime_and_refusal():
+    assert factor_rational_prime(1000000000000000031).kind == "inert"
+    with pytest.raises(ValueError, match="not decided"):
+        factor_rational_prime(MILLER_RABIN_LIMIT)
+
+
+def test_prime_caches_are_bounded():
+    for cached in (factor_rational_prime, residue_field):
+        assert cached.cache_info().maxsize == PRIME_CACHE_SIZE
+    for p in primes_below(2000):
+        if p > 3:
+            residue_field(factor_rational_prime(p))
+    assert factor_rational_prime.cache_info().currsize == PRIME_CACHE_SIZE
+    assert residue_field.cache_info().currsize == PRIME_CACHE_SIZE
 
 
 def test_conjugate_prime_is_the_other_orbit():
@@ -345,6 +402,18 @@ def test_cyclotomic_splitting_examples():
         cyclotomic_splitting(3, 9)
     with pytest.raises(ValueError):
         cyclotomic_splitting(4, 9)
+
+
+def test_cyclotomic_splitting_at_large_l():
+    # 2 has order (l - 1)/2 mod the prime l = 10^9 + 7
+    assert cyclotomic_splitting(2, 10**9 + 7) == (500000003, 2)
+    l = 999983 * 1000003
+    f, r = cyclotomic_splitting(5, l)
+    assert f * r == 999982 * 1000002 and pow(5, f, l) == 1
+    assert cyclotomic_splitting(7, MAX_CYCLOTOMIC_L)[0] > 1
+    for bad in (MAX_CYCLOTOMIC_L + 1, 10**30, 2, -7):
+        with pytest.raises(ValueError, match="l must be in"):
+            cyclotomic_splitting(7, bad)
 
 
 @given(p=st.sampled_from(primes_below(100)), l=st.integers(3, 60))

@@ -13,6 +13,7 @@ from symbalg.eisenstein import (
 )
 from symbalg.intmath import primes_below
 from symbalg.local import (
+    MAX_POWER_L,
     LocalAlgebraSpec,
     artin_symbol,
     classify,
@@ -251,3 +252,15 @@ def test_division_only_when_f_three_and_m_not_divisible():
 def test_power_spec_requires_positive_l():
     with pytest.raises(ValueError):
         power_spec(EisensteinInt(2), 7, 0)
+
+
+def test_power_spec_caps_l():
+    assert power_spec(EisensteinInt(2), 7, MAX_POWER_L).beta_num == EisensteinInt(7) ** (3 * MAX_POWER_L)
+    reports = (
+        lambda l: report_inert_prime_power(2, 5, l),
+        lambda l: report_split_prime_power(EisensteinInt(2), 7, l),
+    )
+    for report in reports:
+        assert report(MAX_POWER_L)["m"] == 3 * MAX_POWER_L
+        with pytest.raises(ValueError, match="l must be in"):
+            report(MAX_POWER_L + 1)

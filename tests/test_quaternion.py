@@ -122,6 +122,24 @@ def test_gauss_rejects_wrong_class():
         gauss_representation(5)
     with pytest.raises(ValueError):
         gauss_representation(10)
+    with pytest.raises(ValueError):
+        gauss_representation(7 * 13)
+
+
+def test_gauss_matches_oracle_below_1e5():
+    # the representation is unique, and it is the one the scan finds
+    for p in primes_below(10**5):
+        if p % 3 == 1:
+            assert _gauss_oracle(p) == [gauss_representation(p)], p
+
+
+@pytest.mark.parametrize(
+    "p", [1000000000000000003, 1000000000000000009, 1000000000000000177, 3317044064679887385961813]
+)
+def test_gauss_and_conic_point_at_large_scale(p):
+    a, b = gauss_representation(p)
+    assert 4 * p == a * a + 27 * b * b and a > 0 and b > 0
+    assert on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), conic_point_sqrt3(p))
 
 
 # ------------------------------------------------------------- conic points
@@ -166,6 +184,34 @@ def test_two_square_decomposition():
     for p in (5, 13, 17, 29, 97):
         x, z = two_square_decomposition(p)
         assert x * x + z * z == p
+    for p in (2, 3, 7, 25, 65):
+        with pytest.raises(ValueError):
+            two_square_decomposition(p)
+
+
+def _two_square_oracle(p):
+    """Oracle: every (x, z) with x^2 + z^2 = p and 0 < x <= z, by a scan."""
+    hits = []
+    for x in range(1, math.isqrt(p) + 1):
+        z = math.isqrt(p - x * x)
+        if z * z == p - x * x and z >= x:
+            hits.append((x, z))
+    return hits
+
+
+def test_two_square_matches_oracle_below_1e5():
+    for p in primes_below(10**5):
+        if p % 4 == 1:
+            assert _two_square_oracle(p) == [two_square_decomposition(p)], p
+
+
+@pytest.mark.parametrize("p", [1000000000000000009, 1000000000000000177, 3317044064679887385961813])
+def test_two_square_and_classify_at_large_scale(p):
+    x, z = two_square_decomposition(p)
+    assert x * x + z * z == p and 0 < x <= z
+    verdict = classify_minus1_p(p)
+    assert verdict.kind == "split" and on_conic(QQ.lift(-1), QQ.lift(p), verdict.point)
+    assert classify_minus1_p(1000000000000000003).kind == "division"
 
 
 def test_search_division_consistency():
