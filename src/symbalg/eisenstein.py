@@ -8,11 +8,10 @@ residue symbols and pi-adic valuations are all computed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import QEPS, FieldElement, ParseError, parse_element
-from .intmath import cornacchia, euler_phi, is_prime, multiplicative_order
+from .fields import QEPS, FieldElement, ParseError, Record, parse_element
+from .intmath import _order_dividing, cornacchia, euler_phi, is_prime
 
 # entries kept by the factor_rational_prime and residue_field caches: every
 # fresh prime would otherwise stay in memory for the life of the process
@@ -27,12 +26,14 @@ def _round_div(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
+class EisensteinInt(Record):
     """a + b*e with integer a, b."""
 
-    a: int
-    b: int = 0
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def _coerce(self, other):
         if isinstance(other, EisensteinInt):
@@ -146,15 +147,10 @@ def canonical_associate(z: EisensteinInt) -> EisensteinInt:
     return next(t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a)
 
 
-@dataclass(frozen=True)
-class EisensteinPrime:
+class EisensteinPrime(Record):
     """A classified prime of Z[e] above the rational prime p."""
 
-    pi: EisensteinInt
-    kind: str  # "split" | "inert" | "ramified"
-    p: int
-    conjugate: EisensteinInt | None
-    abs_norm: int
+    __slots__ = ("pi", "kind", "p", "conjugate", "abs_norm")  # kind: "split" | "inert" | "ramified"
 
     def __post_init__(self):
         if self.kind not in ("split", "inert", "ramified"):
@@ -216,14 +212,11 @@ def conjugate_prime(prime: EisensteinPrime) -> EisensteinPrime:
     return EisensteinPrime(pi, "split", prime.p, pi.conjugate(), prime.p)
 
 
-@dataclass(frozen=True)
-class ResidueField:
+class ResidueField(Record):
     """Z[e]/pi as F_p (eps_image a primitive cube root, or 1 when p = 3)
     or as F_p[t]/(t^2 + t + 1) with elements stored as (c0, c1) pairs."""
 
-    char: int
-    degree: int
-    eps_image: int | tuple[int, int]
+    __slots__ = ("char", "degree", "eps_image")
 
     def __post_init__(self):
         e = self.eps_image
@@ -233,10 +226,6 @@ class ResidueField:
             root = self.add(self.add(self.mul(e, e), e), self.one) == self.zero
         if not root:
             raise ValueError("eps_image is not a root of t^2 + t + 1")
-
-    @property
-    def size(self) -> int:
-        return self.char ** self.degree
 
     @property
     def zero(self):
@@ -298,11 +287,10 @@ def residue_field(prime: EisensteinPrime) -> ResidueField:
     return ResidueField(3, 1, 1)
 
 
-@dataclass(frozen=True)
-class CubicSymbol:
+class CubicSymbol(Record):
     """Value of the cubic residue character: zero or e^k, k in {0, 1, 2}."""
 
-    k: int | None  # None encodes the divisible (zero) case
+    __slots__ = ("k",)  # None encodes the divisible (zero) case
 
     @classmethod
     def zero(cls) -> "CubicSymbol":
@@ -365,13 +353,10 @@ def _division_count(z: EisensteinInt, pi: EisensteinInt) -> int:
         count += 1
 
 
-@dataclass(frozen=True)
-class SplittingData:
+class SplittingData(Record):
     """Ramification index, residual degree and prime count; e*f*g = 3."""
 
-    e: int
-    f: int
-    g: int
+    __slots__ = ("e", "f", "g")
 
 
 def splitting_in_kummer(alpha: EisensteinInt, prime: EisensteinPrime) -> SplittingData:
@@ -396,8 +381,9 @@ def cyclotomic_splitting(p: int, l: int) -> tuple[int, int]:
         raise ValueError(f"{p} is not prime")
     if l % p == 0:
         raise ValueError("p must not divide l")
-    f = multiplicative_order(p, l)
-    return f, euler_phi(l) // f
+    phi = euler_phi(l)
+    f = _order_dividing(p, l, phi)
+    return f, phi // f
 
 
 def format_eisenstein(z: EisensteinInt) -> str:

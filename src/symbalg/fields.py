@@ -9,8 +9,8 @@ grammar prints the quadratic generator as ``w``, e.g. ``3+1*w``.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Reduced p/q with q > 0; fractions.Fraction guarantees both invariants.
@@ -47,6 +47,53 @@ def is_rational_square(q: Fraction | int) -> bool:
     return rn * rn == q.numerator and rd * rd == q.denominator
 
 
+class Record:
+    """Immutable record with its fields in order in ``__slots__`` and the
+    defaults of trailing ones in ``_defaults``; equal by type and fields."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            given = {**{n: v for n, v in self._defaults.items() if n in rest}, **kwargs}
+            if len(args) > len(names) or given.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args += tuple(given[n] for n in rest)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} fields cannot be assigned or deleted")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
 def _squarefree(n: int) -> bool:
     n = abs(n)
     d = 2
@@ -59,13 +106,11 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record):
     """Q (degree 1) or the quadratic field Q[t]/(t^2 + u*t + w) (degree 2)."""
 
-    degree: int
-    u: Fraction = Fraction(0)
-    w: Fraction = Fraction(0)
+    __slots__ = ("degree", "u", "w")
+    _defaults = {"u": Fraction(0), "w": Fraction(0)}
 
     def __post_init__(self):
         object.__setattr__(self, "u", Fraction(self.u))
@@ -96,10 +141,14 @@ class FieldDescriptor:
 
 QQ = FieldDescriptor(1)
 QEPS = FieldDescriptor(2, Fraction(1), Fraction(1))
+# largest |d| sqrt_field accepts; its squarefree test divides up to sqrt|d|
+MAX_SQRT_FIELD_D = 10**12
 
 
 def sqrt_field(d: int) -> FieldDescriptor:
-    """Q(sqrt d) for squarefree d != 0, 1."""
+    """Q(sqrt d) for squarefree d != 0, 1 with |d| <= MAX_SQRT_FIELD_D."""
+    if abs(d) > MAX_SQRT_FIELD_D:
+        raise ValueError(f"|d| must be at most {MAX_SQRT_FIELD_D}")
     if d in (0, 1) or not _squarefree(d):
         raise ValueError("d must be squarefree and different from 0 and 1")
     return FieldDescriptor(2, Fraction(0), Fraction(-d))
@@ -108,20 +157,16 @@ def sqrt_field(d: int) -> FieldDescriptor:
 QSQRT3 = sqrt_field(3)
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """c0 + c1*t over the descriptor's field; immutable, exact."""
 
-    desc: FieldDescriptor
-    c0: Fraction
-    c1: Fraction = Fraction(0)
+    __slots__ = ("desc", "c0", "c1")
 
-    def __post_init__(self):
-        if not isinstance(self.c0, Fraction):
-            object.__setattr__(self, "c0", Fraction(self.c0))
-        if not isinstance(self.c1, Fraction):
-            object.__setattr__(self, "c1", Fraction(self.c1))
-        if self.desc.degree == 1 and self.c1 != 0:
+    def __init__(self, desc: FieldDescriptor, c0, c1=Fraction(0)):
+        object.__setattr__(self, "desc", desc)
+        object.__setattr__(self, "c0", c0 if isinstance(c0, Fraction) else Fraction(c0))
+        object.__setattr__(self, "c1", c1 if isinstance(c1, Fraction) else Fraction(c1))
+        if desc.degree == 1 and self.c1 != 0:
             raise ValueError("rational field element cannot carry a generator part")
 
     def _coerce(self, other):

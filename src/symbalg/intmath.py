@@ -130,7 +130,11 @@ def multiplicative_order(a: int, n: int) -> int:
     for as long as a^(order/q) stays 1."""
     if n < 2 or math.gcd(a, n) != 1:
         raise ValueError("multiplicative order needs gcd(a, n) = 1 and n >= 2")
-    order = euler_phi(n)
+    return _order_dividing(a, n, euler_phi(n))
+
+
+def _order_dividing(a: int, n: int, order: int) -> int:
+    """The order of a mod n, given a multiple of it such as phi(n)."""
     for q in _prime_divisors(order):
         while order % q == 0 and pow(a, order // q, n) == 1:
             order //= q

@@ -13,7 +13,6 @@ local Artin symbol: the identity iff beta is a norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .eisenstein import (
     ONE,
@@ -25,6 +24,7 @@ from .eisenstein import (
     splitting_in_kummer,
     valuation,
 )
+from .fields import Record
 from .intmath import is_prime
 
 # largest l power_spec accepts: beta = p^(3l) has 3l*log(p) digits and the
@@ -32,14 +32,10 @@ from .intmath import is_prime
 MAX_POWER_L = 100
 
 
-@dataclass(frozen=True)
-class LocalAlgebraSpec:
+class LocalAlgebraSpec(Record):
     """(alpha, beta / K_pi, e) with beta given as an exact fraction."""
 
-    alpha: EisensteinInt
-    beta_num: EisensteinInt
-    beta_den: EisensteinInt
-    prime: EisensteinPrime
+    __slots__ = ("alpha", "beta_num", "beta_den", "prime")
 
     def __post_init__(self):
         if self.prime.kind not in ("split", "inert"):
@@ -63,23 +59,17 @@ def residual_degree(alpha: EisensteinInt, prime: EisensteinPrime) -> tuple[int, 
     return data.f, data
 
 
-@dataclass(frozen=True)
-class NormCertificate:
-    f: int        # residual degree, 1 or 3
-    m: int        # pi-adic valuation of beta
-    divides: bool  # f | m, i.e. beta is a local norm
+class NormCertificate(Record):
+    # residual degree f (1 or 3), valuation m of beta, f | m (beta is a norm)
+    __slots__ = ("f", "m", "divides")
 
 
-@dataclass(frozen=True)
-class ArtinSymbolResult:
-    f: int
-    exponent: int  # Frobenius power m mod f; 0 means the identity
+class ArtinSymbolResult(Record):
+    __slots__ = ("f", "exponent")  # exponent: Frobenius power m mod f; 0 means the identity
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str  # "split" | "division"
-    certificate: NormCertificate
+class Verdict(Record):
+    __slots__ = ("outcome", "certificate")  # outcome: "split" | "division"
 
 
 def is_norm(spec: LocalAlgebraSpec) -> NormCertificate:

@@ -10,11 +10,10 @@ an exhaustive isotropic-vector search for division consistency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import QQ, QSQRT3, FieldDescriptor, FieldElement
+from .fields import QQ, QSQRT3, FieldElement, Record
 from .intmath import cornacchia, is_prime
 
 # largest coordinate bound norm_form_zero_search accepts; time grows as
@@ -22,11 +21,8 @@ from .intmath import cornacchia, is_prime
 MAX_SEARCH_BOUND = 500
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
-    desc: FieldDescriptor
-    alpha: FieldElement
-    beta: FieldElement
+class QuaternionAlgebra(Record):
+    __slots__ = ("desc", "alpha", "beta")
 
     def __post_init__(self):
         if self.alpha.desc != self.desc or self.beta.desc != self.desc:
@@ -79,13 +75,8 @@ def _pair_table(alg: "QuaternionAlgebra"):
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    algebra: QuaternionAlgebra
-    x0: FieldElement
-    x1: FieldElement
-    x2: FieldElement
-    x3: FieldElement
+class Quaternion(Record):
+    __slots__ = ("algebra", "x0", "x1", "x2", "x3")
 
     @property
     def coords(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
@@ -174,11 +165,8 @@ class Quaternion:
         return all(x.is_zero() for x in self.coords)
 
 
-@dataclass(frozen=True)
-class ConicPoint:
-    x: FieldElement
-    y: FieldElement
-    z: FieldElement
+class ConicPoint(Record):
+    __slots__ = ("x", "y", "z")
 
     def is_nonzero(self) -> bool:
         return not (self.x.is_zero() and self.y.is_zero() and self.z.is_zero())
@@ -190,15 +178,13 @@ def on_conic(alpha: FieldElement, beta: FieldElement, point: ConicPoint) -> bool
     return alpha * point.x * point.x + beta * point.y * point.y == point.z * point.z
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
+class SplitVerdict(Record):
     """"split" always carries a verified conic point; "division" and
     "unknown" record the search bound that backs them (0 = decided without
     a search)."""
 
-    kind: str  # "split" | "division" | "unknown"
-    point: ConicPoint | None = None
-    search_bound: int = 0
+    __slots__ = ("kind", "point", "search_bound")  # kind: "split" | "division" | "unknown"
+    _defaults = {"point": None, "search_bound": 0}
 
     def __post_init__(self):
         if self.kind not in ("split", "division", "unknown"):

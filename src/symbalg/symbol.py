@@ -14,21 +14,15 @@ non-division claims into concrete zero divisors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .fields import FieldDescriptor, FieldElement, ParseError, format_element, parse_element
+from .fields import FieldElement, ParseError, Record, format_element, parse_element
 from .quaternion import QuaternionAlgebra
 
 
-@dataclass(frozen=True)
-class SymbolAlgebra:
-    desc: FieldDescriptor
-    n: int
-    zeta: FieldElement
-    alpha: FieldElement
-    beta: FieldElement
+class SymbolAlgebra(Record):
+    __slots__ = ("desc", "n", "zeta", "alpha", "beta")
 
     def __post_init__(self):
         if self.n < 2:
@@ -76,10 +70,8 @@ class SymbolAlgebra:
         return [self.monomial(i, j) for i in range(self.n) for j in range(self.n)]
 
 
-@dataclass(frozen=True)
-class SymbolElement:
-    algebra: SymbolAlgebra
-    coeffs: tuple  # n x n grid, coeffs[i][j] multiplies x^i y^j
+class SymbolElement(Record):
+    __slots__ = ("algebra", "coeffs")  # n x n grid, coeffs[i][j] multiplies x^i y^j
 
     def _check(self, other: "SymbolElement"):
         if self.algebra != other.algebra:
@@ -189,15 +181,11 @@ def _sign_unit(value: FieldElement):
     raise ValueError("only alpha, beta in {-1, 1} admit the diagonal matrix model")
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(Record):
     """3 x 3 matrix model: x -> X = c*diag(1, zeta, zeta^2), y -> c'*P for
     the cyclic permutation P, extended linearly over the basis x^i y^j."""
 
-    algebra: SymbolAlgebra
-    X: tuple
-    Y: tuple
-    images: tuple  # images[i][j] = X^i Y^j as a tuple matrix
+    __slots__ = ("algebra", "X", "Y", "images")  # images[i][j] = X^i Y^j as a tuple matrix
 
     def apply(self, element: SymbolElement):
         if element.algebra != self.algebra:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbalg.cli import _VERBS, build_parser, main
-from symbalg.fields import ParseError
+from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MILLER_RABIN_LIMIT
 from symbalg.quaternion import MAX_SEARCH_BOUND
 
@@ -190,6 +190,105 @@ def test_number_theory_argv_fuzz(verb, data):
     envelope = json.loads(lines[0])
     assert code in (0, 1, 2)
     assert (envelope["status"] == "ok") == (code == 0)
+
+
+def _mostly(valid, malformed):
+    """valid text four times in five, so that whole argv often parse"""
+    return st.sampled_from([valid] * 4 + [malformed]).flatmap(lambda strategy: strategy)
+
+
+def _grid(cells):
+    return st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n).map(
+            lambda rows: json.dumps({"n": n, "coeffs": rows})
+        )
+    )
+
+
+VALID_ELEMENT = st.sampled_from(["1", "-1", "2", "7", "1/2", "-3/4", "0", "w", "-w", "1+1*w", "2-3*w"])
+ELEMENT_TEXT = _mostly(
+    VALID_ELEMENT,
+    st.one_of(
+        st.sampled_from(["1/0", "", "+", "w*w", "1//2", "1,2", "2**w"]),
+        st.text(alphabet="0123456789+-*/w ", max_size=10),
+        st.text(max_size=4),
+    ),
+)
+FIELD_TEXT = _mostly(
+    st.sampled_from(["qeps", "q", "qsqrt:3", "qsqrt:-1", "qsqrt:5", "qsqrt:-3"]),
+    st.one_of(
+        st.sampled_from(["qsqrt:4", "qsqrt:0", "qsqrt:1", "qsqrt:", "qsqrt:x", "Q", ""]),
+        st.integers(-(10**30), 10**30).map("qsqrt:{}".format),
+        st.sampled_from([MAX_SQRT_FIELD_D, MAX_SQRT_FIELD_D + 1, 999999999989, 10**18 + 3]).map("qsqrt:{}".format),
+    ),
+)
+GRID_TEXT = _mostly(
+    _grid(VALID_ELEMENT),
+    st.one_of(
+        _grid(ELEMENT_TEXT),
+        st.sampled_from(["null", "[1]", "{}", "{", '{"n": 3}', '{"n": 3, "coeffs": 1}', INT_GRID]),
+        st.text(max_size=6),
+    ),
+)
+COORDS_TEXT = _mostly(
+    st.lists(ELEMENT_TEXT, min_size=4, max_size=4).map(",".join),
+    st.lists(ELEMENT_TEXT, min_size=0, max_size=6).map(",".join),
+)
+
+
+def _int_text(valid):
+    return _mostly(valid.map(str), st.one_of(FUZZ_INTS.map(str), st.sampled_from(["x", "", "1.5", "0x10"])))
+
+
+# the verbs that parse element text or a --field, and one strategy per option
+GRAMMAR_OPTIONS = {
+    "field": FIELD_TEXT,
+    "alpha": ELEMENT_TEXT,
+    "beta": ELEMENT_TEXT,
+    "zeta": ELEMENT_TEXT,
+    "a": COORDS_TEXT,
+    "b": COORDS_TEXT,
+    "u": GRID_TEXT,
+    "v": GRID_TEXT,
+    "element": GRID_TEXT,
+    "n": _int_text(st.integers(1, 4)),
+    "bound": _int_text(st.sampled_from([1, 5, 20, 60, MAX_SEARCH_BOUND, MAX_SEARCH_BOUND + 1])),
+    "p": _int_text(st.sampled_from([2, 3, 5, 7, 11, 13, 31, 10**9 + 7, 10**18 + 3])),
+    "l": _int_text(st.integers(0, 101)),
+}
+GRAMMAR_VERBS = [
+    ("quaternion", "mul"), ("quaternion", "norm"), ("quaternion", "search-zero"),
+    ("symbol", "mul"), ("symbol", "relations"), ("symbol", "rep"), ("symbol", "zero-divisor"),
+    ("symbol", "crosscheck"), ("local", "artin"), ("local", "prop33"), ("demo", None),
+]
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(verb=st.sampled_from(GRAMMAR_VERBS), data=st.data())
+def test_argv_grammar_fuzz(verb, data):
+    argv = [word for word in verb if word]
+    for spec in _VERBS[verb[0]].get(verb[1], ()):
+        head, optional, _ = spec.partition("=")
+        name = head.partition(":")[0]
+        if not optional or data.draw(st.booleans(), label=f"give {name}"):
+            argv.append(f"--{name}={data.draw(GRAMMAR_OPTIONS[name], label=name)}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and err.getvalue() == ""
+    envelope = json.loads(lines[0])
+    assert code in (0, 1, 2)
+    assert (envelope["status"] == "ok") == (code == 0)
+
+
+def test_large_sqrt_field_gets_a_domain_error(capsys):
+    argv = ["quaternion", "norm", "--alpha=1", "--beta=1", "--a=1,0,0,0"]
+    code, env = run_cli(capsys, *argv, "--field=qsqrt:1000000000000000003")
+    assert code == 1 and env["result"]["code"] == "domain_error"
+    assert str(MAX_SQRT_FIELD_D) in env["result"]["precondition"]
+    code, env = run_cli(capsys, *argv, "--field=qsqrt:999999999989")
+    assert code == 0 and env["result"]["norm"] == "1"
 
 
 def test_exit_codes(capsys):
@@ -371,6 +470,30 @@ def test_search_bound_cap(capsys):
     assert code == 0 and env["result"] == {"bound": MAX_SEARCH_BOUND, "witness": None}
     code, env = run_cli(capsys, *argv, str(MAX_SEARCH_BOUND + 1))
     assert code == 1 and env["result"]["code"] == "domain_error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo"],
+        ["eisenstein", "factor", "--p", "7"],
+        ["quaternion", "norm", "--field=qsqrt:5", "--alpha=-1", "--beta=7", "--a=1,1,1,1"],
+        ["symbol", "zero-divisor", "--alpha=-1", "--beta=1"],
+        ["local", "classify", "--alpha=2", "--beta=7", "--p=7"],
+    ],
+)
+def test_verbs_load_neither_dataclasses_nor_inspect(argv):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from symbalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(sys.argv[1:])\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+    status, loaded = json.loads(out.stdout)
+    assert status == 0
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_cheap_verb_imports_only_its_modules():

@@ -28,6 +28,7 @@ from symbalg.eisenstein import (
     splitting_in_kummer,
     valuation,
 )
+from symbalg import intmath
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
@@ -414,6 +415,17 @@ def test_cyclotomic_splitting_at_large_l():
     for bad in (MAX_CYCLOTOMIC_L + 1, 10**30, 2, -7):
         with pytest.raises(ValueError, match="l must be in"):
             cyclotomic_splitting(7, bad)
+
+
+def test_cyclotomic_splitting_factors_l_once(monkeypatch):
+    calls = []
+    factor = intmath._prime_divisors
+    monkeypatch.setattr(intmath, "_prime_divisors", lambda n: calls.append(n) or factor(n))
+    l = 999983 * 1000003
+    assert cyclotomic_splitting(5, l) == cyclotomic_splitting(5, l)
+    assert calls.count(l) == 2  # once per call
+    f, r = cyclotomic_splitting(2, 10**9 + 7)
+    assert calls.count(10**9 + 7) == 1 and (f, r) == (500000003, 2)
 
 
 @given(p=st.sampled_from(primes_below(100)), l=st.integers(3, 60))

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbalg.fields import (
+    MAX_SQRT_FIELD_D,
     QEPS,
     QQ,
     QSQRT3,
@@ -97,6 +98,27 @@ def test_reducible_min_poly_rejected():
         sqrt_field(1)
     with pytest.raises(ValueError):
         sqrt_field(12)
+
+
+def _accepted(d):
+    try:
+        sqrt_field(d)
+    except ValueError:
+        return False
+    return True
+
+
+def test_sqrt_field_cap():
+    # below the cap: the square of a prime, a product of two primes, a prime
+    cases = {999983**2: False, 999983 * 1000003: True, 999999999989: True, 10**12 - 1: False}
+    for d, squarefree in cases.items():
+        assert abs(d) <= MAX_SQRT_FIELD_D
+        assert _accepted(d) == _accepted(-d) == squarefree, d
+    with pytest.raises(ValueError, match="squarefree"):
+        sqrt_field(MAX_SQRT_FIELD_D)  # 2^12 * 5^12
+    for d in (MAX_SQRT_FIELD_D + 1, -MAX_SQRT_FIELD_D - 1, 10**30 + 1, -(10**30)):
+        with pytest.raises(ValueError, match="at most"):
+            sqrt_field(d)
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
