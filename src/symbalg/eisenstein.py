@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import QEPS, FieldElement, ParseError, Record, parse_element
+from .fields import QEPS, ParseError, Record, parse_element
 from .intmath import _order_dividing, cornacchia, euler_phi, is_prime
 
 # entries kept by the factor_rational_prime and residue_field caches: every
@@ -121,9 +121,6 @@ class EisensteinInt(Record):
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def to_field(self) -> FieldElement:
-        return QEPS.element(self.a, self.b)
 
     def __str__(self):
         return format_eisenstein(self)
@@ -265,14 +262,6 @@ class ResidueField(Record):
             base = self.mul(base, base)
             k >>= 1
         return result
-
-    def elements(self):
-        if self.degree == 1:
-            yield from range(self.char)
-        else:
-            for c0 in range(self.char):
-                for c1 in range(self.char):
-                    yield (c0, c1)
 
 
 @lru_cache(maxsize=PRIME_CACHE_SIZE)

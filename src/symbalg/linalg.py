@@ -1,6 +1,19 @@
-"""Dense exact linear algebra over field elements (Gaussian elimination)."""
+"""Dense exact linear algebra over Q and the quadratic fields of `fields`.
+
+`determinant` and `solve` run Bareiss's fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968; Cohen, *A Course in Computational Algebraic Number
+Theory*, Alg. 2.2.6) on integer pairs (a, b) standing for a + b*s, with
+s = D*t for the lcm D of the denominators of u and w: s is a root of
+s^2 + D*u*s + D^2*w, so the pairs form the order Z[s], an integral domain.
+Each row is first multiplied by the lcm of its denominators.  The divisions
+are exact in Z[s]: x/y is x*conj(y) over the integer N(y), and a remainder
+raises ArithmeticError.
+"""
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .fields import FieldDescriptor, FieldElement
 
@@ -16,62 +29,98 @@ def mat_scale(a: Matrix, c) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def _integral_rows(a: Matrix):
+    """(D, U, W, rows, scale): s = D*t is a root of s^2 + U*s + W; rows are those
+    of a on the basis (1, s) times the lcm of their denominators, whose product is scale."""
+    desc = a[0][0].desc
+    d = math.lcm(desc.u.denominator, desc.w.denominator)
+    rows, scale = [], 1
+    for row in a:
+        if any(e.desc != desc for e in row):
+            raise ValueError("elements belong to different fields")
+        m = math.lcm(*(e.c0.denominator for e in row), *(e.c1.denominator * d for e in row))
+        rows.append([(e.c0.numerator * (m // e.c0.denominator),
+                      e.c1.numerator * (m // (e.c1.denominator * d))) for e in row])
+        scale *= m
+    return d, int(desc.u * d), int(desc.w * d * d), rows, scale
 
 
-def solve(a: Matrix, rhs: list[FieldElement]) -> list[FieldElement]:
-    """Solution of a*x = rhs by Gauss-Jordan elimination; exact, raises on
-    a singular matrix."""
-    n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col].inv()
-        m[col] = [entry * inv for entry in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [er - factor * ec for er, ec in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+def _mul(x, y, u: int, w: int):
+    """x*y in Z[s], where s^2 = -u*s - w."""
+    h = x[1] * y[1]
+    return x[0] * y[0] - w * h, x[0] * y[1] + x[1] * y[0] - u * h
+
+
+def _conj_norm(y, u: int, w: int):
+    """The conjugate of y under s -> -u - s, and the norm y*conj(y)."""
+    return (y[0] - u * y[1], -y[1]), y[0] * y[0] - u * y[0] * y[1] + w * y[1] * y[1]
+
+
+def _exact_quotient(x, conj_y, norm_y: int, u: int, w: int):
+    """x/y in Z[s] from conj(y) and N(y); ArithmeticError if y does not divide x."""
+    q0, r0 = divmod(x[0] * conj_y[0] - w * x[1] * conj_y[1], norm_y)
+    q1, r1 = divmod(x[0] * conj_y[1] + x[1] * conj_y[0] - u * x[1] * conj_y[1], norm_y)
+    if r0 or r1:
+        raise ArithmeticError("inexact division in the order of the field")
+    return q0, q1
+
+
+def _eliminate(rows: list, n: int, u: int, w: int) -> int:
+    """Bareiss forward elimination, in place, of the first n columns of
+    integer-pair rows, with the first nonzero pivot of each column.  Returns
+    the sign of the row permutation, or 0 when a column has no pivot; either
+    way sign * rows[n-1][n-1] is then the determinant of those columns."""
+    sign = 1
+    conj, norm = (1, 0), 1  # of the previous pivot
+    for k in range(n):
+        p = next((r for r in range(k, n) if rows[r][k] != (0, 0)), None)
+        if p is None:
+            return 0
+        rows[k], rows[p] = rows[p], rows[k]
+        sign = sign if p == k else -sign
+        top = rows[k]
+        a0, a1 = top[k]
+        for row in rows[k + 1:]:
+            b0, b1 = row[k]
+            for j in range(k + 1, len(row)):
+                # (a*c - b*d) / previous pivot, with a, b the column-k entries
+                (c0, c1), (d0, d1) = row[j], top[j]
+                h = a1 * c1 - b1 * d1
+                x = (a0 * c0 - b0 * d0 - w * h, a0 * c1 + a1 * c0 - b0 * d1 - b1 * d0 - u * h)
+                row[j] = _exact_quotient(x, conj, norm, u, w)
+        conj, norm = _conj_norm(top[k], u, w)
+    return sign
 
 
 def determinant(a: Matrix) -> FieldElement:
+    d, u, w, rows, scale = _integral_rows(a)
+    sign = _eliminate(rows, len(rows), u, w)
+    x0, x1 = rows[-1][-1]
+    return FieldElement(a[0][0].desc, Fraction(sign * x0, scale), Fraction(sign * x1 * d, scale))
+
+
+def solve(a: Matrix, rhs: list[FieldElement]) -> list[FieldElement]:
+    """Solution of a*x = rhs; exact, raises ValueError on a singular matrix.
+
+    After elimination of [a | rhs] the last pivot p is the determinant up
+    to sign, and back-substitution computes y = p*x, which Cramer's rule
+    puts in Z[s]; each x = y*conj(p)/N(p) is one field division.
+    """
     n = len(a)
-    desc = a[0][0].desc
-    m = [row[:] for row in a]
-    det = desc.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            return desc.zero()
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inv()
-        for r in range(col + 1, n):
-            if not m[r][col].is_zero():
-                factor = m[r][col] * inv
-                m[r] = [er - factor * ec for er, ec in zip(m[r], m[col])]
-    return det
-
-
-def is_singular(a: Matrix) -> bool:
-    return determinant(a).is_zero()
+    d, u, w, rows, _ = _integral_rows([row + [b] for row, b in zip(a, rhs)])
+    if not _eliminate(rows, n, u, w):
+        raise ValueError("singular matrix")
+    p = rows[n - 1][n - 1]
+    y = [None] * n
+    for i in reversed(range(n)):
+        acc0, acc1 = _mul(p, rows[i][n], u, w)
+        for j in range(i + 1, n):
+            t0, t1 = _mul(rows[i][j], y[j], u, w)
+            acc0, acc1 = acc0 - t0, acc1 - t1
+        y[i] = _exact_quotient((acc0, acc1), *_conj_norm(rows[i][i], u, w), u, w)
+    conj, norm = _conj_norm(p, u, w)
+    return [FieldElement(a[0][0].desc, Fraction(x0, norm), Fraction(x1 * d, norm))
+            for x0, x1 in (_mul(yi, conj, u, w) for yi in y)]

@@ -192,15 +192,15 @@ class MatrixRep(Record):
             raise ValueError("element belongs to a different algebra")
         n = self.algebra.n
         out = [[self.algebra.desc.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = element.coeffs[i][j]
+        for coeff_row, image_row in zip(element.coeffs, self.images):
+            for c, image in zip(coeff_row, image_row):
                 if c.is_zero():
                     continue
-                img = self.images[i][j]
-                for r in range(n):
-                    for s in range(n):
-                        out[r][s] = out[r][s] + img[r][s] * c
+                # X^i Y^j is monomial: one nonzero entry in each row
+                for r, img_row in enumerate(image):
+                    for s, e in enumerate(img_row):
+                        if not e.is_zero():
+                            out[r][s] = out[r][s] + e * c
         return out
 
 
@@ -211,59 +211,21 @@ def _freeze(matrix) -> tuple:
 def matrix_generators(alg: SymbolAlgebra) -> MatrixRep:
     if alg.n != 3:
         raise ValueError("the matrix model is built for degree 3")
-    c = _sign_unit(alg.alpha)
-    c2 = _sign_unit(alg.beta)
-    desc = alg.desc
-    zero, one = desc.zero(), desc.one()
-    z = alg.zeta
-    x_mat = [
-        [one * c, zero, zero],
-        [zero, z * c, zero],
-        [zero, zero, z * z * c],
-    ]
-    perm = [
-        [zero, one, zero],
-        [zero, zero, one],
-        [one, zero, zero],
-    ]
-    y_mat = linalg.mat_scale(perm, desc.lift(c2))
+    desc, z, zero = alg.desc, alg.zeta, alg.desc.zero()
+    c, c2 = desc.lift(_sign_unit(alg.alpha)), desc.lift(_sign_unit(alg.beta))
+    x_mat = [[c, zero, zero], [zero, z * c, zero], [zero, zero, z * z * c]]
+    y_mat = [[zero, c2, zero], [zero, zero, c2], [c2, zero, zero]]  # c' times the cyclic P
     ident = linalg.identity(desc, 3)
+    x_pows = [ident, x_mat, linalg.mat_mul(x_mat, x_mat)]
+    y_pows = [ident, y_mat, linalg.mat_mul(y_mat, y_mat)]
     if not (
-        linalg.mat_eq(linalg.mat_mul(x_mat, linalg.mat_mul(x_mat, x_mat)),
-                      linalg.mat_scale(ident, alg.alpha))
-        and linalg.mat_eq(linalg.mat_mul(y_mat, linalg.mat_mul(y_mat, y_mat)),
-                          linalg.mat_scale(ident, alg.beta))
-        and linalg.mat_eq(linalg.mat_mul(y_mat, x_mat),
-                          linalg.mat_scale(linalg.mat_mul(x_mat, y_mat), z))
+        linalg.mat_mul(x_pows[2], x_mat) == linalg.mat_scale(ident, alg.alpha)
+        and linalg.mat_mul(y_pows[2], y_mat) == linalg.mat_scale(ident, alg.beta)
+        and linalg.mat_mul(y_mat, x_mat) == linalg.mat_scale(linalg.mat_mul(x_mat, y_mat), z)
     ):
         raise ArithmeticError("matrix model violates the defining relations")
-    images = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            m = ident
-            for _ in range(i):
-                m = linalg.mat_mul(m, x_mat)
-            for _ in range(j):
-                m = linalg.mat_mul(m, y_mat)
-            row.append(_freeze(m))
-        images.append(tuple(row))
-    return MatrixRep(alg, _freeze(x_mat), _freeze(y_mat), tuple(images))
-
-
-def _basis_image_matrix(rep: MatrixRep):
-    """9 x 9 matrix whose columns are the flattened images of the basis."""
-    n = rep.algebra.n
-    columns = [
-        [rep.images[i][j][r][s] for r in range(n) for s in range(n)]
-        for i in range(n)
-        for j in range(n)
-    ]
-    return [[columns[c][r] for c in range(n * n)] for r in range(n * n)]
-
-
-def rep_is_bijective(rep: MatrixRep) -> bool:
-    return not linalg.determinant(_basis_image_matrix(rep)).is_zero()
+    images = tuple(tuple(_freeze(linalg.mat_mul(xi, yj)) for yj in y_pows) for xi in x_pows)
+    return MatrixRep(alg, _freeze(x_mat), _freeze(y_mat), images)
 
 
 def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]:

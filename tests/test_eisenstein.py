@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -29,9 +30,15 @@ from symbalg.eisenstein import (
     valuation,
 )
 from symbalg import intmath
+from symbalg.fields import QEPS
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
+
+
+def residue_elements(field):
+    """Every element of a residue field: an int mod p, or a (c0, c1) pair for F_p^2."""
+    return range(field.char) if field.degree == 1 else itertools.product(range(field.char), repeat=2)
 
 
 # ------------------------------------------------------------ ring basics
@@ -46,7 +53,7 @@ def test_norm_examples():
 
 def test_norm_agrees_with_field_norm():
     z = EisensteinInt(17, -12)
-    assert z.norm() == z.to_field().norm()
+    assert z.norm() == QEPS.element(z.a, z.b).norm()
 
 
 @given(x=eisenstein_ints, y=eisenstein_ints)
@@ -274,7 +281,7 @@ def test_reduce_ramified():
 
 def _cube_set(field):
     """Oracle: the set of cubes in the residue field, by enumeration."""
-    return {field.pow(x, 3) for x in field.elements()}
+    return {field.pow(x, 3) for x in residue_elements(field)}
 
 
 def test_symbol_two_at_split_seven():
@@ -294,7 +301,7 @@ def test_symbol_two_at_inert_five():
     assert symbol == CubicSymbol.root(0)
     # oracle: some x in F_25 cubes to 2
     target = field.reduce(EisensteinInt(2))
-    assert any(field.pow(x, 3) == target for x in field.elements())
+    assert any(field.pow(x, 3) == target for x in residue_elements(field))
     assert pow(2, 8, 5) == 1
 
 
@@ -340,7 +347,7 @@ def test_symbol_matches_cube_oracle_small(prime):
 def test_symbol_multiplicative(prime):
     field = residue_field(prime)
     lift = (lambda x: EisensteinInt(x)) if field.degree == 1 else (lambda x: EisensteinInt(*x))
-    residues = [x for x in field.elements() if x != field.zero]
+    residues = [x for x in residue_elements(field) if x != field.zero]
     table = {x: cubic_residue_symbol(lift(x), prime) for x in residues}
     for x in residues:
         sx = table[x]
