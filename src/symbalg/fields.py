@@ -4,6 +4,11 @@ Elements are pairs of reduced rationals attached to a shared descriptor.
 The cube-root-of-unity field uses minimal polynomial coefficients
 (u, w) = (1, 1); square-root fields Q(sqrt d) use (0, -d).  The text
 grammar prints the quadratic generator as ``w``, e.g. ``3+1*w``.
+
+``pair_mul`` is the one product of coefficient pairs (a0, a1) = a0 + a1*t,
+over the rationals or over the integers of ``linalg``.  ``symbol_product``
+is the one product of the algebras built on the field: the symbol algebra
+of degree n, of which the quaternion algebra is the case n = 2, zeta = -1.
 """
 
 from __future__ import annotations
@@ -157,6 +162,25 @@ def sqrt_field(d: int) -> FieldDescriptor:
 QSQRT3 = sqrt_field(3)
 
 
+def pair_mul(x, y, u, w):
+    """(x0 + x1*t)(y0 + y1*t) as a pair, where t^2 = -u*t - w; the entries
+    are rationals, or integers in the order of ``linalg``."""
+    x0, x1 = x
+    y0, y1 = y
+    if not x1:
+        return x0 * y0, x0 * y1
+    if not y1:
+        return x0 * y0, x1 * y0
+    h = x1 * y1
+    return x0 * y0 - w * h, x0 * y1 + x1 * y0 - u * h
+
+
+def pair_conj_norm(y, u, w):
+    """The conjugate of the pair y under t -> -u - t, and its norm y*conj(y)."""
+    y0, y1 = y
+    return (y0 - u * y1, -y1), y0 * y0 - u * y0 * y1 + w * y1 * y1
+
+
 class FieldElement(Record):
     """c0 + c1*t over the descriptor's field; immutable, exact."""
 
@@ -211,10 +235,7 @@ class FieldElement(Record):
             return o
         if self.desc.degree == 1:
             return FieldElement(self.desc, self.c0 * o.c0)
-        # (a0 + a1 t)(b0 + b1 t) with t^2 = -u*t - w
-        u, w = self.desc.u, self.desc.w
-        a0, a1, b0, b1 = self.c0, self.c1, o.c0, o.c1
-        return FieldElement(self.desc, a0 * b0 - w * a1 * b1, a0 * b1 + a1 * b0 - u * a1 * b1)
+        return FieldElement(self.desc, *pair_mul((self.c0, self.c1), (o.c0, o.c1), self.desc.u, self.desc.w))
 
     __rmul__ = __mul__
 
@@ -222,14 +243,16 @@ class FieldElement(Record):
         """Image under t -> -u - t (identity on Q)."""
         if self.desc.degree == 1:
             return self
-        return FieldElement(self.desc, self.c0 - self.desc.u * self.c1, -self.c1)
+        return FieldElement(self.desc, *self._conj_norm()[0])
 
     def norm(self) -> Fraction:
         """Product with the conjugate, as a rational; the element itself on Q."""
         if self.desc.degree == 1:
             return self.c0
-        u, w = self.desc.u, self.desc.w
-        return self.c0 * self.c0 - u * self.c0 * self.c1 + w * self.c1 * self.c1
+        return self._conj_norm()[1]
+
+    def _conj_norm(self):
+        return pair_conj_norm((self.c0, self.c1), self.desc.u, self.desc.w)
 
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0
@@ -246,9 +269,8 @@ class FieldElement(Record):
             return FieldElement(self.desc, 1 / self.c0)
         # norm is nonzero for nonzero elements because the minimal polynomial
         # is irreducible over Q
-        n = self.norm()
-        conj = self.conjugate()
-        return FieldElement(self.desc, conj.c0 / n, conj.c1 / n)
+        (c0, c1), n = self._conj_norm()
+        return FieldElement(self.desc, c0 / n, c1 / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -309,3 +331,66 @@ def parse_element(desc: FieldDescriptor, text: str) -> FieldElement:
     if c1 != 0 and desc.degree == 1:
         raise ParseError("generator 'w' is not available in Q")
     return desc.element(c0, c1)
+
+
+def _symbol_shape(n: int):
+    """Entry [p][q] for the basis monomials p = i*n + j and q = k*n + l is
+    (r, s): x^i y^j * x^k y^l is the monomial r = ((i+k) mod n)*n + (j+l) mod n
+    times zeta^e alpha^a beta^b, which is entry s = (e*2 + a)*2 + b of
+    ``symbol_scales``, with e = j*k mod n, a = (i+k) div n, b = (j+l) div n."""
+    return tuple(
+        tuple(
+            ((i + k) % n * n + (j + l) % n, (j * k % n * 2 + (i + k) // n) * 2 + (j + l) // n)
+            for k in range(n)
+            for l in range(n)
+        )
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+# the shape of the product depends on the degree alone
+SYMBOL_SHAPES = {n: _symbol_shape(n) for n in (2, 3)}
+
+
+def symbol_scales(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement):
+    """The pairs zeta^e alpha^a beta^b, at index (e*2 + a)*2 + b for e < n
+    and a, b in {0, 1}: each run of four is the one before times zeta."""
+    u, w = zeta.desc.u, zeta.desc.w
+    a, b = (alpha.c0, alpha.c1), (beta.c0, beta.c1)
+    z = (zeta.c0, zeta.c1)
+    scales = [(Fraction(1), Fraction(0)), b, a, pair_mul(a, b, u, w)]
+    for _ in range(n - 1):
+        scales += [pair_mul(z, c, u, w) for c in scales[-4:]]
+    return scales
+
+
+def symbol_product(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement, left, right):
+    """The product in the symbol algebra of degree n generated by x, y with
+    x^n = alpha, y^n = beta, y*x = zeta*x*y:
+
+        (x^i y^j)(x^k y^l) = zeta^(j*k) * alpha^((i+k) div n)
+                             * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
+
+    extended bilinearly.  Both factors and the result are lists of n*n
+    field elements over the monomials x^i y^j in (i, j)-lexicographic order.
+    """
+    desc = zeta.desc
+    u, w = desc.u, desc.w
+    scales = symbol_scales(n, zeta, alpha, beta)
+    ys = [(y.c0, y.c1) if y.c0 or y.c1 else None for y in right]
+    acc = [None] * (n * n)
+    for x, row in zip(left, SYMBOL_SHAPES[n]):
+        if not (x.c0 or x.c1):
+            continue
+        xp = (x.c0, x.c1)
+        for (r, s), y in zip(row, ys):
+            if y is None:
+                continue
+            term = pair_mul(xp, y, u, w)
+            if s:
+                term = pair_mul(term, scales[s], u, w)
+            before = acc[r]
+            acc[r] = term if before is None else (before[0] + term[0], before[1] + term[1])
+    zero = desc.zero()
+    return [zero if pair is None else FieldElement(desc, *pair) for pair in acc]

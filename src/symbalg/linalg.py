@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldDescriptor, FieldElement, pair_conj_norm, pair_mul
 
 Matrix = list[list[FieldElement]]
 
@@ -48,21 +48,9 @@ def _integral_rows(a: Matrix):
     return d, int(desc.u * d), int(desc.w * d * d), rows, scale
 
 
-def _mul(x, y, u: int, w: int):
-    """x*y in Z[s], where s^2 = -u*s - w."""
-    h = x[1] * y[1]
-    return x[0] * y[0] - w * h, x[0] * y[1] + x[1] * y[0] - u * h
-
-
-def _conj_norm(y, u: int, w: int):
-    """The conjugate of y under s -> -u - s, and the norm y*conj(y)."""
-    return (y[0] - u * y[1], -y[1]), y[0] * y[0] - u * y[0] * y[1] + w * y[1] * y[1]
-
-
 def _exact_quotient(x, conj_y, norm_y: int, u: int, w: int):
     """x/y in Z[s] from conj(y) and N(y); ArithmeticError if y does not divide x."""
-    q0, r0 = divmod(x[0] * conj_y[0] - w * x[1] * conj_y[1], norm_y)
-    q1, r1 = divmod(x[0] * conj_y[1] + x[1] * conj_y[0] - u * x[1] * conj_y[1], norm_y)
+    (q0, r0), (q1, r1) = (divmod(c, norm_y) for c in pair_mul(x, conj_y, u, w))
     if r0 or r1:
         raise ArithmeticError("inexact division in the order of the field")
     return q0, q1
@@ -82,16 +70,14 @@ def _eliminate(rows: list, n: int, u: int, w: int) -> int:
         rows[k], rows[p] = rows[p], rows[k]
         sign = sign if p == k else -sign
         top = rows[k]
-        a0, a1 = top[k]
+        a = top[k]
         for row in rows[k + 1:]:
-            b0, b1 = row[k]
+            b = row[k]
             for j in range(k + 1, len(row)):
                 # (a*c - b*d) / previous pivot, with a, b the column-k entries
-                (c0, c1), (d0, d1) = row[j], top[j]
-                h = a1 * c1 - b1 * d1
-                x = (a0 * c0 - b0 * d0 - w * h, a0 * c1 + a1 * c0 - b0 * d1 - b1 * d0 - u * h)
-                row[j] = _exact_quotient(x, conj, norm, u, w)
-        conj, norm = _conj_norm(top[k], u, w)
+                (x0, x1), (y0, y1) = pair_mul(a, row[j], u, w), pair_mul(b, top[j], u, w)
+                row[j] = _exact_quotient((x0 - y0, x1 - y1), conj, norm, u, w)
+        conj, norm = pair_conj_norm(a, u, w)
     return sign
 
 
@@ -116,11 +102,11 @@ def solve(a: Matrix, rhs: list[FieldElement]) -> list[FieldElement]:
     p = rows[n - 1][n - 1]
     y = [None] * n
     for i in reversed(range(n)):
-        acc0, acc1 = _mul(p, rows[i][n], u, w)
+        acc0, acc1 = pair_mul(p, rows[i][n], u, w)
         for j in range(i + 1, n):
-            t0, t1 = _mul(rows[i][j], y[j], u, w)
+            t0, t1 = pair_mul(rows[i][j], y[j], u, w)
             acc0, acc1 = acc0 - t0, acc1 - t1
-        y[i] = _exact_quotient((acc0, acc1), *_conj_norm(rows[i][i], u, w), u, w)
-    conj, norm = _conj_norm(p, u, w)
+        y[i] = _exact_quotient((acc0, acc1), *pair_conj_norm(rows[i][i], u, w), u, w)
+    conj, norm = pair_conj_norm(p, u, w)
     return [FieldElement(a[0][0].desc, Fraction(x0, norm), Fraction(x1 * d, norm))
-            for x0, x1 in (_mul(yi, conj, u, w) for yi in y)]
+            for x0, x1 in (pair_mul(yi, conj, u, w) for yi in y)]

@@ -1,19 +1,19 @@
 """Generalized quaternion algebras H_K(alpha, beta).
 
 The basis is {1, e1, e2, e3} with e1^2 = alpha, e2^2 = beta, e1*e2 = e3,
-e2*e1 = -e3; multiplication extends the four by four basis table
-bilinearly.  Split/division decisions come with exact witnesses: a point
-on the associated conic alpha*x^2 + beta*y^2 = z^2 for split algebras,
-an exhaustive isotropic-vector search for division consistency.
+e2*e1 = -e3.  The product is the symbol product of degree 2 with
+zeta = -1 (``fields.symbol_product``) under 1, e1, e2, e3 <-> 1, x, y, xy.
+Split/division decisions come with exact witnesses: a point on the
+associated conic alpha*x^2 + beta*y^2 = z^2 for split algebras, an
+exhaustive isotropic-vector search for division consistency.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .fields import QQ, QSQRT3, FieldElement, Record
+from .fields import QQ, QSQRT3, FieldElement, Record, pair_mul, symbol_product
 from .intmath import cornacchia, is_prime
 
 # largest coordinate bound norm_form_zero_search accepts; time grows as
@@ -46,34 +46,6 @@ class QuaternionAlgebra(Record):
             coords[i][i] = 1
         return tuple(self.element(*c) for c in coords)
 
-    def _table(self):
-        one = self.desc.one()
-        a, b = self.alpha, self.beta
-        # rows index the left factor, columns the right one; entries are
-        # (basis index, coefficient) exactly as in the defining table
-        return (
-            ((0, one), (1, one), (2, one), (3, one)),
-            ((1, one), (0, a), (3, one), (2, a)),
-            ((2, one), (3, -one), (0, b), (1, -b)),
-            ((3, one), (2, -a), (1, b), (0, -a * b)),
-        )
-
-
-@lru_cache(maxsize=None)
-def _pair_table(alg: "QuaternionAlgebra"):
-    """The basis table with coefficients as raw (c0, c1) pairs; the
-    coefficient 1 is stored as None so the hot loop can skip it."""
-    table = []
-    for row in alg._table():
-        entries = []
-        for index, coeff in row:
-            if coeff == alg.desc.one():
-                entries.append((index, None))
-            else:
-                entries.append((index, (coeff.c0, coeff.c1)))
-        table.append(tuple(entries))
-    return tuple(table)
-
 
 class Quaternion(Record):
     __slots__ = ("algebra", "x0", "x1", "x2", "x3")
@@ -101,37 +73,15 @@ class Quaternion(Record):
         return Quaternion(self.algebra, *(x * c for x in self.coords))
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
-        # same raw-pair kernel as the symbol product: fraction arithmetic
-        # inline, element objects built only for the four output coords
+        # over the monomials 1, y, x, xy of the symbol algebra the coordinates
+        # run x0, x2, x1, x3
         self._check(other)
-        desc = self.algebra.desc
-        u_, w_ = desc.u, desc.w
-
-        def pmul(x, y):
-            a0, a1 = x
-            b0, b1 = y
-            return (a0 * b0 - w_ * a1 * b1, a0 * b1 + a1 * b0 - u_ * a1 * b1)
-
-        table = _pair_table(self.algebra)
-        acc = [None] * 4
-        for i, xi in enumerate(self.coords):
-            if xi.c0 == 0 and xi.c1 == 0:
-                continue
-            xp = (xi.c0, xi.c1)
-            for j, yj in enumerate(other.coords):
-                if yj.c0 == 0 and yj.c1 == 0:
-                    continue
-                index, coeff = table[i][j]
-                term = pmul(xp, (yj.c0, yj.c1))
-                if coeff is not None:
-                    term = pmul(term, coeff)
-                before = acc[index]
-                acc[index] = term if before is None else (before[0] + term[0], before[1] + term[1])
-        zero = desc.zero()
-        coords = [
-            zero if pair is None else FieldElement(desc, pair[0], pair[1]) for pair in acc
-        ]
-        return Quaternion(self.algebra, *coords)
+        alg = self.algebra
+        x0, x2, x1, x3 = symbol_product(
+            2, alg.desc.lift(-1), alg.alpha, alg.beta,
+            [self.x0, self.x2, self.x1, self.x3], [other.x0, other.x2, other.x1, other.x3],
+        )
+        return Quaternion(alg, x0, x1, x2, x3)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.algebra, self.x0, -self.x1, -self.x2, -self.x3)
@@ -140,26 +90,16 @@ class Quaternion(Record):
         return self.x0 + self.x0
 
     def norm(self) -> FieldElement:
-        # x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2 on raw pairs
+        """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2."""
         desc = self.algebra.desc
-        u_, w_ = desc.u, desc.w
-
-        def pmul(x, y):
-            a0, a1 = x
-            b0, b1 = y
-            return (a0 * b0 - w_ * a1 * b1, a0 * b1 + a1 * b0 - u_ * a1 * b1)
-
+        u, w = desc.u, desc.w
         a = (self.algebra.alpha.c0, self.algebra.alpha.c1)
         b = (self.algebra.beta.c0, self.algebra.beta.c1)
-        squares = [pmul((x.c0, x.c1), (x.c0, x.c1)) for x in self.coords]
-        t1 = pmul(a, squares[1])
-        t2 = pmul(b, squares[2])
-        t3 = pmul(pmul(a, b), squares[3])
-        return FieldElement(
-            desc,
-            squares[0][0] - t1[0] - t2[0] + t3[0],
-            squares[0][1] - t1[1] - t2[1] + t3[1],
-        )
+        s0, s1, s2, s3 = (pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w) for x in self.coords)
+        t1 = pair_mul(a, s1, u, w)
+        t2 = pair_mul(b, s2, u, w)
+        t3 = pair_mul(pair_mul(a, b, u, w), s3, u, w)
+        return FieldElement(desc, s0[0] - t1[0] - t2[0] + t3[0], s0[1] - t1[1] - t2[1] + t3[1])
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.coords)

@@ -2,7 +2,8 @@
 
 Generated by x, y with x^n = alpha, y^n = beta and y*x = zeta*x*y, for a
 primitive n-th root of unity zeta in the base field.  Elements are n x n
-coefficient grids over the basis x^i y^j; multiplication extends
+coefficient grids over the basis x^i y^j; multiplication is
+``fields.symbol_product``, which extends
 
     (x^i y^j)(x^k y^l) = zeta^(j*k) * alpha^((i+k) div n)
                          * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
@@ -17,8 +18,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .fields import FieldElement, ParseError, Record, format_element, parse_element
-from .quaternion import QuaternionAlgebra
+from .fields import (
+    SYMBOL_SHAPES,
+    FieldElement,
+    ParseError,
+    Record,
+    format_element,
+    pair_mul,
+    parse_element,
+    symbol_product,
+    symbol_scales,
+)
 
 
 class SymbolAlgebra(Record):
@@ -96,62 +106,15 @@ class SymbolElement(Record):
         return self.algebra.element([[a * c for a in row] for row in self.coeffs])
 
     def __mul__(self, other: "SymbolElement") -> "SymbolElement":
-        # the hot path of every sweep: coefficient arithmetic runs on raw
-        # (c0, c1) fraction pairs and element objects are built once at
-        # the end
         self._check(other)
         alg = self.algebra
         n = alg.n
-        desc = alg.desc
-        u_, w_ = desc.u, desc.w
+        flat = symbol_product(n, alg.zeta, alg.alpha, alg.beta, self.flat(), other.flat())
+        return SymbolElement(alg, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
 
-        def pmul(x, y):
-            a0, a1 = x
-            b0, b1 = y
-            return (a0 * b0 - w_ * a1 * b1, a0 * b1 + a1 * b0 - u_ * a1 * b1)
-
-        zeta_pair = (alg.zeta.c0, alg.zeta.c1)
-        zeta_powers = [(desc.one().c0, desc.one().c1)]
-        for _ in range(n - 1):
-            zeta_powers.append(pmul(zeta_powers[-1], zeta_pair))
-        alpha_pair = (alg.alpha.c0, alg.alpha.c1)
-        beta_pair = (alg.beta.c0, alg.beta.c1)
-
-        acc = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = self.coeffs[i][j]
-                if c.c0 == 0 and c.c1 == 0:
-                    continue
-                cp = (c.c0, c.c1)
-                for k in range(n):
-                    for l in range(n):
-                        d = other.coeffs[k][l]
-                        if d.c0 == 0 and d.c1 == 0:
-                            continue
-                        term = pmul(cp, (d.c0, d.c1))
-                        e = j * k % n
-                        if e:
-                            term = pmul(term, zeta_powers[e])
-                        xq, xr = divmod(i + k, n)
-                        yq, yr = divmod(j + l, n)
-                        if xq:
-                            term = pmul(term, alpha_pair)
-                        if yq:
-                            term = pmul(term, beta_pair)
-                        before = acc[xr][yr]
-                        acc[xr][yr] = term if before is None else (
-                            before[0] + term[0], before[1] + term[1]
-                        )
-        zero = desc.zero()
-        grid = tuple(
-            tuple(
-                zero if acc[i][j] is None else FieldElement(desc, acc[i][j][0], acc[i][j][1])
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return SymbolElement(alg, grid)
+    def flat(self) -> list[FieldElement]:
+        """The coefficients in (i, j)-lexicographic order of x^i y^j."""
+        return [c for row in self.coeffs for c in row]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for row in self.coeffs for c in row)
@@ -251,41 +214,40 @@ def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]
 
 def left_regular_matrix(u: SymbolElement):
     """Matrix of v -> u*v in the (i, j)-lexicographic basis; singular
-    exactly when u is zero or a left zero divisor."""
+    exactly when u is zero or a left zero divisor.  Column q is u times the
+    q-th monomial: each coefficient of u moved to the index of its product
+    with that monomial and multiplied by its structure constant."""
     alg = u.algebra
-    n = alg.n
-    columns = []
-    for k in range(n):
-        for l in range(n):
-            w = u * alg.monomial(k, l)
-            columns.append([w.coeffs[i][j] for i in range(n) for j in range(n)])
-    return [[columns[c][r] for c in range(n * n)] for r in range(n * n)]
+    n, desc = alg.n, alg.desc
+    scales = symbol_scales(n, alg.zeta, alg.alpha, alg.beta)
+    matrix = [[desc.zero()] * (n * n) for _ in range(n * n)]
+    for c, row in zip(u.flat(), SYMBOL_SHAPES[n]):
+        if c.is_zero():
+            continue
+        for q, (r, s) in enumerate(row):
+            matrix[r][q] = FieldElement(desc, *pair_mul((c.c0, c.c1), scales[s], desc.u, desc.w)) if s else c
+    return matrix
 
 
 def quaternion_crosscheck(alg: SymbolAlgebra) -> bool:
-    """For n = 2, compare all 16 basis products against the quaternion
-    table under 1 -> 1, x -> e1, y -> e2, xy -> e3."""
+    """For n = 2, compare all 16 products of the monomials 1, x, y, xy
+    against the defining quaternion table under 1, x, y, xy <-> 1, e1, e2, e3."""
     if alg.n != 2:
         raise ValueError("the crosscheck is defined for degree 2")
-    quat = QuaternionAlgebra(alg.desc, alg.alpha, alg.beta)
-    basis_index = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-    quat_basis = quat.basis()
-
-    def to_quaternion(element: SymbolElement):
-        coords = [None] * 4
-        for (i, j), pos in basis_index.items():
-            coords[pos] = element.coeffs[i][j]
-        return quat.element(*coords)
-
-    for i1 in range(2):
-        for j1 in range(2):
-            for i2 in range(2):
-                for j2 in range(2):
-                    product = alg.monomial(i1, j1) * alg.monomial(i2, j2)
-                    expected = quat_basis[basis_index[(i1, j1)]] * quat_basis[basis_index[(i2, j2)]]
-                    if to_quaternion(product) != expected:
-                        return False
-    return True
+    one, a, b = alg.desc.one(), alg.alpha, alg.beta
+    # e_r * e_c = coefficient * e_index, rows the left factor 1, e1, e2, e3
+    table = (
+        ((0, one), (1, one), (2, one), (3, one)),
+        ((1, one), (0, a), (3, one), (2, a)),
+        ((2, one), (3, -one), (0, b), (1, -b)),
+        ((3, one), (2, -a), (1, b), (0, -a * b)),
+    )
+    basis = [alg.monomial(0, 0), alg.monomial(1, 0), alg.monomial(0, 1), alg.monomial(1, 1)]
+    return all(
+        basis[r] * basis[c] == basis[index].scale(coeff)
+        for r, row in enumerate(table)
+        for c, (index, coeff) in enumerate(row)
+    )
 
 
 def element_to_json(element: SymbolElement) -> dict:

@@ -1,0 +1,114 @@
+"""Write argv_golden.jsonl beside this file: one {"argv", "exit", "stdout"}
+record per line for each argv in ARGVS, run through ``symbalg.cli.main``
+in the same process.
+
+    PYTHONPATH=src python tests/data/make_argv_golden.py
+
+The records pin the output bytes of the verbs built on the algebra
+products; ``tests/test_cli.py`` replays them.  Regenerating the file
+changes what the tests accept, so review the diff like code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+from symbalg.cli import main
+
+OUT = Path(__file__).parent / "argv_golden.jsonl"
+
+
+def _grid(*rows):
+    return json.dumps({"n": len(rows), "coeffs": [list(row) for row in rows]})
+
+
+# general coefficients: reduced and unreduced fractions, "-0" and "+0*w"
+Q2_U = _grid(["2/4", "-3"], ["-0", "5/7"])
+Q2_V = _grid(["1/3", "0"], ["-2", "6/4"])
+SQRT_U = _grid(["1+1*w", "-1/2*w"], ["3/6-0*w", "+0*w"])
+SQRT_V = _grid(["-2+3/4*w", "1"], ["w", "7/5-1*w"])
+EPS_U = _grid(["1", "2/4+1*w", "0"], ["-0", "-w", "3/2"], ["1/3-2*w", "0", "+0*w"])
+EPS_V = _grid(["-1+1*w", "0", "2"], ["1/2", "4/6*w", "-0"], ["0", "-5/3", "1+1*w"])
+EPS_SPARSE = _grid(["0", "0", "1/2"], ["0", "-1*w", "0"], ["0", "0", "0"])
+
+QUATERNION_FIELDS = (
+    ("q", "-1", "7", "1,2/4,-0,3", "-1/3,5,+0*w,2"),
+    ("q", "2/3", "-5/2", "0,1,-1/2,4/8", "3,-0,2,-7"),
+    ("qsqrt:3", "-1", "2+1*w", "1+1*w,2/4,-0,-3*w", "1/2-1*w,+0*w,5,w"),
+    ("qsqrt:-5", "3/2*w", "-2", "w,1-2/6*w,0,4", "-1,3*w,2/3+1*w,-0"),
+    ("qeps", "1+1*w", "2*w", "1,-1*w,1/3+2*w,+0*w", "2/4,1,-w,3-3*w"),
+    ("qeps", "-1", "-3", "1-1*w,0,2,1/2*w", "0,1,-1,4/3+2*w"),
+)
+
+
+def _argv(*words, **options):
+    """words, then --name=value for each option, so that values may start with "-"."""
+    return [*words, *(f"--{name}={value}" for name, value in options.items())]
+
+
+ARGVS = []
+for field, alpha, beta, a, b in QUATERNION_FIELDS:
+    ARGVS.append(_argv("quaternion", "mul", field=field, alpha=alpha, beta=beta, a=a, b=b))
+    ARGVS.append(_argv("quaternion", "mul", field=field, alpha=alpha, beta=beta, a=b, b=a))
+    ARGVS.append(_argv("quaternion", "norm", field=field, alpha=alpha, beta=beta, a=a))
+    ARGVS.append(_argv("quaternion", "norm", field=field, alpha=alpha, beta=beta, a=b))
+
+ARGVS += [
+    _argv("symbol", "mul", field="q", n=2, alpha="-1", beta="7", u=Q2_U, v=Q2_V),
+    _argv("symbol", "mul", field="q", n=2, alpha="2/3", beta="-5", u=Q2_V, v=Q2_U),
+    _argv("symbol", "mul", field="qsqrt:3", n=2, alpha="1+1*w", beta="-2", u=SQRT_U, v=SQRT_V),
+    _argv("symbol", "mul", field="qsqrt:-5", n=2, alpha="3", beta="1/2*w", u=SQRT_V, v=SQRT_U),
+    _argv("symbol", "mul", field="qeps", n=2, alpha="w", beta="1-1*w", u=SQRT_U, v=SQRT_V),
+    _argv("symbol", "mul", alpha="2", beta="7", u=EPS_U, v=EPS_V),
+    _argv("symbol", "mul", alpha="1+1*w", beta="-2/3*w", u=EPS_V, v=EPS_U),
+    _argv("symbol", "mul", alpha="-1", beta="1", zeta="-1-1*w", u=EPS_U, v=EPS_SPARSE),
+    _argv("symbol", "mul", n=3, alpha="5/2", beta="3*w", u=EPS_SPARSE, v=EPS_SPARSE),
+    _argv("symbol", "relations", field="q", n=2, alpha="-1", beta="7"),
+    _argv("symbol", "relations", field="qsqrt:-5", n=2, alpha="w", beta="2/3"),
+    _argv("symbol", "relations", alpha="2", beta="1+1*w"),
+    _argv("symbol", "relations", alpha="2", beta="7", zeta="-1-1*w"),
+    _argv("symbol", "rep", alpha="1", beta="-1", element=EPS_U),
+    _argv("symbol", "rep", alpha="-1", beta="-1", element=EPS_V),
+    _argv("symbol", "rep", alpha="1", beta="1", element=EPS_SPARSE),
+    _argv("symbol", "zero-divisor", alpha="1", beta="1"),
+    _argv("symbol", "zero-divisor", alpha="1", beta="-1"),
+    _argv("symbol", "zero-divisor", alpha="-1", beta="1"),
+    _argv("symbol", "zero-divisor", alpha="-1", beta="-1"),
+    _argv("symbol", "crosscheck", alpha="-1", beta="7"),
+    _argv("symbol", "crosscheck", alpha="2/4", beta="-3"),
+    _argv("symbol", "crosscheck", alpha="5", beta="1/7"),
+    _argv("quaternion", "search-zero", alpha="-1", beta="7", bound=20),
+    _argv("quaternion", "search-zero", alpha="-1", beta="5", bound=10),
+    _argv("quaternion", "conic-point", p=13),
+    # one error envelope per verb
+    _argv("quaternion", "mul", alpha="0", beta="7", a="1,0,0,0", b="1,0,0,0"),
+    _argv("quaternion", "norm", alpha="-1", beta="7", a="1,w,0,0"),
+    _argv("symbol", "mul", field="q", n=2, alpha="-1", beta="7", u=Q2_U, v=EPS_U),
+    _argv("symbol", "relations", field="q", n=3, alpha="2", beta="7"),
+    _argv("symbol", "rep", alpha="2", beta="1", element=EPS_U),
+    _argv("symbol", "zero-divisor", alpha="1", beta="3"),
+    _argv("symbol", "crosscheck", alpha="1/0", beta="7"),
+    # --pretty
+    _argv("--pretty", "quaternion", "mul", field="qeps", alpha="1+1*w", beta="2*w",
+         a="1,-1*w,1/3+2*w,+0*w", b="2/4,1,-w,3-3*w"),
+    _argv("--pretty", "symbol", "zero-divisor", alpha="-1", beta="1"),
+]
+
+
+def record(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+if __name__ == "__main__":
+    os.environ.pop("SYMBALG_SEARCH_BOUND", None)
+    with OUT.open("w") as fh:
+        for argv in ARGVS:
+            fh.write(json.dumps(record(argv), sort_keys=True) + "\n")
+    print(f"wrote {len(ARGVS)} records to {OUT}")

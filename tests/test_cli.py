@@ -443,6 +443,16 @@ def test_demo_golden_byte_identical():
     assert out.stdout == (DATA / "demo.json").read_bytes()
 
 
+def test_argv_golden_records(capsys, monkeypatch):
+    # written by tests/data/make_argv_golden.py; regenerate only as a reviewed change
+    monkeypatch.delenv("SYMBALG_SEARCH_BOUND", raising=False)
+    records = [json.loads(line) for line in (DATA / "argv_golden.jsonl").read_text().splitlines()]
+    assert records
+    for record in records:
+        code = main(list(record["argv"]))
+        assert (code, capsys.readouterr().out) == (record["exit"], record["stdout"]), record["argv"]
+
+
 def test_pretty_flag(capsys):
     code = main(["--pretty", "quaternion", "gauss", "--p", "7"])
     out = capsys.readouterr().out

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbalg import linalg
-from symbalg.fields import QEPS, QQ, QSQRT3, FieldDescriptor, sqrt_field
+from symbalg.fields import QEPS, QQ, QSQRT3, FieldDescriptor, pair_conj_norm, sqrt_field
 from symbalg.symbol import SymbolAlgebra, left_regular_matrix
 
 # the last field has non-integral u and w, so its generator is rescaled
@@ -134,11 +134,11 @@ def test_left_regular_inverses_as_in_the_elimination_workload():
 
 def test_inexact_division_raises():
     # in Z[e] (u = w = 1): 3 = (1 - e)(2 + e), but 1/2 and 1/(1 - e) are not integral
-    conj, norm = linalg._conj_norm((1, -1), 1, 1)
+    conj, norm = pair_conj_norm((1, -1), 1, 1)
     assert linalg._exact_quotient((3, 0), conj, norm, 1, 1) == (2, 1)
     with pytest.raises(ArithmeticError):
         linalg._exact_quotient((1, 0), conj, norm, 1, 1)
-    conj, norm = linalg._conj_norm((2, 0), 1, 1)
+    conj, norm = pair_conj_norm((2, 0), 1, 1)
     with pytest.raises(ArithmeticError):
         linalg._exact_quotient((1, 1), conj, norm, 1, 1)
 

@@ -1,0 +1,142 @@
+"""Differential test of the algebra products against a structure-constant
+product written out here.
+
+The oracle keeps an element as a dict {(i, j): (c0, c1)} of Fraction pairs
+c0 + c1*t over Q[t]/(t^2 + u*t + w), and applies
+
+    (x^i y^j)(x^k y^l) = zeta^(j*k) * alpha^((i+k) div n)
+                         * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
+
+term by term, one factor of zeta, alpha or beta at a time.  It calls no
+product code of symbalg and reads only the u and w of the descriptors.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symbalg.fields import QEPS, QQ, sqrt_field
+from symbalg.quaternion import QuaternionAlgebra
+from symbalg.symbol import SymbolAlgebra, left_regular_matrix
+
+ZERO = (Fraction(0), Fraction(0))
+FIELDS = {"Q": QQ, "Q(sqrt 3)": sqrt_field(3), "Q(sqrt -5)": sqrt_field(-5), "Q(e)": QEPS}
+# 1, e1, e2, e3 of H(alpha, beta) are 1, x, y, xy of the symbol algebra of degree 2
+QUATERNION_MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def o_mul(desc, x, y):
+    u, w = desc.u, desc.w
+    return (x[0] * y[0] - w * x[1] * y[1], x[0] * y[1] + x[1] * y[0] - u * x[1] * y[1])
+
+
+def o_product(desc, n, zeta, alpha, beta, a, b):
+    out = {}
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            term = o_mul(desc, x, y)
+            for _ in range(j * k % n):
+                term = o_mul(desc, term, zeta)
+            if i + k >= n:
+                term = o_mul(desc, term, alpha)
+            if j + l >= n:
+                term = o_mul(desc, term, beta)
+            key = ((i + k) % n, (j + l) % n)
+            before = out.get(key, ZERO)
+            out[key] = (before[0] + term[0], before[1] + term[1])
+    return {key: c for key, c in out.items() if c != ZERO}
+
+
+def pair(e):
+    return (e.c0, e.c1)
+
+
+def sparse(cells):
+    return {key: c for key, c in cells.items() if c != ZERO}
+
+
+def grid_dict(element):
+    n = element.algebra.n
+    return sparse({(i, j): pair(element.coeffs[i][j]) for i in range(n) for j in range(n)})
+
+
+def quaternion_dict(q):
+    return sparse({key: pair(c) for key, c in zip(QUATERNION_MONOMIALS, q.coords)})
+
+
+RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
+
+
+@st.composite
+def coefficient(draw, desc, nonzero=False):
+    c = (draw(RATIONAL), draw(RATIONAL) if desc.degree == 2 else Fraction(0))
+    if nonzero and c == ZERO:
+        c = (Fraction(draw(st.sampled_from([-3, -1, 1, 2]))), c[1])
+    return c
+
+
+@st.composite
+def sparse_cells(draw, desc, count):
+    """count coefficients, each zero about half of the time."""
+    return [draw(st.one_of(st.just(ZERO), coefficient(desc))) for _ in range(count)]
+
+
+@st.composite
+def symbol_case(draw):
+    """(desc, n, zeta, alpha, beta, algebra): degree 2 over the four fields
+    and degree 3 over Q(e), with either primitive cube root as zeta."""
+    name = draw(st.sampled_from([*FIELDS, "Q(e), n = 3"]))
+    if name == "Q(e), n = 3":
+        desc, n = QEPS, 3
+        zeta = draw(st.sampled_from([(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(-1))]))
+    else:
+        desc, n, zeta = FIELDS[name], 2, (Fraction(-1), Fraction(0))
+    alpha, beta = draw(coefficient(desc, nonzero=True)), draw(coefficient(desc, nonzero=True))
+    alg = SymbolAlgebra(desc, n, desc.element(*zeta), desc.element(*alpha), desc.element(*beta))
+    return desc, n, zeta, alpha, beta, alg
+
+
+def symbol_element(alg, cells):
+    n = alg.n
+    return alg.element([[alg.desc.element(*cells[i * n + j]) for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_symbol_product_matches_oracle(data):
+    desc, n, zeta, alpha, beta, alg = data.draw(symbol_case())
+    a = data.draw(sparse_cells(desc, n * n))
+    b = data.draw(sparse_cells(desc, n * n))
+    u, v = symbol_element(alg, a), symbol_element(alg, b)
+    assert grid_dict(u * v) == o_product(desc, n, zeta, alpha, beta, grid_dict(u), grid_dict(v))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_quaternion_product_and_norm_match_oracle(data):
+    desc = FIELDS[data.draw(st.sampled_from(list(FIELDS)))]
+    alpha, beta = data.draw(coefficient(desc, nonzero=True)), data.draw(coefficient(desc, nonzero=True))
+    alg = QuaternionAlgebra(desc, desc.element(*alpha), desc.element(*beta))
+    p, q = (alg.element(*(desc.element(*c) for c in data.draw(sparse_cells(desc, 4)))) for _ in range(2))
+    minus_one = (Fraction(-1), Fraction(0))
+    expected = o_product(desc, 2, minus_one, alpha, beta, quaternion_dict(p), quaternion_dict(q))
+    assert quaternion_dict(p * q) == expected
+    # q * conj(q) = N(q) * 1
+    conj = {key: c if key == (0, 0) else (-c[0], -c[1]) for key, c in quaternion_dict(q).items()}
+    norm = o_product(desc, 2, minus_one, alpha, beta, quaternion_dict(q), conj)
+    assert set(norm) <= {(0, 0)}
+    assert pair(q.norm()) == norm.get((0, 0), ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_left_regular_columns_match_oracle(data):
+    desc, n, zeta, alpha, beta, alg = data.draw(symbol_case())
+    u = symbol_element(alg, data.draw(sparse_cells(desc, n * n)))
+    matrix = left_regular_matrix(u)
+    for k in range(n):
+        for l in range(n):
+            column = {(r // n, r % n): pair(matrix[r][k * n + l]) for r in range(n * n)}
+            expected = o_product(desc, n, zeta, alpha, beta, grid_dict(u), {(k, l): (Fraction(1), Fraction(0))})
+            assert sparse(column) == expected
