@@ -4,8 +4,9 @@ in the same process.
 
     PYTHONPATH=src python tests/data/make_argv_golden.py
 
-The records pin the output bytes of the verbs built on the algebra
-products; ``tests/test_cli.py`` replays them.  Regenerating the file
+The records pin the output bytes of the algebra, ``eisenstein`` and
+``local`` verbs, with ``--trace`` and one error envelope per verb;
+``tests/test_cli.py`` replays them.  Regenerating the file
 changes what the tests accept, so review the diff like code.
 """
 
@@ -34,6 +35,13 @@ SQRT_V = _grid(["-2+3/4*w", "1"], ["w", "7/5-1*w"])
 EPS_U = _grid(["1", "2/4+1*w", "0"], ["-0", "-w", "3/2"], ["1/3-2*w", "0", "+0*w"])
 EPS_V = _grid(["-1+1*w", "0", "2"], ["1/2", "4/6*w", "-0"], ["0", "-5/3", "1+1*w"])
 EPS_SPARSE = _grid(["0", "0", "1/2"], ["0", "-1*w", "0"], ["0", "0", "0"])
+# 40-digit numerators and denominators
+BIG = "1234567890123456789012345678901234567891"
+EPS_BIG = _grid(
+    [f"{BIG}-{BIG[::-1]}*w", "0", f"-1/{BIG}"],
+    ["0", f"{BIG}/7*w", "2"],
+    [f"-{BIG[::-1]}", f"1+{BIG}*w", "0"],
+)
 
 QUATERNION_FIELDS = (
     ("q", "-1", "7", "1,2/4,-0,3", "-1/3,5,+0*w,2"),
@@ -74,6 +82,8 @@ ARGVS += [
     _argv("symbol", "rep", alpha="1", beta="-1", element=EPS_U),
     _argv("symbol", "rep", alpha="-1", beta="-1", element=EPS_V),
     _argv("symbol", "rep", alpha="1", beta="1", element=EPS_SPARSE),
+    _argv("symbol", "rep", alpha="-1", beta="1", element=EPS_U),
+    _argv("symbol", "rep", alpha="-1", beta="-1", element=EPS_BIG),
     _argv("symbol", "zero-divisor", alpha="1", beta="1"),
     _argv("symbol", "zero-divisor", alpha="1", beta="-1"),
     _argv("symbol", "zero-divisor", alpha="-1", beta="1"),
@@ -84,6 +94,20 @@ ARGVS += [
     _argv("quaternion", "search-zero", alpha="-1", beta="7", bound=20),
     _argv("quaternion", "search-zero", alpha="-1", beta="5", bound=10),
     _argv("quaternion", "conic-point", p=13),
+    _argv("eisenstein", "factor", p=7),
+    _argv("eisenstein", "factor", p=5),
+    _argv("eisenstein", "symbol", alpha="2+3*w", p=13),
+    _argv("eisenstein", "valuation", x="-343+49*w/1+1*w", p=7),
+    _argv("eisenstein", "valuation", x="10/5+0*w", p=5),
+    _argv("eisenstein", "splitting", alpha="3", p=5),
+    _argv("--trace", "eisenstein", "splitting", alpha="2", p=7),
+    _argv("eisenstein", "cyclotomic", p=2, l=7),
+    _argv("local", "classify", alpha="2", beta="343/2", p=7),
+    _argv("local", "classify", alpha="2", beta="7/1+3*w", p=7),
+    _argv("--trace", "local", "classify", alpha="2", beta="7/1+3*w", p=7),
+    _argv("--trace", "local", "classify", alpha="3", beta="5/2", p=5),
+    _argv("local", "artin", alpha="2", beta="7", p=7),
+    _argv("local", "artin", alpha="2", beta="49/3", p=13),
     # one error envelope per verb
     _argv("quaternion", "mul", alpha="0", beta="7", a="1,0,0,0", b="1,0,0,0"),
     _argv("quaternion", "norm", alpha="-1", beta="7", a="1,w,0,0"),
@@ -92,6 +116,13 @@ ARGVS += [
     _argv("symbol", "rep", alpha="2", beta="1", element=EPS_U),
     _argv("symbol", "zero-divisor", alpha="1", beta="3"),
     _argv("symbol", "crosscheck", alpha="1/0", beta="7"),
+    _argv("eisenstein", "factor", p=4),
+    _argv("eisenstein", "symbol", alpha="1/2", p=7),
+    _argv("eisenstein", "valuation", x="0", p=7),
+    _argv("eisenstein", "splitting", alpha="x", p=7),
+    _argv("eisenstein", "cyclotomic", p=7, l=7),
+    _argv("local", "classify", alpha="7", beta="7", p=7),
+    _argv("local", "artin", alpha="2", beta="1/0", p=7),
     # --pretty
     _argv("--pretty", "quaternion", "mul", field="qeps", alpha="1+1*w", beta="2*w",
          a="1,-1*w,1/3+2*w,+0*w", b="2/4,1,-w,3-3*w"),
