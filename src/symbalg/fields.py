@@ -163,9 +163,8 @@ QSQRT3 = sqrt_field(3)
 
 
 def pair_mul(x, y, u, w):
-    """(x0 + x1*t)(y0 + y1*t) as a pair, where t^2 = -u*t - w; the entries
-    are rationals, or integers in the order of ``linalg``.  A u of 0 or 1
-    and a w of 1 (Q(sqrt d) has u = 0, Q(e) has u = w = 1) cost no product."""
+    """(x0 + x1*t)(y0 + y1*t) as a pair, where t^2 = -u*t - w, over Q or the
+    integers of ``linalg``; u = 0 (Q(sqrt d)), u = 1 and w = 1 (Q(e)) cost no product."""
     x0, x1 = x
     y0, y1 = y
     if not x1:
@@ -173,11 +172,8 @@ def pair_mul(x, y, u, w):
     if not y1:
         return x0 * y0, x1 * y0
     h = x1 * y1
-    c0 = x0 * y0 - (h if w == 1 else w * h)
     c1 = x0 * y1 + x1 * y0
-    if u:
-        c1 -= h if u == 1 else u * h
-    return c0, c1
+    return x0 * y0 - (h if w == 1 else w * h), (c1 - (h if u == 1 else u * h)) if u else c1
 
 
 def pair_conj_norm(y, u, w):

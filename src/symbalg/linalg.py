@@ -15,21 +15,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import FieldDescriptor, FieldElement, pair_conj_norm, pair_mul
+from .fields import FieldElement, pair_conj_norm, pair_mul
 
 Matrix = list[list[FieldElement]]
-
-
-def identity(desc: FieldDescriptor, n: int) -> Matrix:
-    return [[desc.one() if i == j else desc.zero() for j in range(n)] for i in range(n)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _integral_rows(a: Matrix):

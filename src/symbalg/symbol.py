@@ -9,15 +9,14 @@ coefficient grids over the basis x^i y^j; multiplication is
                          * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
 
 bilinearly, the unique rule consistent with the three relations.  Degree 3
-over the cube-root field carries an explicit 3 x 3 matrix model that turns
-non-division claims into concrete zero divisors.
+over the cube-root field carries an explicit 3 x 3 matrix model, computed on
+monomial matrices, that turns non-division claims into concrete zero divisors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
 from .fields import (
     SYMBOL_SHAPES,
     FieldElement,
@@ -167,28 +166,37 @@ class MatrixRep(Record):
         return out
 
 
-def _freeze(matrix) -> tuple:
-    return tuple(tuple(row) for row in matrix)
+def _monomial_mul(a, b):
+    """Product of 3 x 3 monomial matrices (j, d), where (j, d) has the entry
+    d[r] in row r, column (r + j) mod 3 and zeros elsewhere: 3 field products."""
+    ja, da = a
+    jb, db = b
+    return (ja + jb) % 3, tuple(da[r] * db[(r + ja) % 3] for r in range(3))
+
+
+def _dense(monomial, zero) -> tuple:
+    j, d = monomial
+    return tuple(tuple(d[r] if s == (r + j) % 3 else zero for s in range(3)) for r in range(3))
 
 
 def matrix_generators(alg: SymbolAlgebra) -> MatrixRep:
     if alg.n != 3:
         raise ValueError("the matrix model is built for degree 3")
-    desc, z, zero = alg.desc, alg.zeta, alg.desc.zero()
+    desc, z, one, zero = alg.desc, alg.zeta, alg.desc.one(), alg.desc.zero()
     c, c2 = desc.lift(_sign_unit(alg.alpha)), desc.lift(_sign_unit(alg.beta))
-    x_mat = [[c, zero, zero], [zero, z * c, zero], [zero, zero, z * z * c]]
-    y_mat = [[zero, c2, zero], [zero, zero, c2], [c2, zero, zero]]  # c' times the cyclic P
-    ident = linalg.identity(desc, 3)
-    x_pows = [ident, x_mat, linalg.mat_mul(x_mat, x_mat)]
-    y_pows = [ident, y_mat, linalg.mat_mul(y_mat, y_mat)]
+    x_mat = (0, (c, z * c, z * z * c))
+    y_mat = (1, (c2, c2, c2))  # c' times the cyclic P
+    ident = (0, (one, one, one))
+    x_pows = [ident, x_mat, _monomial_mul(x_mat, x_mat)]
+    y_pows = [ident, y_mat, _monomial_mul(y_mat, y_mat)]
     if not (
-        linalg.mat_mul(x_pows[2], x_mat) == linalg.mat_scale(ident, alg.alpha)
-        and linalg.mat_mul(y_pows[2], y_mat) == linalg.mat_scale(ident, alg.beta)
-        and linalg.mat_mul(y_mat, x_mat) == linalg.mat_scale(linalg.mat_mul(x_mat, y_mat), z)
+        _monomial_mul(x_pows[2], x_mat) == (0, (alg.alpha,) * 3)
+        and _monomial_mul(y_pows[2], y_mat) == (0, (alg.beta,) * 3)
+        and _monomial_mul(y_mat, x_mat) == _monomial_mul((0, (z, z, z)), _monomial_mul(x_mat, y_mat))
     ):
         raise ArithmeticError("matrix model violates the defining relations")
-    images = tuple(tuple(_freeze(linalg.mat_mul(xi, yj)) for yj in y_pows) for xi in x_pows)
-    return MatrixRep(alg, _freeze(x_mat), _freeze(y_mat), images)
+    images = tuple(tuple(_dense(_monomial_mul(xi, yj), zero) for yj in y_pows) for xi in x_pows)
+    return MatrixRep(alg, _dense(x_mat, zero), _dense(y_mat, zero), images)
 
 
 def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]:

@@ -27,7 +27,7 @@ from symbalg.eisenstein import (
 )
 from symbalg.fields import QEPS, QQ, QSQRT3, format_element, parse_element
 from symbalg.intmath import primes_below
-from symbalg.linalg import determinant, identity, mat_mul, mat_scale
+from symbalg.linalg import determinant
 from symbalg.local import LocalAlgebraSpec, artin_symbol, classify, is_norm, power_spec, report_split_prime_power
 from symbalg.quaternion import (
     QuaternionAlgebra,
@@ -38,6 +38,18 @@ from symbalg.quaternion import (
     on_conic,
 )
 from symbalg.symbol import SymbolAlgebra, find_zero_divisor, matrix_generators, quaternion_crosscheck
+
+
+def identity(desc, n):
+    return [[desc.one() if i == j else desc.zero() for j in range(n)] for i in range(n)]
+
+
+def mat_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def residue_elements(field):

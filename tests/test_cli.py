@@ -519,3 +519,20 @@ def test_cheap_verb_imports_only_its_modules():
     assert "symbalg.eisenstein" in loaded
     for name in ("quaternion", "symbol", "local", "linalg"):
         assert f"symbalg.{name}" not in loaded
+
+
+def test_symbol_verbs_do_not_load_linalg():
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from symbalg.cli import main\n"
+        "element = json.dumps({'n': 3, 'coeffs': [['1', '0', '0'], ['0', 'w', '0'], ['0', '0', '2']]})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['symbol', 'rep', '--alpha', '1', '--beta', '1', '--element', element])\n"
+        "    main(['symbol', 'zero-divisor', '--alpha', '1', '--beta', '1'])\n"
+        "    main(['symbol', 'relations', '--alpha', '2', '--beta', '3'])\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert "symbalg.symbol" in loaded
+    assert "symbalg.linalg" not in loaded

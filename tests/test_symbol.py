@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from symbalg import linalg
+from symbalg import linalg, symbol
 from symbalg.fields import QEPS, QQ, ParseError
 from symbalg.symbol import (
+    MatrixRep,
     SymbolAlgebra,
     element_from_json,
     element_to_json,
@@ -25,6 +26,18 @@ def cubic(alpha=-1, beta=1):
 
 def quadratic(alpha, beta, desc=QQ):
     return SymbolAlgebra(desc, 2, desc.lift(-1), desc.lift(alpha), desc.lift(beta))
+
+
+def identity(desc, n):
+    return [[desc.one() if i == j else desc.zero() for j in range(n)] for i in range(n)]
+
+
+def mat_scale(a, c):
+    return [[x * c for x in row] for row in a]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _rand_element(rng, alg):
@@ -108,10 +121,44 @@ def test_matrix_relations(alpha, beta):
     rep = matrix_generators(alg)
     x = [list(row) for row in rep.X]
     y = [list(row) for row in rep.Y]
-    ident = linalg.identity(QEPS, 3)
-    assert linalg.mat_mul(x, linalg.mat_mul(x, x)) == linalg.mat_scale(ident, alg.alpha)
-    assert linalg.mat_mul(y, linalg.mat_mul(y, y)) == linalg.mat_scale(ident, alg.beta)
-    assert linalg.mat_mul(y, x) == linalg.mat_scale(linalg.mat_mul(x, y), alg.zeta)
+    ident = identity(QEPS, 3)
+    assert mat_mul(x, mat_mul(x, x)) == mat_scale(ident, alg.alpha)
+    assert mat_mul(y, mat_mul(y, y)) == mat_scale(ident, alg.beta)
+    assert mat_mul(y, x) == mat_scale(mat_mul(x, y), alg.zeta)
+
+
+def _dense_model(alg):
+    """The model as dense 3 x 3 matrices: X = c*diag(1, zeta, zeta^2), Y = c'*P,
+    and the images X^i Y^j as dense products."""
+    zero, z = QEPS.zero(), alg.zeta
+    c, c2 = alg.alpha, alg.beta  # each is its own cube root when it is 1 or -1
+    x = [[c, zero, zero], [zero, z * c, zero], [zero, zero, z * z * c]]
+    y = [[zero, c2, zero], [zero, zero, c2], [c2, zero, zero]]
+    ident = identity(QEPS, 3)
+    x_pows = [ident, x, mat_mul(x, x)]
+    y_pows = [ident, y, mat_mul(y, y)]
+    freeze = lambda m: tuple(tuple(row) for row in m)
+    images = tuple(tuple(freeze(mat_mul(xi, yj)) for yj in y_pows) for xi in x_pows)
+    return MatrixRep(alg, freeze(x), freeze(y), images)
+
+
+@pytest.mark.parametrize("zeta", [QEPS.gen(), QEPS.gen() * QEPS.gen()], ids=["w", "w^2"])
+@pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 1), (-1, -1), (1, -1)])
+def test_matrix_generators_equal_dense_construction(alpha, beta, zeta):
+    alg = SymbolAlgebra(QEPS, 3, zeta, QEPS.lift(alpha), QEPS.lift(beta))
+    assert matrix_generators(alg) == _dense_model(alg)
+
+
+def test_matrix_model_relation_check_raises(monkeypatch):
+    exact = symbol._monomial_mul
+
+    def one_wrong_entry(a, b):
+        shift, diag = exact(a, b)
+        return shift, (diag[0] + QEPS.one(), *diag[1:])
+
+    monkeypatch.setattr(symbol, "_monomial_mul", one_wrong_entry)
+    with pytest.raises(ArithmeticError):
+        matrix_generators(cubic(-1, 1))
 
 
 def test_matrix_generators_need_sign_units():
@@ -124,15 +171,15 @@ def test_matrix_generators_need_sign_units():
 def test_rep_identity_and_homomorphism():
     alg = cubic(-1, 1)
     rep = matrix_generators(alg)
-    assert rep.apply(alg.one()) == linalg.identity(QEPS, 3)
+    assert rep.apply(alg.one()) == identity(QEPS, 3)
     x_img = rep.apply(alg.x())
     y_img = rep.apply(alg.y())
-    assert rep.apply(alg.x() * alg.y()) == linalg.mat_mul(x_img, y_img)
+    assert rep.apply(alg.x() * alg.y()) == mat_mul(x_img, y_img)
     rng = random.Random(9)
     for _ in range(25):
         u = _rand_element(rng, alg)
         v = _rand_element(rng, alg)
-        assert rep.apply(u * v) == linalg.mat_mul(rep.apply(u), rep.apply(v))
+        assert rep.apply(u * v) == mat_mul(rep.apply(u), rep.apply(v))
 
 
 def _basis_image_matrix(rep):
@@ -224,7 +271,7 @@ def test_telescoping_witness_when_beta_is_one():
 def test_left_regular_identity():
     alg = cubic(-1, 1)
     m = left_regular_matrix(alg.one())
-    assert m == linalg.identity(QEPS, 9)
+    assert m == identity(QEPS, 9)
 
 
 def test_left_regular_zero_divisor_is_singular():
