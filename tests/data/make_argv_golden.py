@@ -4,9 +4,9 @@ in the same process.
 
     PYTHONPATH=src python tests/data/make_argv_golden.py
 
-The records pin the output bytes of the algebra, ``eisenstein`` and
-``local`` verbs, with ``--trace`` and one error envelope per verb;
-``tests/test_cli.py`` replays them.  Regenerating the file
+The records pin the output bytes of every verb, with ``--trace``,
+``--pretty``, one error envelope per verb, and the parse error of each
+kind of malformed command line; ``tests/test_cli.py`` replays them.  Regenerating the file
 changes what the tests accept, so review the diff like code.
 """
 
@@ -127,6 +127,51 @@ ARGVS += [
     _argv("--pretty", "quaternion", "mul", field="qeps", alpha="1+1*w", beta="2*w",
          a="1,-1*w,1/3+2*w,+0*w", b="2/4,1,-w,3-3*w"),
     _argv("--pretty", "symbol", "zero-divisor", alpha="-1", beta="1"),
+    _argv("--pretty", "--trace", "local", "classify", alpha="2", beta="7", p=7),
+    # the verbs with integer options only
+    _argv("quaternion", "classify", p=13),
+    _argv("quaternion", "classify", p=7),
+    _argv("quaternion", "gauss", p=31),
+    _argv("quaternion", "gauss", p=5),
+    _argv("local", "prop32", alpha=2, p=5),
+    _argv("local", "prop32", alpha=-3, p=11, l=2),
+    _argv("local", "prop33", alpha="2", p=7),
+    _argv("local", "prop33", alpha="1+3*w", p=13, l=2),
+]
+
+# parse paths: every form of a well-formed command line, and every kind of
+# malformed one, written word by word
+ARGVS += [
+    ["eisenstein", "factor", "--p", "7"],
+    ["--trace", "--pretty", "eisenstein", "splitting", "--p", "7", "--alpha", "2"],
+    ["eisenstein", "symbol", "--alpha", "-1", "--p", "7"],  # argparse reads -1 as a value
+    ["eisenstein", "symbol", "--alpha", "-1/2", "--p", "7"],  # ... but -1/2 as an option
+    ["eisenstein", "symbol", "--al=2", "--p=7"],  # an abbreviated option
+    ["--pre", "eisenstein", "factor", "--p=7"],  # an abbreviated flag
+    ["eisenstein", "factor", "--p=7", "--p=11"],  # a repeated option: the last wins
+    ["eisenstein", "--pretty", "factor", "--p=7"],  # flags after the group or verb
+    ["eisenstein", "factor", "--p=7", "--pretty"],
+    ["local", "artin", "--trace", "--alpha=2", "--beta=7", "--p=7"],
+    ["eisenstein", "cyclotomic", "--p=2"],  # missing, non-integer and unknown options
+    ["eisenstein", "factor", "--p=7x"],
+    ["eisenstein", "factor", "--p="],
+    ["eisenstein", "factor", "--p=7", "--q=1"],
+    ["quaternion", "mul", "--alpha=-1", "--beta=7", "--a=1,0,0,0"],
+    ["quaternion", "search-zero", "--alpha=-1", "--beta=7", "--bound=ten"],
+    ["quaternion", "gauss", "--p=13", "--field=q"],
+    ["symbol", "relations", "--alpha=2"],
+    ["symbol", "relations", "--n=two", "--alpha=2", "--beta=3"],
+    ["symbol", "zero-divisor", "--alpha=1", "--beta=1", "--zeta=w"],
+    ["local", "classify", "--alpha=2", "--p=7"],
+    ["local", "prop32", "--alpha=2", "--p=5", "--l=1.5"],
+    ["local", "artin", "--alpha=2", "--beta=7", "--p=7", "--l=1"],
+    ["bogus", "factor", "--p=7"],  # an unknown group or verb
+    ["eisenstein", "bogus", "--p=7"],
+    ["quaternion"],
+    [],
+    ["demo", "extra"],
+    ["--", "eisenstein", "factor", "--p=7"],
+    ["eisenstein", "factor", "--", "--p=7"],
 ]
 
 

@@ -443,14 +443,35 @@ def test_demo_golden_byte_identical():
     assert out.stdout == (DATA / "demo.json").read_bytes()
 
 
-def test_argv_golden_records(capsys, monkeypatch):
+def _golden_records():
     # written by tests/data/make_argv_golden.py; regenerate only as a reviewed change
+    return [json.loads(line) for line in (DATA / "argv_golden.jsonl").read_text().splitlines()]
+
+
+def test_argv_golden_records(capsys, monkeypatch):
     monkeypatch.delenv("SYMBALG_SEARCH_BOUND", raising=False)
-    records = [json.loads(line) for line in (DATA / "argv_golden.jsonl").read_text().splitlines()]
+    records = _golden_records()
     assert records
     for record in records:
         code = main(list(record["argv"]))
         assert (code, capsys.readouterr().out) == (record["exit"], record["stdout"]), record["argv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eisenstein", "factor", "--p", "7"],
+        ["--pre", "eisenstein", "factor", "--p=7"],  # an abbreviated flag
+        ["eisenstein", "factor", "--p=7", "--p=11"],  # a repeated option
+        ["--pretty", "--trace", "local", "classify", "--alpha=2", "--beta=7", "--p=7"],
+        ["eisenstein", "symbol", "--alpha", "-1/2", "--p", "7"],  # a parse error
+    ],
+)
+def test_argv_golden_records_as_processes(argv):
+    (record,) = [record for record in _golden_records() if record["argv"] == argv]
+    env = {k: v for k, v in os.environ.items() if k != "SYMBALG_SEARCH_BOUND"}
+    out = subprocess.run([sys.executable, "-m", "symbalg", *argv], capture_output=True, text=True, env=env)
+    assert (out.returncode, out.stdout, out.stderr) == (record["exit"], record["stdout"], "")
 
 
 def test_pretty_flag(capsys):
