@@ -329,15 +329,16 @@ def valuation(num: EisensteinInt, prime: EisensteinPrime, den: EisensteinInt = O
     valuation of denominator), via repeated exact-division tests."""
     if num.is_zero() or den.is_zero():
         raise ValueError("valuation of zero is undefined")
-    return _division_count(num, prime.pi) - _division_count(den, prime.pi)
+    return _strip(num, prime.pi)[0] - _strip(den, prime.pi)[0]
 
 
-def _division_count(z: EisensteinInt, pi: EisensteinInt) -> int:
+def _strip(z: EisensteinInt, pi: EisensteinInt) -> tuple[int, EisensteinInt]:
+    """(v, z / pi^v) for nonzero z, where v is the largest power of pi dividing z."""
     count = 0
     while True:
         q, r = divmod(z, pi)
         if not r.is_zero():
-            return count
+            return count, z
         z = q
         count += 1
 
@@ -350,10 +351,15 @@ class SplittingData(Record):
 
 def splitting_in_kummer(alpha: EisensteinInt, prime: EisensteinPrime) -> SplittingData:
     """How prime behaves in the degree-3 Kummer extension adjoining a cube
-    root of alpha: ramifies when the symbol vanishes, stays prime when it
-    is a primitive cube root, splits completely when it is 1."""
-    symbol = cubic_residue_symbol(alpha, prime)
-    if symbol.is_zero:
+    root of alpha = pi^v * u with u prime to pi: ramifies when 3 does not
+    divide v; otherwise the extension is the one of u, and prime stays
+    prime when the symbol of u is a primitive cube root and splits
+    completely when it is 1."""
+    if alpha.is_zero():
+        raise ValueError("alpha must be nonzero")
+    v, unit = _strip(alpha, prime.pi)
+    symbol = cubic_residue_symbol(unit, prime)
+    if v % 3:
         return SplittingData(3, 1, 1)
     if symbol.is_trivial:
         return SplittingData(1, 1, 3)

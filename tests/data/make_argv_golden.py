@@ -137,6 +137,12 @@ ARGVS += [
     _argv("local", "prop32", alpha=-3, p=11, l=2),
     _argv("local", "prop33", alpha="2", p=7),
     _argv("local", "prop33", alpha="1+3*w", p=13, l=2),
+    # pi | alpha: v_pi(alpha) = 3 with a cube and a non-cube unit part,
+    # v_pi(alpha) = 1, and alpha = 0
+    _argv("eisenstein", "splitting", alpha="343", p=7),
+    _argv("eisenstein", "splitting", alpha="686", p=7),
+    _argv("eisenstein", "splitting", alpha="14", p=7),
+    _argv("eisenstein", "splitting", alpha="0", p=7),
 ]
 
 # parse paths: every form of a well-formed command line, and every kind of

@@ -389,6 +389,44 @@ def test_splitting_examples():
     assert (data.e, data.f, data.g) == (3, 1, 1)
 
 
+def test_splitting_reads_the_valuation_when_pi_divides_alpha():
+    pr7 = factor_rational_prime(7)
+    for alpha, efg in ((343, (1, 1, 3)), (686, (1, 3, 1)), (14, (3, 1, 1)), (49, (3, 1, 1))):
+        data = splitting_in_kummer(EisensteinInt(alpha), pr7)
+        assert (data.e, data.f, data.g) == efg, alpha
+    with pytest.raises(ValueError):
+        splitting_in_kummer(EisensteinInt(0), pr7)
+    with pytest.raises(ValueError):
+        splitting_in_kummer(EisensteinInt(2), factor_rational_prime(3))
+
+
+def _brute_force_efg(alpha, prime, cubes):
+    """Oracle: strip pi by exact division alpha*conj(pi)/N(pi), then ask
+    whether the rest is a cube in the residue field by enumeration."""
+    n, v = prime.abs_norm, 0
+    while True:
+        t = alpha * prime.pi.conjugate()
+        if t.a % n or t.b % n:
+            break
+        alpha, v = EisensteinInt(t.a // n, t.b // n), v + 1
+    if v % 3:
+        return 3, 1, 1
+    return (1, 1, 3) if residue_field(prime).reduce(alpha) in cubes else (1, 3, 1)
+
+
+@pytest.mark.parametrize("prime", _all_primes_with_norm_upto(40), ids=str)
+def test_splitting_matches_cube_count_oracle(prime):
+    cubes = _cube_set(residue_field(prime))
+    for k in range(5):
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                alpha = prime.pi ** k * EisensteinInt(a, b)
+                if alpha.is_zero():
+                    continue
+                data = splitting_in_kummer(alpha, prime)
+                assert (data.e, data.f, data.g) == _brute_force_efg(alpha, prime, cubes), (k, a, b)
+
+
 @pytest.mark.parametrize("prime", _all_primes_with_norm_upto(60), ids=str)
 def test_splitting_efg_product(prime):
     for a in range(3):
