@@ -201,14 +201,6 @@ def factor_rational_prime(p: int) -> EisensteinPrime:
     return EisensteinPrime(pi, "split", p, pi.conjugate(), p)
 
 
-def conjugate_prime(prime: EisensteinPrime) -> EisensteinPrime:
-    """The other prime above a split p (identity for inert and ramified)."""
-    if prime.kind != "split":
-        return prime
-    pi = canonical_associate(prime.pi.conjugate())
-    return EisensteinPrime(pi, "split", prime.p, pi.conjugate(), prime.p)
-
-
 class ResidueField(Record):
     """Z[e]/pi as F_p (eps_image a primitive cube root, or 1 when p = 3)
     or as F_p[t]/(t^2 + t + 1) with elements stored as (c0, c1) pairs."""

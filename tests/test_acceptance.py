@@ -17,7 +17,8 @@ from symbalg.eisenstein import (
     ONE,
     UNITS,
     EisensteinInt,
-    conjugate_prime,
+    EisensteinPrime,
+    canonical_associate,
     cubic_residue_symbol,
     factor_rational_prime,
     format_eisenstein,
@@ -85,13 +86,19 @@ def test_criterion_01_factorization_sweep():
                 assert prime.abs_norm == p * p
 
 
+def _conjugate_prime(prime):
+    """The other prime above a split p, in its canonical window form."""
+    pi = canonical_associate(prime.pi.conjugate())
+    return EisensteinPrime(pi, "split", prime.p, pi.conjugate(), prime.p)
+
+
 def _primes_with_norm_upto(bound):
     out = []
     for p in primes_below(bound + 1):
         prime = factor_rational_prime(p)
         if prime.kind == "split":
             out.append(prime)
-            out.append(conjugate_prime(prime))
+            out.append(_conjugate_prime(prime))
         elif prime.kind == "inert" and prime.abs_norm <= bound:
             out.append(prime)
     return out
