@@ -8,10 +8,10 @@ composes the headline computations into a single deterministic document.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .fields import QEPS, QQ, QSQRT3, FieldDescriptor, ParseError, parse_element, parse_rational, sqrt_field
@@ -19,6 +19,8 @@ from .fields import QEPS, QQ, QSQRT3, FieldDescriptor, ParseError, parse_element
 # Each handler imports the modules its verb needs, so a process pays only
 # for its own verb; fields is the one module every verb uses.
 if TYPE_CHECKING:
+    import argparse
+
     from .local import LocalAlgebraSpec
     from .quaternion import QuaternionAlgebra
     from .symbol import SymbolAlgebra
@@ -374,55 +376,93 @@ _VERBS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors as ParseError, so that main reports them in an
-    envelope; sub-parsers inherit the class."""
-
-    def error(self, message):
-        raise ParseError(message)
-
-
-def _named_verb(argv) -> tuple[str, str | None] | None:
-    """The known (group, verb) pair named by the first two words of argv
-    once the top-level flags are set aside, or None (help, an option before
-    the verb, an unknown group or verb)."""
-    words = (arg for arg in argv if arg not in ("--pretty", "--trace"))
-    group = next(words, None)
-    verbs = _VERBS.get(group)
-    if verbs == {}:
-        return group, None
-    verb = next(words, None)
-    return (group, verb) if verbs and verb in verbs else None
-
-
-def _add_options(parser: argparse.ArgumentParser, specs) -> None:
+def _option_specs(specs):
+    """(name, kind, required, default) for each argument spec, where kind
+    is int or None (a string)."""
     for spec in specs:
         head, optional, default = spec.partition("=")
         name, _, kind = head.partition(":")
         kind = int if kind else None
-        value = {"default": (kind or str)(default) if default else None} if optional else {"required": True}
+        yield name, kind, not optional, (kind or str)(default) if default else None
+
+
+def _read_table(argv) -> SimpleNamespace | None:
+    """The namespace argparse would give argv, read straight from _VERBS, or
+    None when argv is not in the plain form: --pretty and --trace only
+    before the group, a known group and verb (demo alone), then each of the
+    verb's options at most once as --name=value or --name value, with every
+    required option given and every int option an int.  A value is not
+    "--", and a separate one does not start with "-".  Anything else (help,
+    abbreviations, repeats, unknown or bad options, "--", extra words) is
+    argparse's."""
+    start = 0
+    while start < len(argv) and argv[start] in ("--pretty", "--trace"):
+        start += 1
+    flags = argv[:start]
+    args = {"pretty": "--pretty" in flags, "trace": "--trace" in flags}
+    group, *words = argv[start:] or [None]
+    verbs = _VERBS.get(group)
+    if verbs == {}:
+        return None if words else SimpleNamespace(**args, group=group)
+    if verbs is None or not words or words[0] not in verbs:
+        return None
+    verb, *words = words
+    options = {name: spec for name, *spec in _option_specs(verbs[verb])}
+    given = {}
+    words = iter(words)
+    for word in words:
+        option, eq, value = word.partition("=")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                return None
+        name = option[2:]
+        # argparse reads --name=-- as no value at all
+        if not option.startswith("--") or name not in options or name in given or value == "--":
+            return None
+        kind = options[name][0]
+        try:
+            given[name] = kind(value) if kind else value
+        except ValueError:
+            return None
+    for name, (_, required, default) in options.items():
+        if name not in given:
+            if required:
+                return None
+            given[name] = default
+    return SimpleNamespace(**args, group=group, verb=verb, **given)
+
+
+def _add_options(parser: argparse.ArgumentParser, specs) -> None:
+    for name, kind, required, default in _option_specs(specs):
+        value = {"required": True} if required else {"default": default}
         parser.add_argument(f"--{name}", type=kind, **value)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser for argv: only the group and verb that argv names, or the
-    whole tree when it names no known pair (or argv is None), so that help,
-    usage and error text are those of the whole tree."""
-    chosen = None if argv is None else _named_verb(argv)
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree, for the command lines _read_table leaves to
+    argparse, so that help, usage and every parse error are argparse's.
+    Only those import argparse (and, through it, gettext and locale)."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Raises usage errors as ParseError, so that main reports them in
+        an envelope; sub-parsers inherit the class."""
+
+        def error(self, message):
+            raise ParseError(message)
+
     ap = _Parser(prog="symbalg", description="exact symbol/quaternion algebra toolkit")
     ap.add_argument("--pretty", action="store_true", help="indent the JSON envelope")
     ap.add_argument("--trace", action="store_true", help="include intermediate values where available")
     top = ap.add_subparsers(dest="group", required=True)
     for group, verbs in _VERBS.items():
-        if chosen is not None and group != chosen[0]:
-            continue
         group_parser = top.add_parser(group)
         if not verbs:
             continue
         sub = group_parser.add_subparsers(dest="verb", required=True)
         for verb, specs in verbs.items():
-            if chosen is None or verb == chosen[1]:
-                _add_options(sub.add_parser(verb), specs)
+            _add_options(sub.add_parser(verb), specs)
     return ap
 
 
@@ -448,14 +488,15 @@ def _error(code: str, key: str, exc: Exception, pretty: bool) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except ParseError as exc:
-        _error("parse_error", "detail", exc, False)
-        return 2
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    args = _read_table(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except ParseError as exc:
+            _error("parse_error", "detail", exc, False)
+            return 2
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
     try:
         if args.group == "demo":
             result, trace = demo_report(_search_bound(None)), None

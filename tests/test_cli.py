@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbalg.cli import _VERBS, build_parser, main
+from symbalg.cli import _VERBS, _read_table, build_parser, main
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MILLER_RABIN_LIMIT
 from symbalg.quaternion import MAX_SEARCH_BOUND
@@ -348,46 +348,76 @@ def test_help_exits_zero_with_usage(argv):
 VALUES = {"alpha": "-1", "beta": "1", "a": "1,0,0,0", "b": "0,1,0,0", "x": "343", "zeta": "0+1*w",
           "field": "qeps", "u": "{}", "v": "{}", "element": "{}"}
 VERB_PAIRS = [(group, verb) for group, verbs in _VERBS.items() for verb in verbs or [None]]
+WHOLE_TREE = build_parser()
 
 
-def _options(specs, with_optional):
-    argv = []
+def _spec_names(specs):
+    """(name, is_int, is_optional) for each argument spec of _VERBS"""
     for spec in specs:
         head, optional, _ = spec.partition("=")
         name, _, kind = head.partition(":")
-        if with_optional or not optional:
-            argv.append(f"--{name}={'3' if kind else VALUES[name]}")
-    return argv
+        yield name, bool(kind), bool(optional)
 
 
-def _parse(parser, argv):
+def _options(specs, with_optional):
+    return [
+        f"--{name}={'3' if is_int else VALUES[name]}"
+        for name, is_int, optional in _spec_names(specs)
+        if with_optional or not optional
+    ]
+
+
+def _separate(options):
+    """--name=value as the two words --name value, where value may be one"""
+    return [part for option in options for part in (option.split("=", 1) if "=-" not in option else [option])]
+
+
+def _argparse(argv):
+    """vars() of what the whole argparse tree makes of argv, or its error text"""
     try:
-        return parser.parse_args(argv)
+        return vars(WHOLE_TREE.parse_args(argv))
     except ParseError as exc:
         return str(exc)
 
 
+def _table(argv):
+    args = _read_table(argv)
+    return None if args is None else vars(args)
+
+
+# main reads a plain command line from the table and hands every other one
+# to the whole argparse tree: the two must agree wherever the table reads
 @pytest.mark.parametrize("group,verb", VERB_PAIRS)
 def test_selected_parser_matches_whole_tree(group, verb):
-    whole = build_parser()
     specs = _VERBS[group].get(verb, ())
     words = [group] if verb is None else [group, verb]
     for with_optional in (False, True):
-        argv = ["--trace", *words, *_options(specs, with_optional)]
-        namespace = build_parser(argv).parse_args(argv)
-        assert namespace == whole.parse_args(argv)
-        assert namespace.group == group and getattr(namespace, "verb", None) == verb
+        options = _options(specs, with_optional)
+        for argv in (
+            [*words, *options],
+            ["--trace", *words, *_separate(options)],
+            ["--pretty", "--trace", "--pretty", *words, *reversed(options)],
+        ):
+            table = _table(argv)
+            assert table is not None and table == _argparse(argv), argv
+            assert table["group"] == group and table.get("verb") == verb
     required = _options(specs, False)
-    broken = []
+    left_to_argparse = [[*words, "--no-such-option"], [*words, *required, "extra"], [*words, "--", *required]]
     for i, option in enumerate(required):
-        broken.append([*words, *required[:i], *required[i + 1:]])  # a required option is missing
+        others = required[:i] + required[i + 1:]
+        left_to_argparse.append([*words, *others])  # a required option is missing
+        left_to_argparse.append([*words, *required, option])  # repeated
+        name, value = option.split("=", 1)
+        if len(name) > 3:
+            left_to_argparse.append([*words, *others, f"{name[:-1]}={value}"])  # abbreviated
+        left_to_argparse.append([*words, *others, name, "-1"])  # a value word starting with "-"
+        left_to_argparse.append([*words, *others, name])  # no value
         if option.endswith("=3"):
-            broken.append([*words, *required[:i], option[:-1] + "x", *required[i + 1:]])  # a bad int
-    for argv in broken:
-        detail = _parse(build_parser(argv), argv)
-        assert isinstance(detail, str) and detail == _parse(whole, argv), argv
-    argv = [*words, "--no-such-option"]
-    assert _parse(build_parser(argv), argv) == _parse(whole, argv)
+            left_to_argparse.append([*words, *others, option[:-1] + "x"])  # a bad int
+    for argv in left_to_argparse:
+        assert _table(argv) is None, argv
+    for argv in left_to_argparse[:2]:
+        assert isinstance(_argparse(argv), str), argv
 
 
 @pytest.mark.parametrize(
@@ -404,8 +434,71 @@ def test_selected_parser_matches_whole_tree(group, verb):
         ["--", "eisenstein", "factor", "--p=7"],
     ],
 )
-def test_selected_parser_matches_whole_tree_on_odd_argv(argv):
-    assert _parse(build_parser(argv), argv) == _parse(build_parser(), argv)
+def test_selected_parser_matches_whole_tree_on_odd_argv(capsys, argv):
+    assert _read_table(argv) is None
+    expected = _argparse(argv)
+    code = main(argv)
+    envelope = json.loads(capsys.readouterr().out)
+    if isinstance(expected, str):
+        assert (code, envelope["result"]) == (2, {"code": "parse_error", "detail": expected})
+    else:
+        assert code == 0 and envelope["status"] == "ok"
+
+
+# words that make a plain command line odd: flags out of place, help,
+# abbreviations, "--", stray words and options of other verbs
+ODD_WORDS = st.sampled_from(
+    ["--pretty", "--trace", "--pre", "--tr", "--", "-h", "--help", "extra", "-1", "", "demo", "factor",
+     "--p", "--p=7", "--alpha=2", "--al=2", "--bound=5", "--n=2", "--field", "--=1", "-p=7"]
+)
+ODD_VALUES = st.sampled_from(
+    ["-1", "-1/2", "", "x", "1/2", "0x10", " 3", "-", "--", "--p", "1 + w", "-1 + w", "3=4", "007", "1_0", "٣"]
+)
+
+
+@st.composite
+def grammar_argv(draw):
+    """A command line from the grammar: flags, a group and verb, and its
+    options in either form, then up to two odd words inserted and maybe one
+    word dropped"""
+    group, verb = draw(st.sampled_from(VERB_PAIRS))
+    argv = draw(st.lists(st.sampled_from(["--pretty", "--trace"]), max_size=3))
+    argv += [group] if verb is None else [group, verb]
+    names = [name for name, _, optional in _spec_names(_VERBS[group].get(verb, ())) if not optional or draw(st.booleans())]
+    for name in draw(st.permutations(names)):
+        value = draw(st.one_of(st.integers(-20, 20).map(str), st.sampled_from(list(VALUES.values())), ODD_VALUES))
+        argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(ODD_WORDS))
+    if argv and draw(st.integers(0, 5)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=5))
+@given(argv=grammar_argv())
+def test_table_agrees_with_argparse_on_grammar_fuzz(argv):
+    table = _table(argv)
+    if table is not None:
+        assert table == _argparse(argv)
+
+
+# the exit-0 golden command lines in a form the table leaves to argparse
+GOLDEN_ARGPARSE_ONLY = [
+    ["eisenstein", "symbol", "--alpha", "-1", "--p", "7"],
+    ["eisenstein", "symbol", "--al=2", "--p=7"],
+    ["--pre", "eisenstein", "factor", "--p=7"],
+    ["eisenstein", "factor", "--p=7", "--p=11"],
+]
+
+
+def test_table_reads_every_plain_golden_argv():
+    records = _golden_records()
+    refused = [record["argv"] for record in records if record["exit"] == 0 and _table(record["argv"]) is None]
+    assert refused == GOLDEN_ARGPARSE_ONLY
+    for record in records:
+        table = _table(record["argv"])
+        assert table is None or table == _argparse(record["argv"]), record["argv"]
 
 
 def test_demo_contents(capsys):
@@ -525,6 +618,30 @@ def test_verbs_load_neither_dataclasses_nor_inspect(argv):
     status, loaded = json.loads(out.stdout)
     assert status == 0
     assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo"],
+        ["--pretty", "eisenstein", "factor", "--p", "7"],
+        ["quaternion", "mul", "--alpha=-1", "--beta", "7", "--a=0,1,0,0", "--b", "0,0,1,0"],
+        ["--trace", "symbol", "relations", "--beta=3", "--alpha", "2"],
+        ["local", "classify", "--alpha", "2", "--beta=7", "--p=7"],
+    ],
+)
+def test_plain_argv_loads_no_argparse(argv):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from symbalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(sys.argv[1:])\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+    status, loaded = json.loads(out.stdout)
+    assert status == 0
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
 
 
 def test_cheap_verb_imports_only_its_modules():
