@@ -452,6 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
         def error(self, message):
             raise ParseError(message)
 
+        def parse_args(self, args=None, namespace=None):
+            namespace = super().parse_args(args, namespace)
+            # argparse reads --name=-- as no value at all, an empty list
+            for name, value in vars(namespace).items():
+                if value == []:
+                    self.error(f"argument --{name}: expected one argument")
+            return namespace
+
     ap = _Parser(prog="symbalg", description="exact symbol/quaternion algebra toolkit")
     ap.add_argument("--pretty", action="store_true", help="indent the JSON envelope")
     ap.add_argument("--trace", action="store_true", help="include intermediate values where available")

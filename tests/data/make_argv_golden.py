@@ -178,6 +178,8 @@ ARGVS += [
     ["demo", "extra"],
     ["--", "eisenstein", "factor", "--p=7"],
     ["eisenstein", "factor", "--", "--p=7"],
+    ["eisenstein", "factor", "--p=--"],
+    ["quaternion", "norm", "--alpha=1", "--beta=--", "--a=1,0,0,0"],
 ]
 
 

@@ -320,6 +320,7 @@ def test_exit_codes(capsys):
         ["symbol", "mul", "--alpha=-1", "--beta=1", "--u", INT_GRID, "--v", INT_GRID],
         ["quaternion", "search-zero", "--alpha", "1/0", "--beta", "3"],
         ["symbol", "crosscheck", "--alpha", "1/0", "--beta", "3"],
+        ["eisenstein", "factor", "--p=--"],
     ],
 )
 def test_malformed_argv_gets_one_parse_error_envelope(capsys, argv):
