@@ -349,10 +349,12 @@ def splitting_in_kummer(alpha: EisensteinInt, prime: EisensteinPrime) -> Splitti
     completely when it is 1."""
     if alpha.is_zero():
         raise ValueError("alpha must be nonzero")
-    v, unit = _strip(alpha, prime.pi)
-    symbol = cubic_residue_symbol(unit, prime)
-    if v % 3:
-        return SplittingData(3, 1, 1)
+    symbol = cubic_residue_symbol(alpha, prime)
+    if symbol.is_zero:
+        v, unit = _strip(alpha, prime.pi)
+        if v % 3:
+            return SplittingData(3, 1, 1)
+        symbol = cubic_residue_symbol(unit, prime)
     if symbol.is_trivial:
         return SplittingData(1, 1, 3)
     return SplittingData(1, 3, 1)
