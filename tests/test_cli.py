@@ -369,7 +369,7 @@ def _options(specs, with_optional):
 
 
 def _separate(options):
-    """--name=value as the two words --name value, where value may be one"""
+    """--name=value as the two words --name value, unless value starts with '-'"""
     return [part for option in options for part in (option.split("=", 1) if "=-" not in option else [option])]
 
 
@@ -465,7 +465,8 @@ def grammar_argv(draw):
     group, verb = draw(st.sampled_from(VERB_PAIRS))
     argv = draw(st.lists(st.sampled_from(["--pretty", "--trace"]), max_size=3))
     argv += [group] if verb is None else [group, verb]
-    names = [name for name, _, optional in _spec_names(_VERBS[group].get(verb, ())) if not optional or draw(st.booleans())]
+    specs = _spec_names(_VERBS[group].get(verb, ()))
+    names = [name for name, _, optional in specs if not optional or draw(st.booleans())]
     for name in draw(st.permutations(names)):
         value = draw(st.one_of(st.integers(-20, 20).map(str), st.sampled_from(list(VALUES.values())), ODD_VALUES))
         argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
