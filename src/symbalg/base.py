@@ -1,0 +1,122 @@
+"""What every layer shares: the ``Record`` base, ``ParseError`` and the
+reader of the element grammar.
+
+An element is a sum of terms ``k``, ``k*w``, ``w``, ``+w`` and ``-w``,
+where ``k`` is a signed integer ``p`` or fraction ``p/q`` and ``w`` is the
+quadratic generator; whitespace is ignored anywhere.  The reader sums the
+coefficients exactly as reduced integer pairs (num, den) with den > 0, so
+that this module, and every process that reads only Z[e] elements, needs
+neither ``fractions`` nor ``re``.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+
+class ParseError(ValueError):
+    """Text does not match the element grammar."""
+
+
+class Record:
+    """Immutable record with its fields in order in ``__slots__`` and the
+    defaults of trailing ones in ``_defaults``; equal by type and fields."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            given = {**{n: v for n, v in self._defaults.items() if n in rest}, **kwargs}
+            if len(args) > len(names) or given.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args += tuple(given[n] for n in rest)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} fields cannot be assigned or deleted")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
+def _reduced(num: int, den: int):
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _add(x, y):
+    return _reduced(x[0] * y[1] + y[0] * x[1], x[1] * y[1])
+
+
+def _rational(s: str, text: str):
+    """s, which holds no whitespace, as a reduced pair; text names it in errors."""
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    num, slash, den = digits.partition("/")
+    # str.isdecimal is the \d of a str pattern: every Unicode decimal digit
+    if not num.isdecimal() or slash and not den.isdecimal():
+        raise ParseError(f"not a rational: {text!r}")
+    try:
+        num, den = int(num), int(den) if slash else 1
+    except ValueError as exc:  # past the interpreter's int-conversion digit limit
+        raise ParseError(f"rational has too many digits ({len(s)} characters)") from exc
+    if not den:
+        raise ParseError(f"zero denominator: {text!r}")
+    return _reduced(-num if s[0] == "-" else num, den)
+
+
+def read_rational(text: str):
+    """The rational "p/q" or "p" as a reduced pair (num, den)."""
+    return _rational("".join(text.split()), text)
+
+
+def read_element(text: str):
+    """The coefficients (c0, c1) of "c0+c1*w" as reduced pairs (num, den)."""
+    s = "".join(text.split())
+    if not s:
+        raise ParseError("empty element")
+    # the terms are s cut before each sign, and no sign may end s or precede another
+    terms = []
+    for i, chunk in enumerate(s.split("+")):
+        for j, body in enumerate(chunk.split("-")):
+            if body:
+                terms.append(("-" if j else "+" if i else "") + body)
+            elif i or j:
+                raise ParseError(f"malformed element: {text!r}")
+    c0 = c1 = (0, 1)
+    for term in terms:
+        if term in ("w", "+w"):
+            c1 = _add(c1, (1, 1))
+        elif term == "-w":
+            c1 = _add(c1, (-1, 1))
+        elif term.endswith("*w"):
+            c1 = _add(c1, _rational(term[:-2], term[:-2]))
+        else:
+            c0 = _add(c0, _rational(term, term))
+    return c0, c1

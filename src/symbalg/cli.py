@@ -8,28 +8,22 @@ composes the headline computations into a single deterministic document.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
-from .fields import QEPS, QQ, QSQRT3, FieldDescriptor, ParseError, parse_element, parse_rational, sqrt_field
+from .base import ParseError
 
 # Each handler imports the modules its verb needs, so a process pays only
-# for its own verb; fields is the one module every verb uses.
-if TYPE_CHECKING:
-    import argparse
-
-    from .local import LocalAlgebraSpec
-    from .quaternion import QuaternionAlgebra
-    from .symbol import SymbolAlgebra
-
+# for its own verb: the eisenstein and local verbs load neither fields nor
+# json, and the envelope is written here.
 SEARCH_BOUND_ENV = "SYMBALG_SEARCH_BOUND"
 DEFAULT_SEARCH_BOUND = 50
 
 
-def _field_descriptor(spec: str) -> FieldDescriptor:
+def _field_descriptor(spec: str):
+    from .fields import QEPS, QQ, sqrt_field
+
     if spec == "q":
         return QQ
     if spec == "qeps":
@@ -43,7 +37,9 @@ def _field_descriptor(spec: str) -> FieldDescriptor:
     raise ParseError(f"unknown field {spec!r} (use q, qeps or qsqrt:D)")
 
 
-def _parse_coords(desc: FieldDescriptor, text: str):
+def _parse_coords(desc, text: str):
+    from .fields import parse_element
+
     parts = text.split(",")
     if len(parts) != 4:
         raise ParseError("quaternion coordinates must be x0,x1,x2,x3")
@@ -82,13 +78,16 @@ def _prime_json(prime) -> dict:
 
 
 def _load_json(text: str) -> dict:
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
 
 
-def _symbol_algebra(args) -> SymbolAlgebra:
+def _symbol_algebra(args):
+    from .fields import QEPS, parse_element
     from .symbol import SymbolAlgebra
 
     desc = _field_descriptor(args.field)
@@ -107,6 +106,9 @@ def _symbol_algebra(args) -> SymbolAlgebra:
 
 # ---------------------------------------------------------------- handlers
 
+# _read_table and argparse give a handler only the verbs of its group in
+# _VERBS, so each handler answers its last verb without testing for it.
+
 
 def _handle_eisenstein(args):
     from .eisenstein import (
@@ -115,6 +117,7 @@ def _handle_eisenstein(args):
         factor_rational_prime,
         parse_eisenstein,
         parse_eisenstein_fraction,
+        split_valuation,
         splitting_in_kummer,
         valuation,
     )
@@ -133,15 +136,24 @@ def _handle_eisenstein(args):
         prime = factor_rational_prime(args.p)
         alpha = parse_eisenstein(args.alpha)
         data = splitting_in_kummer(alpha, prime)
-        trace = [{"step": "cubic_symbol", "value": str(cubic_residue_symbol(alpha, prime))}]
+        symbol = cubic_residue_symbol(alpha, prime)
+        if symbol.is_zero:
+            # pi | alpha: the verdict rests on v_pi(alpha) and on the unit alpha/pi^v
+            v, unit = split_valuation(alpha, prime.pi)
+            trace = [
+                {"step": "valuation", "value": v},
+                {"step": "unit_symbol", "value": str(cubic_residue_symbol(unit, prime))},
+            ]
+        else:
+            trace = [{"step": "cubic_symbol", "value": str(symbol)}]
         return {"efg": [data.e, data.f, data.g], "prime": str(prime)}, trace
-    if args.verb == "cyclotomic":
-        f, r = cyclotomic_splitting(args.p, args.l)
-        return {"f": f, "r": r}, None
-    raise ParseError(f"unknown eisenstein verb {args.verb!r}")
+    # cyclotomic
+    f, r = cyclotomic_splitting(args.p, args.l)
+    return {"f": f, "r": r}, None
 
 
-def _quaternion_algebra(args) -> QuaternionAlgebra:
+def _quaternion_algebra(args):
+    from .fields import parse_element
     from .quaternion import QuaternionAlgebra
 
     desc = _field_descriptor(args.field)
@@ -149,6 +161,7 @@ def _quaternion_algebra(args) -> QuaternionAlgebra:
 
 
 def _handle_quaternion(args):
+    from .fields import QQ, parse_rational
     from .quaternion import (
         QuaternionAlgebra,
         classify_minus1_p,
@@ -182,19 +195,19 @@ def _handle_quaternion(args):
     if args.verb == "gauss":
         a, b = gauss_representation(args.p)
         return {"a": a, "b": b}, None
-    if args.verb == "search-zero":
-        alg = QuaternionAlgebra(QQ, QQ.lift(parse_rational(args.alpha)), QQ.lift(parse_rational(args.beta)))
-        bound = _search_bound(args.bound)
-        witness = norm_form_zero_search(alg, bound)
-        return {
-            "bound": bound,
-            "witness": None if witness is None else [str(c) for c in witness.coords],
-        }, None
-    raise ParseError(f"unknown quaternion verb {args.verb!r}")
+    # search-zero
+    alg = QuaternionAlgebra(QQ, QQ.lift(parse_rational(args.alpha)), QQ.lift(parse_rational(args.beta)))
+    bound = _search_bound(args.bound)
+    witness = norm_form_zero_search(alg, bound)
+    return {
+        "bound": bound,
+        "witness": None if witness is None else [str(c) for c in witness.coords],
+    }, None
 
 
 def _handle_symbol(args):
     from . import symbol as symbol_mod
+    from .fields import QQ, parse_rational
 
     if args.verb == "mul":
         alg = _symbol_algebra(args)
@@ -218,15 +231,15 @@ def _handle_symbol(args):
             "v": symbol_mod.element_to_json(v),
             "product_zero": (u * v).is_zero(),
         }, None
-    if args.verb == "crosscheck":
-        alg = symbol_mod.SymbolAlgebra(
-            QQ, 2, QQ.lift(-1), QQ.lift(parse_rational(args.alpha)), QQ.lift(parse_rational(args.beta))
-        )
-        return {"n": 2, "agrees": symbol_mod.quaternion_crosscheck(alg)}, None
-    raise ParseError(f"unknown symbol verb {args.verb!r}")
+    # crosscheck
+    alg = symbol_mod.SymbolAlgebra(
+        QQ, 2, QQ.lift(-1), QQ.lift(parse_rational(args.alpha)), QQ.lift(parse_rational(args.beta))
+    )
+    return {"n": 2, "agrees": symbol_mod.quaternion_crosscheck(alg)}, None
 
 
-def _cubic_eps_algebra(alpha_text: str, beta_text: str) -> SymbolAlgebra:
+def _cubic_eps_algebra(alpha_text: str, beta_text: str):
+    from .fields import QEPS, parse_element
     from .symbol import SymbolAlgebra
 
     return SymbolAlgebra(
@@ -238,7 +251,7 @@ def _cubic_eps_algebra(alpha_text: str, beta_text: str) -> SymbolAlgebra:
     )
 
 
-def _local_spec(args) -> LocalAlgebraSpec:
+def _local_spec(args):
     from .eisenstein import factor_rational_prime, parse_eisenstein, parse_eisenstein_fraction
     from .local import LocalAlgebraSpec
 
@@ -265,9 +278,8 @@ def _handle_local(args):
         return {"f": result.f, "exponent": result.exponent, "identity": result.exponent == 0}, None
     if args.verb == "prop32":
         return local_mod.report_inert_prime_power(args.alpha, args.p, args.l), None
-    if args.verb == "prop33":
-        return local_mod.report_split_prime_power(parse_eisenstein(args.alpha), args.p, args.l), None
-    raise ParseError(f"unknown local verb {args.verb!r}")
+    # prop33
+    return local_mod.report_split_prime_power(parse_eisenstein(args.alpha), args.p, args.l), None
 
 
 def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
@@ -275,6 +287,7 @@ def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
     from . import local as local_mod
     from . import symbol as symbol_mod
     from .eisenstein import EisensteinInt
+    from .fields import QQ, QSQRT3
     from .quaternion import (
         QuaternionAlgebra,
         conic_point_sqrt3,
@@ -433,13 +446,13 @@ def _read_table(argv) -> SimpleNamespace | None:
     return SimpleNamespace(**args, group=group, verb=verb, **given)
 
 
-def _add_options(parser: argparse.ArgumentParser, specs) -> None:
+def _add_options(parser, specs) -> None:
     for name, kind, required, default in _option_specs(specs):
         value = {"required": True} if required else {"default": default}
         parser.add_argument(f"--{name}", type=kind, **value)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The whole parser tree, for the command lines _read_table leaves to
     argparse, so that help, usage and every parse error are argparse's.
     Only those import argparse (and, through it, gettext and locale)."""
@@ -482,12 +495,61 @@ _HANDLERS = {
 }
 
 
-def _emit(envelope: dict, pretty: bool):
-    if pretty:
-        text = json.dumps(envelope, sort_keys=True, indent=2)
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(char: str) -> str:
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # a surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _json_text(value, indent: str | None, depth: int = 0) -> str:
+    """value as json.dumps(value, sort_keys=True) writes it, compact when
+    indent is None and indented by indent per level otherwise.  It takes
+    str, int, bool, None, lists, tuples and dicts with str keys, the values
+    of an envelope, which holds no floats."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        colon = ":" if indent is None else ": "
+        items = [f"{_json_string(key)}{colon}{_json_text(value[key], indent, depth + 1)}" for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(item, indent, depth + 1) for item in value]
+        brackets = "[]"
     else:
-        text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
-    print(text)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    if indent is None:
+        return brackets[0] + ",".join(items) + brackets[1]
+    inner = "\n" + indent * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent * depth + brackets[1]
+
+
+def _emit(envelope: dict, pretty: bool):
+    print(_json_text(envelope, "  " if pretty else None))
 
 
 def _error(code: str, key: str, exc: Exception, pretty: bool) -> None:

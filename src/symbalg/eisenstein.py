@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .fields import QEPS, ParseError, Record, parse_element
+from .base import ParseError, Record, read_element
 from .intmath import _order_dividing, cornacchia, euler_phi, is_prime
 
 # entries kept by the factor_rational_prime and residue_field caches: every
@@ -321,10 +321,10 @@ def valuation(num: EisensteinInt, prime: EisensteinPrime, den: EisensteinInt = O
     valuation of denominator), via repeated exact-division tests."""
     if num.is_zero() or den.is_zero():
         raise ValueError("valuation of zero is undefined")
-    return _strip(num, prime.pi)[0] - _strip(den, prime.pi)[0]
+    return split_valuation(num, prime.pi)[0] - split_valuation(den, prime.pi)[0]
 
 
-def _strip(z: EisensteinInt, pi: EisensteinInt) -> tuple[int, EisensteinInt]:
+def split_valuation(z: EisensteinInt, pi: EisensteinInt) -> tuple[int, EisensteinInt]:
     """(v, z / pi^v) for nonzero z, where v is the largest power of pi dividing z."""
     count = 0
     while True:
@@ -351,7 +351,7 @@ def splitting_in_kummer(alpha: EisensteinInt, prime: EisensteinPrime) -> Splitti
         raise ValueError("alpha must be nonzero")
     symbol = cubic_residue_symbol(alpha, prime)
     if symbol.is_zero:
-        v, unit = _strip(alpha, prime.pi)
+        v, unit = split_valuation(alpha, prime.pi)
         if v % 3:
             return SplittingData(3, 1, 1)
         symbol = cubic_residue_symbol(unit, prime)
@@ -387,10 +387,10 @@ def format_prime(prime: EisensteinPrime) -> str:
 
 
 def parse_eisenstein(text: str) -> EisensteinInt:
-    e = parse_element(QEPS, text)
-    if e.c0.denominator != 1 or e.c1.denominator != 1:
+    (a, a_den), (b, b_den) = read_element(text)
+    if a_den != 1 or b_den != 1:
         raise ParseError(f"Eisenstein integers need integer coefficients: {text!r}")
-    return EisensteinInt(int(e.c0), int(e.c1))
+    return EisensteinInt(a, b)
 
 
 def parse_eisenstein_fraction(text: str) -> tuple[EisensteinInt, EisensteinInt]:

@@ -14,33 +14,17 @@ of degree n, of which the quaternion algebra is the case n = 2, zeta = -1.
 from __future__ import annotations
 
 import math
-import operator
-import re
 from fractions import Fraction
+
+from .base import ParseError, Record, read_element, read_rational
 
 # Reduced p/q with q > 0; fractions.Fraction guarantees both invariants.
 Rational = Fraction
 
 
-class ParseError(ValueError):
-    """Text does not match the element grammar."""
-
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (only integer numerator/denominator forms)."""
-    s = re.sub(r"\s+", "", text)
-    if not _RATIONAL_RE.match(s):
-        raise ParseError(f"not a rational: {text!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator: {text!r}") from exc
-    except ValueError as exc:  # past the interpreter's int-conversion digit limit
-        raise ParseError(f"rational has too many digits ({len(s)} characters)") from exc
+    return Fraction(*read_rational(text))
 
 
 def is_rational_square(q: Fraction | int) -> bool:
@@ -50,53 +34,6 @@ def is_rational_square(q: Fraction | int) -> bool:
     rn = math.isqrt(q.numerator)
     rd = math.isqrt(q.denominator)
     return rn * rn == q.numerator and rd * rd == q.denominator
-
-
-class Record:
-    """Immutable record with its fields in order in ``__slots__`` and the
-    defaults of trailing ones in ``_defaults``; equal by type and fields."""
-
-    __slots__ = ()
-    _defaults = {}
-
-    def __init_subclass__(cls):
-        cls._key = operator.attrgetter(*cls.__slots__)
-
-    def __init__(self, *args, **kwargs):
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
-            rest = names[len(args):]
-            given = {**{n: v for n, v in self._defaults.items() if n in rest}, **kwargs}
-            if len(args) > len(names) or given.keys() != set(rest):
-                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-            args += tuple(given[n] for n in rest)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} fields cannot be assigned or deleted")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key(self) == self._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
 
 
 def _squarefree(n: int) -> bool:
@@ -312,26 +249,10 @@ def format_element(e: FieldElement) -> str:
 
 def parse_element(desc: FieldDescriptor, text: str) -> FieldElement:
     """Parse "c0+c1*w" / "c0" with rational coefficients into desc's field."""
-    s = re.sub(r"\s+", "", text)
-    if not s:
-        raise ParseError("empty element")
-    terms = _TERM_RE.findall(s)
-    if "".join(terms) != s:
-        raise ParseError(f"malformed element: {text!r}")
-    c0 = Fraction(0)
-    c1 = Fraction(0)
-    for term in terms:
-        if term in ("w", "+w"):
-            c1 += 1
-        elif term == "-w":
-            c1 -= 1
-        elif term.endswith("*w"):
-            c1 += parse_rational(term[:-2])
-        else:
-            c0 += parse_rational(term)
-    if c1 != 0 and desc.degree == 1:
+    c0, c1 = read_element(text)
+    if c1[0] and desc.degree == 1:
         raise ParseError("generator 'w' is not available in Q")
-    return desc.element(c0, c1)
+    return FieldElement(desc, Fraction(*c0), Fraction(*c1))
 
 
 def _symbol_shape(n: int):

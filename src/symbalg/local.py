@@ -24,7 +24,7 @@ from .eisenstein import (
     splitting_in_kummer,
     valuation,
 )
-from .fields import Record
+from .base import Record
 from .intmath import is_prime
 
 # largest l power_spec accepts: beta = p^(3l) has 3l*log(p) digits and the

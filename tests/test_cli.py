@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -5,13 +6,16 @@ import os
 import subprocess
 import sys
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbalg.cli import _VERBS, _read_table, build_parser, main
+import symbalg
+from symbalg.cli import _VERBS, _json_text, _read_table, build_parser, main
+from symbalg.eisenstein import EisensteinInt, cubic_residue_symbol, factor_rational_prime, format_eisenstein
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MILLER_RABIN_LIMIT
 from symbalg.quaternion import MAX_SEARCH_BOUND
@@ -654,3 +658,131 @@ def test_symbol_verbs_do_not_load_linalg():
     loaded = set(json.loads(out.stdout))
     assert "symbalg.symbol" in loaded
     assert "symbalg.linalg" not in loaded
+
+
+EPS_GRID = json.dumps({"n": 3, "coeffs": [["1", "0", "2"], ["0", "w", "0"], ["1/2", "0", "-1"]]})
+# a well-formed command line of every verb, read from the verb table
+EVERY_VERB = [
+    ["eisenstein", "factor", "--p=7"],
+    ["eisenstein", "symbol", "--alpha=2+3*w", "--p=13"],
+    ["eisenstein", "valuation", "--x=-343+49*w/1+1*w", "--p=7"],
+    ["--trace", "eisenstein", "splitting", "--alpha=686", "--p=7"],
+    ["eisenstein", "cyclotomic", "--p=2", "--l=7"],
+    ["local", "classify", "--alpha=2", "--beta=343/2", "--p=7"],
+    ["local", "artin", "--alpha=2", "--beta=49/3", "--p=13"],
+    ["local", "prop32", "--alpha=2", "--p=5"],
+    ["local", "prop33", "--alpha=1+3*w", "--p=13", "--l=2"],
+    ["quaternion", "mul", "--alpha=-1", "--beta=7", "--a=1,2,0,3", "--b=0,1,1/2,0"],
+    ["quaternion", "norm", "--field=qeps", "--alpha=-1", "--beta=7", "--a=1,w,0,3"],
+    ["quaternion", "classify", "--p=13"],
+    ["quaternion", "conic-point", "--p=13"],
+    ["quaternion", "gauss", "--p=31"],
+    ["quaternion", "search-zero", "--alpha=-1", "--beta=7", "--bound=5"],
+    ["symbol", "mul", "--alpha=2", "--beta=7", f"--u={EPS_GRID}", f"--v={EPS_GRID}"],
+    ["symbol", "relations", "--alpha=2", "--beta=3"],
+    ["symbol", "rep", "--alpha=1", "--beta=1", f"--element={EPS_GRID}"],
+    ["symbol", "zero-divisor", "--alpha=1", "--beta=-1"],
+    ["symbol", "crosscheck", "--alpha=-1", "--beta=7"],
+    ["--pretty", "demo"],
+]
+
+
+def test_every_verb_line_is_read_from_the_table():
+    assert {(a.group, getattr(a, "verb", None)) for a in map(_read_table, EVERY_VERB)} == {
+        (group, verb) for group, verbs in _VERBS.items() for verb in verbs or [None]
+    }
+
+
+# the modules that the Z[e] and local verbs do without, and the verbs that
+# parse JSON input
+NOT_FOR_ZE = {"fractions", "decimal", "numbers", "json", "typing", "re"}
+JSON_VERBS = {("symbol", "mul"), ("symbol", "rep")}
+
+
+@pytest.mark.parametrize("argv", EVERY_VERB, ids=lambda argv: " ".join(argv[:3]))
+def test_each_verb_loads_only_what_it_computes_with(argv):
+    # under python -S no site hook preloads a module; the probe itself
+    # imports only io and sys, and writes repr for ast.literal_eval
+    code = (
+        "import io, sys\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "from symbalg.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "out.write(repr([status, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(symbalg.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env, check=True)
+    status, loaded = ast.literal_eval(out.stdout)
+    assert status == 0
+    args = _read_table(argv)
+    verb = args.group, getattr(args, "verb", None)
+    if args.group in ("eisenstein", "local"):
+        assert not NOT_FOR_ZE & set(loaded)
+        assert "symbalg.fields" not in loaded
+    assert ("json" in loaded) == (verb in JSON_VERBS)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 5, 6, 10])
+@pytest.mark.parametrize("v", [0, 1, 2, 3, 4, 6])
+def test_splitting_trace_justifies_the_efg(capsys, alpha, v):
+    """pi | alpha traces v_pi(alpha) and the symbol of the unit alpha/pi^v:
+    e = 3 when 3 does not divide v, else f = 1 exactly when that symbol
+    is trivial; alpha prime to pi traces its own symbol."""
+    pi = factor_rational_prime(7).pi
+    z = EisensteinInt(alpha) * pi**v
+    code, env = run_cli(capsys, "--trace", "eisenstein", "splitting", f"--alpha={format_eisenstein(z)}", "--p=7")
+    assert code == 0
+    steps = {step["step"]: step["value"] for step in env["trace"]}
+    efg = env["result"]["efg"]
+    if v:
+        assert list(steps) == ["valuation", "unit_symbol"] and steps["valuation"] == v
+    else:
+        assert list(steps) == ["cubic_symbol"]
+    symbol = steps.get("unit_symbol", steps.get("cubic_symbol"))
+    assert symbol == str(cubic_residue_symbol(EisensteinInt(alpha), factor_rational_prime(7)))
+    if v % 3:
+        assert efg == [3, 1, 1]
+    else:
+        assert efg == ([1, 1, 3] if symbol == "eps^0" else [1, 3, 1])
+
+
+JSON_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x9F)),
+    st.text(alphabet=st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600\ud800\udfff\ue000')),
+)
+JSON_SCALARS = st.one_of(
+    JSON_TEXT,
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=timedelta(seconds=5))
+@given(value=JSON_VALUES)
+def test_envelope_writer_matches_json_dumps(value):
+    assert _json_text(value, None) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert _json_text(value, "  ") == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_envelope_writer_refuses_floats_and_other_types():
+    for value in (1.5, Fraction(1, 2), {"a": [object()]}):
+        with pytest.raises(TypeError):
+            _json_text(value, None)
+    # past the int-conversion digit limit, both refuse alike
+    huge = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+    with pytest.raises(ValueError):
+        json.dumps(huge)
+    with pytest.raises(ValueError):
+        _json_text([huge], None)
