@@ -182,6 +182,12 @@ ARGVS += [
     ["quaternion", "norm", "--alpha=1", "--beta=--", "--a=1,0,0,0"],
 ]
 
+# --trace where pi | alpha: v_pi(alpha) = 3 with a cube and a non-cube unit part
+ARGVS += [
+    _argv("--trace", "eisenstein", "splitting", alpha="343", p=7),
+    _argv("--trace", "eisenstein", "splitting", alpha="686", p=7),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()
