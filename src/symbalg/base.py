@@ -4,9 +4,9 @@ reader of the element grammar.
 An element is a sum of terms ``k``, ``k*w``, ``w``, ``+w`` and ``-w``,
 where ``k`` is a signed integer ``p`` or fraction ``p/q`` and ``w`` is the
 quadratic generator; whitespace is ignored anywhere.  The reader sums the
-coefficients exactly as reduced integer pairs (num, den) with den > 0, so
-that this module, and every process that reads only Z[e] elements, needs
-neither ``fractions`` nor ``re``.
+coefficients exactly as integer pairs (num, den) with den > 0, reduced
+once per coefficient, so that this module, and every process that reads
+only Z[e] elements, needs neither ``fractions`` nor ``re``.
 """
 
 from __future__ import annotations
@@ -71,8 +71,16 @@ def _reduced(num: int, den: int):
     return num // g, den // g
 
 
-def _add(x, y):
-    return _reduced(x[0] * y[1] + y[0] * x[1], x[1] * y[1])
+def _sum(pairs):
+    """The reduced sum of pairs, added as a balanced tree of unreduced pairs
+    and reduced once, so that n terms cost O(n log n) multiplications of
+    growing size, against n gcds of growing size when each sum is reduced."""
+    if len(pairs) < 2:  # the reader's terms come reduced
+        return pairs[0] if pairs else (0, 1)
+    while len(pairs) > 1:
+        odd = pairs[len(pairs) & ~1:]
+        pairs = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])] + odd
+    return _reduced(*pairs[0])
 
 
 def _rational(s: str, text: str):
@@ -109,14 +117,14 @@ def read_element(text: str):
                 terms.append(("-" if j else "+" if i else "") + body)
             elif i or j:
                 raise ParseError(f"malformed element: {text!r}")
-    c0 = c1 = (0, 1)
+    c0, c1 = [], []
     for term in terms:
         if term in ("w", "+w"):
-            c1 = _add(c1, (1, 1))
+            c1.append((1, 1))
         elif term == "-w":
-            c1 = _add(c1, (-1, 1))
+            c1.append((-1, 1))
         elif term.endswith("*w"):
-            c1 = _add(c1, _rational(term[:-2], term[:-2]))
+            c1.append(_rational(term[:-2], term[:-2]))
         else:
-            c0 = _add(c0, _rational(term, term))
-    return c0, c1
+            c0.append(_rational(term, term))
+    return _sum(c0), _sum(c1)

@@ -84,6 +84,8 @@ def _load_json(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply") from exc
 
 
 def _symbol_algebra(args):
@@ -106,8 +108,8 @@ def _symbol_algebra(args):
 
 # ---------------------------------------------------------------- handlers
 
-# _read_table and argparse give a handler only the verbs of its group in
-# _VERBS, so each handler answers its last verb without testing for it.
+# _read_argv gives a handler only the verbs of its group in _VERBS, so each
+# handler answers its last verb without testing for it.
 
 
 def _handle_eisenstein(args):
@@ -136,17 +138,16 @@ def _handle_eisenstein(args):
         prime = factor_rational_prime(args.p)
         alpha = parse_eisenstein(args.alpha)
         data = splitting_in_kummer(alpha, prime)
+        result = {"efg": [data.e, data.f, data.g], "prime": str(prime)}
+        if not args.trace:
+            return result, None
         symbol = cubic_residue_symbol(alpha, prime)
-        if symbol.is_zero:
-            # pi | alpha: the verdict rests on v_pi(alpha) and on the unit alpha/pi^v
-            v, unit = split_valuation(alpha, prime.pi)
-            trace = [
-                {"step": "valuation", "value": v},
-                {"step": "unit_symbol", "value": str(cubic_residue_symbol(unit, prime))},
-            ]
-        else:
-            trace = [{"step": "cubic_symbol", "value": str(symbol)}]
-        return {"efg": [data.e, data.f, data.g], "prime": str(prime)}, trace
+        if not symbol.is_zero:
+            return result, [{"step": "cubic_symbol", "value": str(symbol)}]
+        # pi | alpha: the verdict rests on v_pi(alpha) and on the unit alpha/pi^v
+        v, unit = split_valuation(alpha, prime.pi)
+        unit_symbol = str(cubic_residue_symbol(unit, prime))
+        return result, [{"step": "valuation", "value": v}, {"step": "unit_symbol", "value": unit_symbol}]
     # cyclotomic
     f, r = cyclotomic_splitting(args.p, args.l)
     return {"f": f, "r": r}, None
@@ -399,92 +400,92 @@ def _option_specs(specs):
         yield name, kind, not optional, (kind or str)(default) if default else None
 
 
-def _read_table(argv) -> SimpleNamespace | None:
-    """The namespace argparse would give argv, read straight from _VERBS, or
-    None when argv is not in the plain form: --pretty and --trace only
-    before the group, a known group and verb (demo alone), then each of the
-    verb's options at most once as --name=value or --name value, with every
-    required option given and every int option an int.  A value is not
-    "--", and a separate one does not start with "-".  Anything else (help,
-    abbreviations, repeats, unknown or bad options, "--", extra words) is
-    argparse's."""
-    start = 0
-    while start < len(argv) and argv[start] in ("--pretty", "--trace"):
-        start += 1
-    flags = argv[:start]
-    args = {"pretty": "--pretty" in flags, "trace": "--trace" in flags}
-    group, *words = argv[start:] or [None]
-    verbs = _VERBS.get(group)
-    if verbs == {}:
-        return None if words else SimpleNamespace(**args, group=group)
-    if verbs is None or not words or words[0] not in verbs:
+def _option(word: str, names):
+    """What argparse makes of word where the options are -h and --<name>
+    for name in names ("help" among them): None for a value word, else
+    (name, its "=" value or None), where name is None for an unknown
+    option.  A unique prefix names an option; an ambiguous one is unknown."""
+    if word[:1] != "-" or word == "-":
         return None
-    verb, *words = words
-    options = {name: spec for name, *spec in _option_specs(verbs[verb])}
-    given = {}
-    words = iter(words)
+    head, eq, value = word.partition("=")
+    value = value if eq else None
+    if word[:2] == "-h":
+        return "help", value if head == "-h" else word[2:]
+    if head[:2] == "--":
+        key = head[2:]
+        found = [key] if key in names else [name for name in names if name.startswith(key)]
+        if len(found) == 1:
+            return found[0], value
+    digits, dot, tail = word[1:].partition(".")
+    if (digits.isdecimal() or dot and not digits) and (not dot or tail.isdecimal()) or " " in word:
+        return None  # a negative number, or a word with a space
+    return None, None
+
+
+def _read_argv(argv) -> SimpleNamespace | str:
+    """The namespace the argparse tree of _VERBS gives argv, or the usage
+    line of the level where -h or --help stands, read left to right one
+    level (top, group, verb) at a time.  Each error raises ParseError with
+    argparse's text: a bad choice, a missing value or a bad int where it
+    stands, then a missing choice or required option, then stray words."""
+    args = {"pretty": False, "trace": False}
+    options = {"pretty": (bool, False, False), "trace": (bool, False, False)}
+    prog, choices, dest, strays, words = "symbalg", _VERBS, "group", [], iter(argv)
     for word in words:
-        option, eq, value = word.partition("=")
-        if not eq:
-            value = next(words, None)
-            if value is None or value.startswith("-"):
-                return None
-        name = option[2:]
-        # argparse reads --name=-- as no value at all
-        if not option.startswith("--") or name not in options or name in given or value == "--":
-            return None
-        kind = options[name][0]
-        try:
-            given[name] = kind(value) if kind else value
-        except ValueError:
-            return None
-    for name, (_, required, default) in options.items():
-        if name not in given:
-            if required:
-                return None
-            given[name] = default
-    return SimpleNamespace(**args, group=group, verb=verb, **given)
+        option = None if word == "--" else _option(word, (*options, "help"))
+        # "--" makes the rest stray words at the verb level; before it, "--"
+        # is the choice when a word follows, else a stray word
+        if word == "--" and (dest is None or not [*words]):
+            strays += [word, *words]
+        elif option is None and dest is not None:  # the choice of this level
+            if word not in choices:
+                quoted = ", ".join(map(repr, choices))
+                raise ParseError(f"argument {dest}: invalid choice: {word!r} (choose from {quoted})")
+            args[dest], prog, table = word, f"{prog} {word}", choices[word]
+            if dest == "group" and table:  # a group with verbs
+                options, choices, dest = {}, table, "verb"
+            else:  # a verb, or demo
+                options = {name: spec for name, *spec in _option_specs(table)}
+                choices = dest = None
+        elif option is None or option[0] is None:  # a value word or an unknown option
+            strays.append(word)
+        elif option[0] == "help" or options[option[0]][0] is bool:
+            name, value = option
+            if value is not None:
+                flag = "-h/--help" if name == "help" else f"--{name}"
+                raise ParseError(f"argument {flag}: ignored explicit argument {value!r}")
+            if name == "help":
+                return _usage(prog, options, choices)
+            args[name] = True
+        else:
+            name, value = option
+            if value is None:
+                value = next(words, "--")
+                value = "--" if _option(value, (*options, "help")) else value
+            if value == "--":
+                raise ParseError(f"argument --{name}: expected one argument")
+            try:
+                args[name] = int(value) if options[name][0] else value
+            except ValueError:
+                raise ParseError(f"argument --{name}: invalid int value: {value!r}") from None
+    if dest is not None:
+        raise ParseError(f"the following arguments are required: {dest}")
+    missing = [f"--{name}" for name, (_, required, _) in options.items() if required and name not in args]
+    if missing:
+        raise ParseError(f"the following arguments are required: {', '.join(missing)}")
+    if strays:
+        raise ParseError(f"unrecognized arguments: {' '.join(strays)}")
+    return SimpleNamespace(**{name: default for name, (_, _, default) in options.items()} | args)
 
 
-def _add_options(parser, specs) -> None:
-    for name, kind, required, default in _option_specs(specs):
-        value = {"required": True} if required else {"default": default}
-        parser.add_argument(f"--{name}", type=kind, **value)
-
-
-def build_parser():
-    """The whole parser tree, for the command lines _read_table leaves to
-    argparse, so that help, usage and every parse error are argparse's.
-    Only those import argparse (and, through it, gettext and locale)."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """Raises usage errors as ParseError, so that main reports them in
-        an envelope; sub-parsers inherit the class."""
-
-        def error(self, message):
-            raise ParseError(message)
-
-        def parse_args(self, args=None, namespace=None):
-            namespace = super().parse_args(args, namespace)
-            # argparse reads --name=-- as no value at all, an empty list
-            for name, value in vars(namespace).items():
-                if value == []:
-                    self.error(f"argument --{name}: expected one argument")
-            return namespace
-
-    ap = _Parser(prog="symbalg", description="exact symbol/quaternion algebra toolkit")
-    ap.add_argument("--pretty", action="store_true", help="indent the JSON envelope")
-    ap.add_argument("--trace", action="store_true", help="include intermediate values where available")
-    top = ap.add_subparsers(dest="group", required=True)
-    for group, verbs in _VERBS.items():
-        group_parser = top.add_parser(group)
-        if not verbs:
-            continue
-        sub = group_parser.add_subparsers(dest="verb", required=True)
-        for verb, specs in verbs.items():
-            _add_options(sub.add_parser(verb), specs)
-    return ap
+def _usage(prog, options, choices) -> str:
+    words = [f"usage: {prog} [-h]"]
+    for name, (kind, required, _) in options.items():
+        word = f"--{name}" if kind is bool else f"--{name} {name.upper()}"
+        words.append(word if required else f"[{word}]")
+    if choices:
+        words.append("{" + ",".join(choices) + "} ...")
+    return " ".join(words)
 
 
 _HANDLERS = {
@@ -558,15 +559,14 @@ def _error(code: str, key: str, exc: Exception, pretty: bool) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_table(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except ParseError as exc:
-            _error("parse_error", "detail", exc, False)
-            return 2
-        except SystemExit as exc:  # --help
-            return int(exc.code or 0)
+    try:
+        args = _read_argv(argv)
+    except ParseError as exc:
+        _error("parse_error", "detail", exc, False)
+        return 2
+    if isinstance(args, str):  # -h or --help
+        print(args)
+        return 0
     try:
         if args.group == "demo":
             result, trace = demo_report(_search_bound(None)), None

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbalg
-from symbalg.cli import _VERBS, _json_text, _read_table, build_parser, main
+from symbalg.cli import _VERBS, _json_text, _option_specs, _read_argv, main
 from symbalg.eisenstein import EisensteinInt, cubic_residue_symbol, factor_rational_prime, format_eisenstein
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MILLER_RABIN_LIMIT
@@ -210,12 +211,16 @@ def _grid(cells):
 
 
 VALID_ELEMENT = st.sampled_from(["1", "-1", "2", "7", "1/2", "-3/4", "0", "w", "-w", "1+1*w", "2-3*w"])
+# 1/2+1/3+...: a coefficient of up to about 1,700 digits, which the reader
+# once took time cubic in the number of terms to sum
+LONG_SUM = st.sampled_from([100, 1000, 4000]).map(lambda terms: "+".join(f"1/{k}" for k in range(2, terms + 2)))
 ELEMENT_TEXT = _mostly(
     VALID_ELEMENT,
     st.one_of(
         st.sampled_from(["1/0", "", "+", "w*w", "1//2", "1,2", "2**w"]),
         st.text(alphabet="0123456789+-*/w ", max_size=10),
         st.text(max_size=4),
+        LONG_SUM,
     ),
 )
 FIELD_TEXT = _mostly(
@@ -226,12 +231,18 @@ FIELD_TEXT = _mostly(
         st.sampled_from([MAX_SQRT_FIELD_D, MAX_SQRT_FIELD_D + 1, 999999999989, 10**18 + 3]).map("qsqrt:{}".format),
     ),
 )
+# JSON nested past the interpreter's recursion limit, which json.loads
+# meets with RecursionError
+DEEP_JSON = st.sampled_from([1000, 50000]).flatmap(
+    lambda depth: st.sampled_from(["[" * depth, "[" * depth + "]" * depth, '{"n": 3, "coeffs": ' + "[" * depth])
+)
 GRID_TEXT = _mostly(
     _grid(VALID_ELEMENT),
     st.one_of(
         _grid(ELEMENT_TEXT),
         st.sampled_from(["null", "[1]", "{}", "{", '{"n": 3}', '{"n": 3, "coeffs": 1}', INT_GRID]),
         st.text(max_size=6),
+        DEEP_JSON,
     ),
 )
 COORDS_TEXT = _mostly(
@@ -325,6 +336,8 @@ def test_exit_codes(capsys):
         ["quaternion", "search-zero", "--alpha", "1/0", "--beta", "3"],
         ["symbol", "crosscheck", "--alpha", "1/0", "--beta", "3"],
         ["eisenstein", "factor", "--p=--"],
+        ["symbol", "rep", "--alpha=-1", "--beta=1", "--element=" + "[" * 1000],  # past the recursion limit
+        ["symbol", "mul", "--alpha=-1", "--beta=1", "--u=" + "[" * 50000 + "]" * 50000, "--v={}"],
     ],
 )
 def test_malformed_argv_gets_one_parse_error_envelope(capsys, argv):
@@ -353,6 +366,43 @@ def test_help_exits_zero_with_usage(argv):
 VALUES = {"alpha": "-1", "beta": "1", "a": "1,0,0,0", "b": "0,1,0,0", "x": "343", "zeta": "0+1*w",
           "field": "qeps", "u": "{}", "v": "{}", "element": "{}"}
 VERB_PAIRS = [(group, verb) for group, verbs in _VERBS.items() for verb in verbs or [None]]
+
+
+class _Parser(argparse.ArgumentParser):
+    """The argparse tree of _VERBS that the command line was read by before
+    it had its own reader, kept as the oracle: usage errors raise
+    ParseError, and sub-parsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        namespace = super().parse_args(args, namespace)
+        # argparse reads --name=-- as no value at all, an empty list
+        for name, value in vars(namespace).items():
+            if value == []:
+                self.error(f"argument --{name}: expected one argument")
+        return namespace
+
+
+def build_parser():
+    ap = _Parser(prog="symbalg", description="exact symbol/quaternion algebra toolkit")
+    ap.add_argument("--pretty", action="store_true", help="indent the JSON envelope")
+    ap.add_argument("--trace", action="store_true", help="include intermediate values where available")
+    top = ap.add_subparsers(dest="group", required=True)
+    for group, verbs in _VERBS.items():
+        group_parser = top.add_parser(group)
+        if not verbs:
+            continue
+        sub = group_parser.add_subparsers(dest="verb", required=True)
+        for verb, specs in verbs.items():
+            verb_parser = sub.add_parser(verb)
+            for name, kind, required, default in _option_specs(specs):
+                value = {"required": True} if required else {"default": default}
+                verb_parser.add_argument(f"--{name}", type=kind, **value)
+    return ap
+
+
 WHOLE_TREE = build_parser()
 
 
@@ -378,20 +428,33 @@ def _separate(options):
 
 
 def _argparse(argv):
-    """vars() of what the whole argparse tree makes of argv, or its error text"""
+    """vars() of what the argparse tree makes of argv, its error text, or
+    ("help", the usage line before " [-h]") for -h or --help"""
+    out = io.StringIO()
     try:
-        return vars(WHOLE_TREE.parse_args(argv))
+        with contextlib.redirect_stdout(out):
+            return vars(WHOLE_TREE.parse_args(argv))
     except ParseError as exc:
         return str(exc)
+    except SystemExit:
+        return "help", out.getvalue().partition(" [-h]")[0]
 
 
-def _table(argv):
-    args = _read_table(argv)
-    return None if args is None else vars(args)
+def _read(argv):
+    """what _read_argv makes of argv, in the terms of _argparse"""
+    try:
+        args = _read_argv(argv)
+    except ParseError as exc:
+        return str(exc)
+    return ("help", args.partition(" [-h]")[0]) if isinstance(args, str) else vars(args)
 
 
-# main reads a plain command line from the table and hands every other one
-# to the whole argparse tree: the two must agree wherever the table reads
+def _decision(result):
+    return {dict: "accept", str: "refuse", tuple: "help"}[type(result)]
+
+
+# the reader and the argparse tree give the same namespace, error text or
+# help on every form of a well-formed line and on each kind of malformed one
 @pytest.mark.parametrize("group,verb", VERB_PAIRS)
 def test_selected_parser_matches_whole_tree(group, verb):
     specs = _VERBS[group].get(verb, ())
@@ -403,26 +466,29 @@ def test_selected_parser_matches_whole_tree(group, verb):
             ["--trace", *words, *_separate(options)],
             ["--pretty", "--trace", "--pretty", *words, *reversed(options)],
         ):
-            table = _table(argv)
-            assert table is not None and table == _argparse(argv), argv
-            assert table["group"] == group and table.get("verb") == verb
+            read = _read(argv)
+            assert read == _argparse(argv), argv
+            assert read["group"] == group and read.get("verb") == verb
     required = _options(specs, False)
-    left_to_argparse = [[*words, "--no-such-option"], [*words, *required, "extra"], [*words, "--", *required]]
+    odd = [[*words, "--no-such-option"], [*words, *required, "extra"], [*words, "--", *required], [*words, "-h"]]
+    odd.append([*words[:-1], "--"])  # a last "--" where the group or verb is due
     for i, option in enumerate(required):
         others = required[:i] + required[i + 1:]
-        left_to_argparse.append([*words, *others])  # a required option is missing
-        left_to_argparse.append([*words, *required, option])  # repeated
+        odd.append([*words, *others])  # a required option is missing
+        odd.append([*words, *required, option])  # repeated
         name, value = option.split("=", 1)
         if len(name) > 3:
-            left_to_argparse.append([*words, *others, f"{name[:-1]}={value}"])  # abbreviated
-        left_to_argparse.append([*words, *others, name, "-1"])  # a value word starting with "-"
-        left_to_argparse.append([*words, *others, name])  # no value
+            odd.append([*words, *others, f"{name[:-1]}={value}"])  # abbreviated
+        odd.append([*words, *others, name, "-1"])  # a value word starting with "-"
+        odd.append([*words, *others, name, "-1/2"])  # ... that looks like an option
+        odd.append([*words, *others, name])  # no value
+        odd.append([*words, *others, f"{name}=--"])  # "--" as the value
         if option.endswith("=3"):
-            left_to_argparse.append([*words, *others, option[:-1] + "x"])  # a bad int
-    for argv in left_to_argparse:
-        assert _table(argv) is None, argv
-    for argv in left_to_argparse[:2]:
-        assert isinstance(_argparse(argv), str), argv
+            odd.append([*words, *others, option[:-1] + "x"])  # a bad int
+    for argv in odd:
+        assert _read(argv) == _argparse(argv), argv
+    for argv in odd[:3]:
+        assert isinstance(_read(argv), str), argv
 
 
 @pytest.mark.parametrize(
@@ -440,8 +506,8 @@ def test_selected_parser_matches_whole_tree(group, verb):
     ],
 )
 def test_selected_parser_matches_whole_tree_on_odd_argv(capsys, argv):
-    assert _read_table(argv) is None
     expected = _argparse(argv)
+    assert _read(argv) == expected
     code = main(argv)
     envelope = json.loads(capsys.readouterr().out)
     if isinstance(expected, str):
@@ -481,30 +547,46 @@ def grammar_argv(draw):
     return argv
 
 
+# the reader departs from argparse only where a word holds "=--" or "--="
 @settings(max_examples=500, deadline=timedelta(seconds=5))
 @given(argv=grammar_argv())
 def test_table_agrees_with_argparse_on_grammar_fuzz(argv):
-    table = _table(argv)
-    if table is not None:
-        assert table == _argparse(argv)
+    if any("=--" in word or "--=" in word for word in argv):
+        return
+    read, expected = _read(argv), _argparse(argv)
+    assert _decision(read) == _decision(expected)
+    if _decision(read) != "refuse":
+        assert read == expected
 
 
-# the exit-0 golden command lines in a form the table leaves to argparse
-GOLDEN_ARGPARSE_ONLY = [
-    ["eisenstein", "symbol", "--alpha", "-1", "--p", "7"],
-    ["eisenstein", "symbol", "--al=2", "--p=7"],
-    ["--pre", "eisenstein", "factor", "--p=7"],
-    ["eisenstein", "factor", "--p=7", "--p=11"],
-]
+@pytest.mark.parametrize(
+    "argv,read,expected",
+    [
+        # argparse reads --p=-- as no value, which its caller refused only
+        # after the whole line, so a later -h printed help
+        (["eisenstein", "factor", "--p=--", "-h"], "argument --p: expected one argument", "help"),
+        # ... and a later repeat of the option replaced the missing value
+        (["eisenstein", "symbol", "--alpha=--", "--al=2", "--p=7"], "argument --alpha: expected one argument", "accept"),
+        # argparse refuses --=1, which names every option, before it reads -h
+        (["eisenstein", "factor", "-h", "--=1"], "help",
+         "ambiguous option: --=1 could match --help, --pretty, --trace"),
+    ],
+    ids=["help-after-name=--", "repeat-after-name=--", "help-before---="],
+)
+def test_reader_departs_from_argparse_only_at_equals_dashes(argv, read, expected):
+    for result, want in ((_read(argv), read), (_argparse(argv), expected)):
+        assert result == want if isinstance(result, str) else _decision(result) == want
 
 
 def test_table_reads_every_plain_golden_argv():
-    records = _golden_records()
-    refused = [record["argv"] for record in records if record["exit"] == 0 and _table(record["argv"]) is None]
-    assert refused == GOLDEN_ARGPARSE_ONLY
-    for record in records:
-        table = _table(record["argv"])
-        assert table is None or table == _argparse(record["argv"]), record["argv"]
+    """every golden command line reads as argparse reads it, and each
+    exit-2 record that argparse refuses carries argparse's text"""
+    for record in _golden_records():
+        expected = _argparse(record["argv"])
+        assert _read(record["argv"]) == expected, record["argv"]
+        if isinstance(expected, str):
+            detail = json.loads(record["stdout"])["result"]["detail"]
+            assert (record["exit"], detail) == (2, expected)
 
 
 def test_demo_contents(capsys):
@@ -628,6 +710,26 @@ def test_verbs_load_neither_dataclasses_nor_inspect(argv):
     assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(loaded)
 
 
+def test_malformed_and_help_argv_load_no_argparse():
+    """every exit-2 golden command line, and help at each level, is read
+    without argparse, and so without gettext and locale"""
+    malformed = [record["argv"] for record in _golden_records() if record["exit"] == 2]
+    helps = [["--help"], ["eisenstein", "-h"], ["demo", "--he"], ["symbol", "mul", "--help"]]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from symbalg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = [main(argv) for argv in json.loads(sys.stdin.read())]\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(malformed + helps), capture_output=True, text=True, check=True
+    )
+    status, loaded = json.loads(out.stdout)
+    assert status == [2] * len(malformed) + [0] * len(helps)
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
+
+
 def test_cheap_verb_imports_only_its_modules():
     code = (
         "import contextlib, io, json, sys\n"
@@ -688,7 +790,7 @@ EVERY_VERB = [
 
 
 def test_every_verb_line_is_read_from_the_table():
-    assert {(a.group, getattr(a, "verb", None)) for a in map(_read_table, EVERY_VERB)} == {
+    assert {(a.group, getattr(a, "verb", None)) for a in map(_read_argv, EVERY_VERB)} == {
         (group, verb) for group, verbs in _VERBS.items() for verb in verbs or [None]
     }
 
@@ -714,7 +816,7 @@ def test_each_verb_loads_only_what_it_computes_with(argv):
     out = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env, check=True)
     status, loaded = ast.literal_eval(out.stdout)
     assert status == 0
-    args = _read_table(argv)
+    args = _read_argv(argv)
     verb = args.group, getattr(args, "verb", None)
     if args.group in ("eisenstein", "local"):
         assert not NOT_FOR_ZE & set(loaded)
@@ -744,6 +846,25 @@ def test_splitting_trace_justifies_the_efg(capsys, alpha, v):
         assert efg == [3, 1, 1]
     else:
         assert efg == ([1, 1, 3] if symbol == "eps^0" else [1, 3, 1])
+
+
+def test_splitting_builds_its_trace_only_under_trace(capsys, monkeypatch):
+    """without --trace the verb evaluates only the symbols that
+    splitting_in_kummer itself needs"""
+    from symbalg import eisenstein
+
+    calls = []
+    symbol = eisenstein.cubic_residue_symbol
+    monkeypatch.setattr(eisenstein, "cubic_residue_symbol", lambda *args: calls.append(args) or symbol(*args))
+    for alpha in ("2", "686", "14"):
+        calls.clear()
+        eisenstein.splitting_in_kummer(EisensteinInt(int(alpha)), factor_rational_prime(7))
+        verdict_calls = len(calls)
+        argv = ["eisenstein", "splitting", f"--alpha={alpha}", "--p=7"]
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0 and len(calls) == verdict_calls
+        calls.clear()
+        assert run_cli(capsys, "--trace", *argv)[1]["trace"] and len(calls) > verdict_calls
 
 
 JSON_TEXT = st.one_of(
