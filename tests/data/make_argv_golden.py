@@ -188,6 +188,12 @@ ARGVS += [
     _argv("--trace", "eisenstein", "splitting", alpha="686", p=7),
 ]
 
+# JSON nested 1,000 deep, past the interpreter's recursion limit
+ARGVS += [
+    _argv("symbol", "mul", alpha="-1", beta="1", u="[" * 1000, v=EPS_SPARSE),
+    _argv("symbol", "rep", alpha="-1", beta="1", element="[" * 1000),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()
