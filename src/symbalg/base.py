@@ -73,14 +73,16 @@ def _reduced(num: int, den: int):
 
 def _sum(pairs):
     """The reduced sum of pairs, added as a balanced tree of unreduced pairs
-    and reduced once, so that n terms cost O(n log n) multiplications of
-    growing size, against n gcds of growing size when each sum is reduced."""
+    and reduced once: about log2(n) rounds of multiplications, each about
+    as large as the result, where reducing every partial sum cost n gcds."""
     if len(pairs) < 2:  # the reader's terms come reduced
         return pairs[0] if pairs else (0, 1)
-    while len(pairs) > 1:
-        odd = pairs[len(pairs) & ~1:]
-        pairs = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(pairs[::2], pairs[1::2])] + odd
-    return _reduced(*pairs[0])
+    # sum the pairs two by two from the front and append each sum, so that
+    # the last of the n - 1 sums is the sum of all
+    for i in range(0, 2 * len(pairs) - 2, 2):
+        (a, b), (c, d) = pairs[i], pairs[i + 1]
+        pairs.append((a * d + c * b, b * d))
+    return _reduced(*pairs[-1])
 
 
 def _rational(s: str, text: str):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbalg
+from symbalg import eisenstein
 from symbalg.cli import _VERBS, _json_text, _option_specs, _read_argv, main
 from symbalg.eisenstein import EisensteinInt, cubic_residue_symbol, factor_rational_prime, format_eisenstein
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
@@ -355,7 +356,7 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: symbalg")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["eisenstein", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["eisenstein", "--help"], ["eisenstein", "factor", "--help"]])
 def test_help_exits_zero_with_usage(argv):
     out = subprocess.run([sys.executable, "-m", "symbalg", *argv], capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == ""
@@ -369,9 +370,9 @@ VERB_PAIRS = [(group, verb) for group, verbs in _VERBS.items() for verb in verbs
 
 
 class _Parser(argparse.ArgumentParser):
-    """The argparse tree of _VERBS that the command line was read by before
-    it had its own reader, kept as the oracle: usage errors raise
-    ParseError, and sub-parsers inherit the class."""
+    """The argparse tree of _VERBS, the oracle that cli._read_argv keeps the
+    decisions and error texts of: usage errors raise ParseError, and
+    sub-parsers inherit the class."""
 
     def error(self, message):
         raise ParseError(message)
@@ -851,8 +852,6 @@ def test_splitting_trace_justifies_the_efg(capsys, alpha, v):
 def test_splitting_builds_its_trace_only_under_trace(capsys, monkeypatch):
     """without --trace the verb evaluates only the symbols that
     splitting_in_kummer itself needs"""
-    from symbalg import eisenstein
-
     calls = []
     symbol = eisenstein.cubic_residue_symbol
     monkeypatch.setattr(eisenstein, "cubic_residue_symbol", lambda *args: calls.append(args) or symbol(*args))
