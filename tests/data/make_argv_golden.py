@@ -194,6 +194,15 @@ ARGVS += [
     _argv("symbol", "rep", alpha="-1", beta="1", element="[" * 1000),
 ]
 
+# the order of the search's refusals: a parse error (alpha first), then a
+# zero alpha or beta, then the bound, then a non-integer alpha or beta
+ARGVS += [
+    _argv("quaternion", "search-zero", alpha="1+w", beta="1/0", bound=0),
+    _argv("quaternion", "search-zero", alpha="0", beta="1/0"),
+    _argv("quaternion", "search-zero", alpha="0", beta="7", bound=501),
+    _argv("quaternion", "search-zero", alpha="1/2", beta="7", bound=501),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()

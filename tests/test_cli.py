@@ -675,6 +675,19 @@ def test_search_bound_env_override(capsys, monkeypatch):
     assert code == 1 and env["result"]["code"] == "domain_error"
 
 
+def test_search_bound_env_is_read_after_the_zero_check(capsys, monkeypatch):
+    """a zero alpha is refused before SYMBALG_SEARCH_BOUND is read, and a
+    non-integer one only after it"""
+    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", "not-a-number")
+    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha=0", "--beta=7")
+    assert (code, env["result"]["precondition"]) == (1, "alpha and beta must be nonzero")
+    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha=1/2", "--beta=7")
+    assert (code, env["result"]["detail"]) == (2, "SYMBALG_SEARCH_BOUND must be an integer")
+    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", "3")
+    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha=-1", "--beta=7/2")
+    assert (code, env["result"]["precondition"]) == (1, "search needs integer alpha and beta")
+
+
 def test_search_bound_cap(capsys):
     argv = ["quaternion", "search-zero", "--alpha", "-1", "--beta", "7", "--bound"]
     code, env = run_cli(capsys, *argv, "0")
