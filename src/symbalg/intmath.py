@@ -1,5 +1,6 @@
 """Exact integer number theory: primality, square roots modulo a prime,
-Cornacchia's algorithm, Euler's phi and multiplicative orders.
+Cornacchia's algorithm, Euler's phi, and the isotropic-vector search of
+the quaternion norm form x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2.
 
 Primality is trial division by the first 13 primes followed by the
 Miller-Rabin test to those 13 bases, which is proven exact for every
@@ -8,8 +9,10 @@ that limit is_prime refuses instead of returning a probable answer.
 Square roots modulo p use Tonelli-Shanks and x^2 + d*y^2 = p uses
 Cornacchia's algorithm (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 1.5.1 and 1.5.2), so these run in time polynomial in log p.
-Only factoring, which euler_phi and multiplicative_order need, is trial
-division; it stops once the part left is prime, and callers cap its input.
+Only factoring, which euler_phi and the multiplicative order of
+_order_dividing need, is trial division; it stops once the part left is
+prime, and callers cap its input.  The isotropic search works on ints
+alone, so a process that runs only it loads no fractions.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ import math
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all 13 bases
 MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+# largest coordinate bound isotropic_vector accepts; time grows as bound^2
+# and memory as the number of distinct right-hand values
+MAX_SEARCH_BOUND = 500
 
 
 def is_prime(n: int) -> bool:
@@ -125,17 +131,79 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """The order of a mod n: phi(n) divided by each of its prime factors
-    for as long as a^(order/q) stays 1."""
-    if n < 2 or math.gcd(a, n) != 1:
-        raise ValueError("multiplicative order needs gcd(a, n) = 1 and n >= 2")
-    return _order_dividing(a, n, euler_phi(n))
-
-
 def _order_dividing(a: int, n: int, order: int) -> int:
     """The order of a mod n, given a multiple of it such as phi(n)."""
     for q in _prime_divisors(order):
         while order % q == 0 and pow(a, order // q, n) == 1:
             order //= q
     return order
+
+
+def check_search_bound(bound: int) -> int:
+    """bound, or ValueError when it is outside 1..MAX_SEARCH_BOUND."""
+    if not 1 <= bound <= MAX_SEARCH_BOUND:
+        raise ValueError(f"bound must be in 1..{MAX_SEARCH_BOUND}")
+    return bound
+
+
+def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None):
+    """First primitive (x0, x1, x2, x3) in lexicographic order, coordinates
+    in [-bound, bound], with x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2 = 0, or None
+    if there is none.
+
+    The quartic loop is folded into a pairing: x0^2 - a*x1^2 must be b
+    times a member of S = {x^2 - a*y^2 : 0 <= x, y <= bound}, and only on
+    a hit are the (x2, x3) partners regenerated, so memory is the size of
+    S.  Unless a is a positive square, only x = y = 0 gives 0, so a
+    witness needs nonzero s, s' in S with b*s = s'; without one the scan
+    is skipped.  A witness exists among all integer vectors iff one exists
+    among the primitive ones.  When steps is a list, the values the answer
+    rests on are appended to it as {"step", "value"} records: the size of
+    S, whether the emptiness proof or the scan decided, and the number of
+    (x0, x1) pairs the scan read.
+    """
+    check_search_bound(bound)
+    if not a or not b:
+        raise ValueError("alpha and beta must be nonzero")
+    steps = [] if steps is None else steps
+    squares = [x * x for x in range(bound + 1)]
+    values = set()
+    for t in squares:
+        values.update(map((-a * t).__add__, squares))
+    steps.append({"step": "set_size", "value": len(values)})
+    if not (a > 0 and math.isqrt(a) ** 2 == a):
+        # 0 is left out of the scan too: it pairs only with the zero vector
+        values.discard(0)
+        if not any(map(values.__contains__, map(b.__mul__, values))):
+            steps.append({"step": "decided_by", "value": "emptiness_proof"})
+            return None
+    steps.append({"step": "decided_by", "value": "scan"})
+    side = 2 * bound + 1
+    rng = range(-bound, bound + 1)
+    for x0 in rng:
+        for x1 in rng:
+            quotient, rest = divmod(x0 * x0 - a * x1 * x1, b)
+            if rest or quotient not in values:
+                continue
+            for x2, x3 in _right_partners(a, quotient, bound):
+                if math.gcd(x0, x1, x2, x3) == 1:
+                    if x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3:
+                        raise ArithmeticError("search witness is not isotropic")
+                    steps.append({"step": "pairs_scanned", "value": (x0 + bound) * side + x1 + bound + 1})
+                    return x0, x1, x2, x3
+    steps.append({"step": "pairs_scanned", "value": side * side})
+    return None
+
+
+def _right_partners(a: int, target: int, bound: int):
+    """(x2, x3) in [-bound, bound]^2 with x2^2 - a*x3^2 = target, in
+    lexicographic order: x3^2 = (x2^2 - target)/a is solved per x2."""
+    for x2 in range(-bound, bound + 1):
+        x3_square, rest = divmod(x2 * x2 - target, a)
+        if rest or x3_square < 0:
+            continue
+        x3 = math.isqrt(x3_square)
+        if x3 * x3 == x3_square and x3 <= bound:
+            yield x2, -x3
+            if x3:
+                yield x2, x3

@@ -10,15 +10,10 @@ exhaustive isotropic-vector search for division consistency.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .fields import QQ, QSQRT3, FieldElement, Record, pair_mul, symbol_product
-from .intmath import cornacchia, is_prime
-
-# largest coordinate bound norm_form_zero_search accepts; time grows as
-# bound^2 and memory as the number of distinct right-hand values
-MAX_SEARCH_BOUND = 500
+from .intmath import check_search_bound, cornacchia, is_prime, isotropic_vector
 
 
 class QuaternionAlgebra(Record):
@@ -194,69 +189,11 @@ def _integer_invariant(e: FieldElement) -> int:
 
 def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | None:
     """First primitive integer vector (lexicographic order, coordinates in
-    [-bound, bound]) with vanishing norm form, or None if there is none.
-
-    The quartic loop is folded into a pairing: x0^2 - alpha*x1^2 must be
-    beta times a member of S = {x^2 - alpha*y^2 : 0 <= x, y <= bound}, and
-    only on a hit are the (x2, x3) partners regenerated, so memory is the
-    size of S.  Unless alpha is a positive square, only x = y = 0 gives 0,
-    so a witness needs nonzero s, s' in S with beta*s = s'; without one the
-    scan is skipped.  A witness exists among all integer vectors iff one
-    exists among the primitive ones.  The bound is capped at
-    MAX_SEARCH_BOUND.
-    """
-    if not 1 <= bound <= MAX_SEARCH_BOUND:
-        raise ValueError(f"bound must be in 1..{MAX_SEARCH_BOUND}")
+    [-bound, bound]) with vanishing norm form, or None if there is none:
+    ``intmath.isotropic_vector`` on the integers alpha and beta, for a
+    bound of at most intmath.MAX_SEARCH_BOUND."""
+    check_search_bound(bound)
     if alg.desc != QQ:
         raise ValueError("zero search is defined over Q")
-    a = _integer_invariant(alg.alpha)
-    b = _integer_invariant(alg.beta)
-    squares = [x * x for x in range(bound + 1)]
-    values = set()
-    for t in squares:
-        values.update(map((-a * t).__add__, squares))
-    if not (a > 0 and math.isqrt(a) ** 2 == a):
-        # 0 is left out of the scan too: it pairs only with the zero vector
-        values.discard(0)
-        if not any(map(values.__contains__, map(b.__mul__, values))):
-            return None
-    rng = range(-bound, bound + 1)
-    for x0 in rng:
-        for x1 in rng:
-            quotient, rest = divmod(x0 * x0 - a * x1 * x1, b)
-            if rest or quotient not in values:
-                continue
-            for x2, x3 in _right_partners(a, quotient, bound):
-                if math.gcd(x0, x1, x2, x3) == 1:
-                    witness = alg.element(x0, x1, x2, x3)
-                    if not witness.norm().is_zero():
-                        raise ArithmeticError("search witness is not isotropic")
-                    return witness
-    return None
-
-
-def _right_partners(a: int, target: int, bound: int):
-    """(x2, x3) in [-bound, bound]^2 with x2^2 - a*x3^2 = target, in
-    lexicographic order: x3^2 = (x2^2 - target)/a is solved per x2."""
-    for x2 in range(-bound, bound + 1):
-        x3_square, rest = divmod(x2 * x2 - target, a)
-        if rest or x3_square < 0:
-            continue
-        x3 = math.isqrt(x3_square)
-        if x3 * x3 == x3_square and x3 <= bound:
-            yield x2, -x3
-            if x3:
-                yield x2, x3
-
-
-def zero_divisor_from_isotropic(a: Quaternion) -> tuple[Quaternion, Quaternion]:
-    """(a, conj(a)) as a verified zero-divisor pair for isotropic a != 0."""
-    if a.is_zero():
-        raise ValueError("need a nonzero quaternion")
-    if not a.norm().is_zero():
-        raise ValueError("quaternion is not isotropic")
-    conj = a.conjugate()
-    product = a * conj
-    if not product.is_zero() or conj.is_zero():
-        raise ArithmeticError("a * conj(a) is not a zero-divisor pair")
-    return a, conj
+    witness = isotropic_vector(_integer_invariant(alg.alpha), _integer_invariant(alg.beta), bound)
+    return None if witness is None else alg.element(*witness)

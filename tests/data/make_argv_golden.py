@@ -203,6 +203,13 @@ ARGVS += [
     _argv("quaternion", "search-zero", alpha="1/2", beta="7", bound=501),
 ]
 
+# --trace of the search: |S| and the emptiness proof, or |S|, the scan and
+# the number of (x0, x1) pairs it read up to the witness
+ARGVS += [
+    _argv("--trace", "quaternion", "search-zero", alpha="-1", beta="7", bound=20),
+    _argv("--trace", "quaternion", "search-zero", alpha="-1", beta="5", bound=10),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()

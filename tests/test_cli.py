@@ -19,8 +19,7 @@ from symbalg import eisenstein
 from symbalg.cli import _VERBS, _json_text, _option_specs, _read_argv, main
 from symbalg.eisenstein import EisensteinInt, cubic_residue_symbol, factor_rational_prime, format_eisenstein
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
-from symbalg.intmath import MILLER_RABIN_LIMIT
-from symbalg.quaternion import MAX_SEARCH_BOUND
+from symbalg.intmath import MAX_SEARCH_BOUND, MILLER_RABIN_LIMIT
 
 DATA = Path(__file__).parent / "data"
 INT_GRID = json.dumps({"n": 3, "coeffs": [[1, 2, 3], [3, 4, 5], [1, 1, 1]]})
@@ -187,7 +186,10 @@ FUZZ_INTS = st.one_of(
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 @given(verb=st.sampled_from(sorted(FUZZ_VERBS)), data=st.data())
 def test_number_theory_argv_fuzz(verb, data):
-    argv = [*verb, *(f"--{name}={data.draw(FUZZ_INTS, label=name)}" for name in FUZZ_VERBS[verb])]
+    _assert_one_envelope([*verb, *(f"--{name}={data.draw(FUZZ_INTS, label=name)}" for name in FUZZ_VERBS[verb])])
+
+
+def _assert_one_envelope(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -288,14 +290,21 @@ def test_argv_grammar_fuzz(verb, data):
         name = head.partition(":")[0]
         if not optional or data.draw(st.booleans(), label=f"give {name}"):
             argv.append(f"--{name}={data.draw(GRAMMAR_OPTIONS[name], label=name)}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    lines = out.getvalue().splitlines()
-    assert len(lines) == 1 and err.getvalue() == ""
-    envelope = json.loads(lines[0])
-    assert code in (0, 1, 2)
-    assert (envelope["status"] == "ok") == (code == 0)
+    _assert_one_envelope(argv)
+
+
+# symbol rep refuses every alpha, beta outside {-1, 1} before it reads
+# --element, and the grammar fuzz draws both in it about one time in 50;
+# here they always are, and JSON nested past the recursion limit comes as
+# often as any other grid text
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(
+    alpha=st.sampled_from(["1", "-1"]),
+    beta=st.sampled_from(["1", "-1"]),
+    element=st.one_of(GRID_TEXT, DEEP_JSON),
+)
+def test_rep_element_fuzz(alpha, beta, element):
+    _assert_one_envelope(["symbol", "rep", f"--alpha={alpha}", f"--beta={beta}", f"--element={element}"])
 
 
 def test_large_sqrt_field_gets_a_domain_error(capsys):
@@ -675,6 +684,40 @@ def test_search_bound_env_override(capsys, monkeypatch):
     assert code == 1 and env["result"]["code"] == "domain_error"
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, bound, decided_by",
+    [
+        (-1, 7, 20, "emptiness_proof"),
+        (-1, 5, 10, "scan"),
+        (-1, 13, 5, "scan"),
+        (2, 3, 6, "emptiness_proof"),
+        (4, 5, 1, "scan"),  # a square alpha is always scanned
+        (1, 1, 2, "scan"),
+        (-1, 2, 2, "scan"),
+        (2, -1, 3, "scan"),
+    ],
+)
+def test_search_trace_justifies_the_answer(capsys, alpha, beta, bound, decided_by):
+    """the trace holds |S|, what decided, and how many (x0, x1) pairs the
+    scan read: up to the witness's, or all of them"""
+    argv = ["quaternion", "search-zero", f"--alpha={alpha}", f"--beta={beta}", f"--bound={bound}"]
+    code, env = run_cli(capsys, "--trace", *argv)
+    assert code == 0 and run_cli(capsys, *argv)[1] == {"status": "ok", "result": env["result"]}
+    steps = {step["step"]: step["value"] for step in env["trace"]}
+    values = {x * x - alpha * y * y for x in range(bound + 1) for y in range(bound + 1)}
+    assert steps["set_size"] == len(values) and steps["decided_by"] == decided_by
+    witness = env["result"]["witness"]
+    if decided_by == "emptiness_proof":
+        values.discard(0)
+        assert witness is None and list(steps) == ["set_size", "decided_by"]
+        assert not any(beta * s in values for s in values)
+    else:
+        rng = range(-bound, bound + 1)
+        pairs = [(x0, x1) for x0 in rng for x1 in rng]
+        scanned = len(pairs) if witness is None else pairs.index((int(witness[0]), int(witness[1]))) + 1
+        assert list(steps) == ["set_size", "decided_by", "pairs_scanned"] and steps["pairs_scanned"] == scanned
+
+
 def test_search_bound_env_is_read_after_the_zero_check(capsys, monkeypatch):
     """a zero alpha is refused before SYMBALG_SEARCH_BOUND is read, and a
     non-integer one only after it"""
@@ -813,6 +856,8 @@ def test_every_verb_line_is_read_from_the_table():
 # parse JSON input
 NOT_FOR_ZE = {"fractions", "decimal", "numbers", "json", "typing", "re"}
 JSON_VERBS = {("symbol", "mul"), ("symbol", "rep")}
+# the isotropic search is integer work
+NOT_FOR_SEARCH = {"fractions", "decimal", "numbers", "symbalg.fields", "symbalg.quaternion"}
 
 
 @pytest.mark.parametrize("argv", EVERY_VERB, ids=lambda argv: " ".join(argv[:3]))
@@ -835,6 +880,8 @@ def test_each_verb_loads_only_what_it_computes_with(argv):
     if args.group in ("eisenstein", "local"):
         assert not NOT_FOR_ZE & set(loaded)
         assert "symbalg.fields" not in loaded
+    if verb == ("quaternion", "search-zero"):
+        assert not NOT_FOR_SEARCH & set(loaded)
     assert ("json" in loaded) == (verb in JSON_VERBS)
 
 

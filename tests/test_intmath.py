@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from symbalg.intmath import (
     MILLER_RABIN_LIMIT,
+    _order_dividing,
     cornacchia,
     euler_phi,
     is_prime,
-    multiplicative_order,
     sqrt_mod,
 )
 
@@ -146,6 +146,14 @@ def test_euler_phi_matches_gcd_count():
     assert euler_phi(999983 * 1000003) == 999982 * 1000002
     with pytest.raises(ValueError):
         euler_phi(0)
+
+
+def multiplicative_order(a: int, n: int) -> int:
+    """The order of a mod n as eisenstein.cyclotomic_splitting finds it:
+    _order_dividing from the multiple phi(n)."""
+    if n < 2 or math.gcd(a, n) != 1:
+        raise ValueError("multiplicative order needs gcd(a, n) = 1 and n >= 2")
+    return _order_dividing(a, n, euler_phi(n))
 
 
 def test_multiplicative_order_matches_power_walk():

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symbalg import quaternion
+from symbalg import intmath, quaternion
 from symbalg.fields import QEPS, QQ, QSQRT3
 from symbalg.intmath import primes_below
 from symbalg.quaternion import (
@@ -15,7 +17,6 @@ from symbalg.quaternion import (
     norm_form_zero_search,
     on_conic,
     two_square_decomposition,
-    zero_divisor_from_isotropic,
 )
 
 
@@ -306,6 +307,19 @@ def test_certificate_checks_raise(monkeypatch):
         classify_minus1_p(13)
 
 
+def zero_divisor_from_isotropic(a):
+    """(a, conj(a)) as a verified zero-divisor pair for isotropic a != 0:
+    a*conj(a) is the norm of a, which is 0."""
+    if a.is_zero():
+        raise ValueError("need a nonzero quaternion")
+    if not a.norm().is_zero():
+        raise ValueError("quaternion is not isotropic")
+    conj = a.conjugate()
+    if not (a * conj).is_zero() or conj.is_zero():
+        raise ArithmeticError("a * conj(a) is not a zero-divisor pair")
+    return a, conj
+
+
 def test_zero_divisor_from_isotropic():
     alg = QuaternionAlgebra(QQ, QQ.lift(1), QQ.lift(1))
     a = alg.element(1, 1, 0, 0)
@@ -331,3 +345,66 @@ def test_search_requires_integer_invariants():
     alg = QuaternionAlgebra(QQ, QQ.element(Fraction(1, 2)), QQ.lift(7))
     with pytest.raises(ValueError):
         norm_form_zero_search(alg, 3)
+
+
+def _fraction_path_search(alg, bound):
+    """The search as it ran on the algebra's Fraction invariants before it
+    moved to intmath: the set S, the emptiness proof, the lexicographic
+    scan, the partners solved per x2 and the primitivity gcd, with the
+    witness built as a Quaternion and checked by its norm."""
+    a, b = (int(v.as_rational()) for v in (alg.alpha, alg.beta))
+    squares = [x * x for x in range(bound + 1)]
+    values = {x - a * y for x in squares for y in squares}
+    if not (a > 0 and math.isqrt(a) ** 2 == a):
+        values.discard(0)
+        if not any(b * s in values for s in values):
+            return None
+    rng = range(-bound, bound + 1)
+    for x0 in rng:
+        for x1 in rng:
+            quotient, rest = divmod(x0 * x0 - a * x1 * x1, b)
+            if rest or quotient not in values:
+                continue
+            for x2 in rng:
+                x3_square, rest = divmod(x2 * x2 - quotient, a)
+                x3 = math.isqrt(max(x3_square, 0))
+                if rest or x3_square < 0 or x3 * x3 != x3_square or x3 > bound:
+                    continue
+                for x3 in sorted({-x3, x3}):
+                    if math.gcd(x0, x1, x2, x3) == 1:
+                        witness = alg.element(x0, x1, x2, x3)
+                        assert witness.norm().is_zero()
+                        return witness
+    return None
+
+
+# squares and negative squares, where x^2 - a*y^2 or b*s reach 0 or a square
+SEARCH_INVARIANTS = st.one_of(
+    st.integers(-40, 40).filter(bool),
+    st.sampled_from([1, 4, 9, 16, 25, 36, -1, -4, -9, -16, -25, -36]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=SEARCH_INVARIANTS, b=SEARCH_INVARIANTS, bound=st.integers(1, 12))
+def test_integer_core_matches_the_fraction_path(a, b, bound):
+    alg = QuaternionAlgebra(QQ, QQ.lift(a), QQ.lift(b))
+    expected = _fraction_path_search(alg, bound)
+    assert norm_form_zero_search(alg, bound) == expected
+    coords = None if expected is None else tuple(int(c.as_rational()) for c in expected.coords)
+    assert intmath.isotropic_vector(a, b, bound) == coords
+
+
+def test_integer_core_checks_its_witness(monkeypatch):
+    # the check must not be an assert, which python -O strips
+    monkeypatch.setattr(intmath, "_right_partners", lambda a, target, bound: iter([(2, 0)]))
+    with pytest.raises(ArithmeticError):
+        intmath.isotropic_vector(-1, 13, 5)
+    with pytest.raises(ArithmeticError):
+        norm_form_zero_search(QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(13)), 5)
+
+
+def test_integer_core_refuses_what_the_algebra_refuses():
+    for a, b, bound in ((0, 7, 5), (-1, 0, 5), (-1, 7, 0), (-1, 7, intmath.MAX_SEARCH_BOUND + 1)):
+        with pytest.raises(ValueError):
+            intmath.isotropic_vector(a, b, bound)
