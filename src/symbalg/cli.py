@@ -164,9 +164,8 @@ def _quaternion_algebra(args):
 
 
 def _search_zero(args):
-    """The search on ints alone, with the refusals in the order of the
-    algebra it stands for: alpha and beta parse, are nonzero, the bound
-    is read and in range, alpha and beta are integers."""
+    """The search on ints, refusing in the order of the algebra it stands
+    for: a parse error, a zero alpha or beta, the bound, a non-integer."""
     from .base import read_rational
     from .intmath import isotropic_vector
 

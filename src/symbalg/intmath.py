@@ -9,10 +9,9 @@ that limit is_prime refuses instead of returning a probable answer.
 Square roots modulo p use Tonelli-Shanks and x^2 + d*y^2 = p uses
 Cornacchia's algorithm (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 1.5.1 and 1.5.2), so these run in time polynomial in log p.
-Only factoring, which euler_phi and the multiplicative order of
-_order_dividing need, is trial division; it stops once the part left is
-prime, and callers cap its input.  The isotropic search works on ints
-alone, so a process that runs only it loads no fractions.
+Only factoring, for euler_phi and _order_dividing, is trial division; it
+stops once the part left is prime, and callers cap its input.  The
+isotropic search works on ints alone, so it loads no fractions.
 """
 
 from __future__ import annotations
@@ -157,10 +156,9 @@ def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None):
     S.  Unless a is a positive square, only x = y = 0 gives 0, so a
     witness needs nonzero s, s' in S with b*s = s'; without one the scan
     is skipped.  A witness exists among all integer vectors iff one exists
-    among the primitive ones.  When steps is a list, the values the answer
-    rests on are appended to it as {"step", "value"} records: the size of
-    S, whether the emptiness proof or the scan decided, and the number of
-    (x0, x1) pairs the scan read.
+    among the primitive ones.  To a given steps list it appends, as
+    {"step", "value"} records, |S|, whether the emptiness proof or the
+    scan decided, and how many (x0, x1) pairs the scan read.
     """
     check_search_bound(bound)
     if not a or not b:

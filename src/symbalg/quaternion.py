@@ -190,8 +190,7 @@ def _integer_invariant(e: FieldElement) -> int:
 def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | None:
     """First primitive integer vector (lexicographic order, coordinates in
     [-bound, bound]) with vanishing norm form, or None if there is none:
-    ``intmath.isotropic_vector`` on the integers alpha and beta, for a
-    bound of at most intmath.MAX_SEARCH_BOUND."""
+    ``intmath.isotropic_vector`` on the integers alpha and beta."""
     check_search_bound(bound)
     if alg.desc != QQ:
         raise ValueError("zero search is defined over Q")
