@@ -145,7 +145,7 @@ def check_search_bound(bound: int) -> int:
     return bound
 
 
-def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None):
+def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None) -> tuple[int, int, int, int] | None:
     """First primitive (x0, x1, x2, x3) in lexicographic order, coordinates
     in [-bound, bound], with x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2 = 0, or None
     if there is none.
