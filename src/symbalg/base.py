@@ -20,23 +20,18 @@ class ParseError(ValueError):
 
 
 class Record:
-    """Immutable record with its fields in order in ``__slots__`` and the
-    defaults of trailing ones in ``_defaults``; equal by type and fields."""
+    """Immutable record built from its fields, given positionally in the
+    order of ``__slots__``; equal by type and fields."""
 
     __slots__ = ()
-    _defaults = {}
 
     def __init_subclass__(cls):
         cls._key = operator.attrgetter(*cls.__slots__)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         names = self.__slots__
-        if kwargs or len(args) != len(names):
-            rest = names[len(args):]
-            given = {**{n: v for n, v in self._defaults.items() if n in rest}, **kwargs}
-            if len(args) > len(names) or given.keys() != set(rest):
-                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-            args += tuple(given[n] for n in rest)
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
@@ -58,9 +53,6 @@ class Record:
 
     def __hash__(self):
         return hash(self._key(self))
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"

@@ -8,7 +8,6 @@ composes the headline computations into a single deterministic document.
 
 from __future__ import annotations
 
-import os
 import sys
 from types import SimpleNamespace
 
@@ -17,7 +16,8 @@ from .base import ParseError
 # Each handler imports the modules its verb needs, so a process pays only
 # for its own verb: the eisenstein and local verbs load neither fields nor
 # json, and the envelope is written here.
-SEARCH_BOUND_ENV = "SYMBALG_SEARCH_BOUND"
+
+# the search bound of demo, and of search-zero without --bound
 DEFAULT_SEARCH_BOUND = 50
 
 
@@ -44,20 +44,6 @@ def _parse_coords(desc, text: str):
     if len(parts) != 4:
         raise ParseError("quaternion coordinates must be x0,x1,x2,x3")
     return [parse_element(desc, part) for part in parts]
-
-
-def _search_bound(value) -> int:
-    """--bound, else SYMBALG_SEARCH_BOUND, else the default, checked to lie
-    in 1..MAX_SEARCH_BOUND."""
-    from .intmath import check_search_bound
-
-    if value is None:
-        env = os.environ.get(SEARCH_BOUND_ENV)
-        try:
-            value = DEFAULT_SEARCH_BOUND if env is None else int(env)
-        except ValueError as exc:
-            raise ParseError(f"{SEARCH_BOUND_ENV} must be an integer") from exc
-    return check_search_bound(value)
 
 
 def _point_json(point) -> dict:
@@ -167,17 +153,17 @@ def _search_zero(args):
     """The search on ints, refusing in the order of the algebra it stands
     for: a parse error, a zero alpha or beta, the bound, a non-integer."""
     from .base import read_rational
-    from .intmath import isotropic_vector
+    from .intmath import check_search_bound, isotropic_vector
 
     (a, a_den), (b, b_den) = read_rational(args.alpha), read_rational(args.beta)
     if not a or not b:
         raise ValueError("alpha and beta must be nonzero")
-    bound = _search_bound(args.bound)
+    check_search_bound(args.bound)
     if a_den != 1 or b_den != 1:
         raise ValueError("search needs integer alpha and beta")
     steps = []
-    witness = isotropic_vector(a, b, bound, steps)
-    return {"bound": bound, "witness": None if witness is None else [str(x) for x in witness]}, steps
+    witness = isotropic_vector(a, b, args.bound, steps)
+    return {"bound": args.bound, "witness": None if witness is None else [str(x) for x in witness]}, steps
 
 
 def _handle_quaternion(args):
@@ -367,7 +353,7 @@ _VERBS = {
         "classify": ("p:int",),
         "conic-point": ("p:int",),
         "gauss": ("p:int",),
-        "search-zero": ("alpha", "beta", "bound:int="),
+        "search-zero": ("alpha", "beta", f"bound:int={DEFAULT_SEARCH_BOUND}"),
     },
     "symbol": {
         "mul": ("field=qeps", "n:int=3", "zeta=", "alpha", "beta", "u", "v"),
@@ -565,7 +551,7 @@ def main(argv=None) -> int:
         return 0
     try:
         if args.group == "demo":
-            result, trace = demo_report(_search_bound(None)), None
+            result, trace = demo_report(), None
         else:
             result, trace = _HANDLERS[args.group](args)
     except ParseError as exc:

@@ -55,25 +55,11 @@ class EisensteinInt(Record):
     def is_associate(self, other: "EisensteinInt") -> bool:
         return any(self == other * u for u in UNITS)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return EisensteinInt(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return EisensteinInt(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return EisensteinInt(-self.a, -self.b)
@@ -116,17 +102,10 @@ class EisensteinInt(Record):
         q = EisensteinInt(_round_div(t.a, n), _round_div(t.b, n))
         return q, self - q * o
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __str__(self):
-        return format_eisenstein(self)
 
-
-ZERO = EisensteinInt(0)
 ONE = EisensteinInt(1)
 EPS = EisensteinInt(0, 1)
 # the six units: +-1, +-e, +-e^2
@@ -288,11 +267,6 @@ class CubicSymbol(Record):
     @property
     def is_trivial(self) -> bool:
         return self.k == 0
-
-    def __mul__(self, other: "CubicSymbol") -> "CubicSymbol":
-        if self.k is None or other.k is None:
-            return CubicSymbol(None)
-        return CubicSymbol((self.k + other.k) % 3)
 
     def __str__(self):
         return "zero" if self.k is None else f"eps^{self.k}"

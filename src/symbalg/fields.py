@@ -18,9 +18,6 @@ from fractions import Fraction
 
 from .base import ParseError, Record, read_element, read_rational
 
-# Reduced p/q with q > 0; fractions.Fraction guarantees both invariants.
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (only integer numerator/denominator forms)."""
@@ -52,7 +49,6 @@ class FieldDescriptor(Record):
     """Q (degree 1) or the quadratic field Q[t]/(t^2 + u*t + w) (degree 2)."""
 
     __slots__ = ("degree", "u", "w")
-    _defaults = {"u": Fraction(0), "w": Fraction(0)}
 
     def __post_init__(self):
         object.__setattr__(self, "u", Fraction(self.u))
@@ -81,7 +77,7 @@ class FieldDescriptor(Record):
         return self.element(0, 1)
 
 
-QQ = FieldDescriptor(1)
+QQ = FieldDescriptor(1, 0, 0)
 QEPS = FieldDescriptor(2, Fraction(1), Fraction(1))
 # largest |d| sqrt_field accepts; its squarefree test divides up to sqrt|d|
 MAX_SQRT_FIELD_D = 10**12
@@ -154,12 +150,6 @@ class FieldElement(Record):
             return NotImplemented
         return FieldElement(self.desc, self.c0 - o.c0, self.c1 - o.c1)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return FieldElement(self.desc, -self.c0, -self.c1)
 
@@ -177,21 +167,6 @@ class FieldElement(Record):
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "FieldElement":
-        """Image under t -> -u - t (identity on Q)."""
-        if self.desc.degree == 1:
-            return self
-        return FieldElement(self.desc, *self._conj_norm()[0])
-
-    def norm(self) -> Fraction:
-        """Product with the conjugate, as a rational; the element itself on Q."""
-        if self.desc.degree == 1:
-            return self.c0
-        return self._conj_norm()[1]
-
-    def _conj_norm(self):
-        return pair_conj_norm((self.c0, self.c1), self.desc.u, self.desc.w)
-
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0
 
@@ -207,20 +182,8 @@ class FieldElement(Record):
             return FieldElement(self.desc, 1 / self.c0)
         # norm is nonzero for nonzero elements because the minimal polynomial
         # is irreducible over Q
-        (c0, c1), n = self._conj_norm()
+        (c0, c1), n = pair_conj_norm((self.c0, self.c1), self.desc.u, self.desc.w)
         return FieldElement(self.desc, c0 / n, c1 / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
 
     def __pow__(self, k: int):
         if not isinstance(k, int):

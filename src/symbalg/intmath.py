@@ -138,11 +138,10 @@ def _order_dividing(a: int, n: int, order: int) -> int:
     return order
 
 
-def check_search_bound(bound: int) -> int:
-    """bound, or ValueError when it is outside 1..MAX_SEARCH_BOUND."""
+def check_search_bound(bound: int) -> None:
+    """Raise ValueError when bound is outside 1..MAX_SEARCH_BOUND."""
     if not 1 <= bound <= MAX_SEARCH_BOUND:
         raise ValueError(f"bound must be in 1..{MAX_SEARCH_BOUND}")
-    return bound
 
 
 def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None) -> tuple[int, int, int, int] | None:
@@ -172,7 +171,9 @@ def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None) -> t
     if not (a > 0 and math.isqrt(a) ** 2 == a):
         # 0 is left out of the scan too: it pairs only with the zero vector
         values.discard(0)
-        if not any(map(values.__contains__, map(b.__mul__, values))):
+        # b | s and s/b in S rather than b*s in S: for a large b each
+        # product would be about twice as long as the members of S
+        if not any(s % b == 0 and s // b in values for s in values):
             steps.append({"step": "decided_by", "value": "emptiness_proof"})
             return None
     steps.append({"step": "decided_by", "value": "scan"})

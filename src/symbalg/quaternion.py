@@ -29,17 +29,8 @@ class QuaternionAlgebra(Record):
         lift = lambda v: v if isinstance(v, FieldElement) else self.desc.lift(v)
         return Quaternion(self, lift(x0), lift(x1), lift(x2), lift(x3))
 
-    def zero(self) -> "Quaternion":
-        return self.element(0, 0, 0, 0)
-
     def one(self) -> "Quaternion":
         return self.element(1, 0, 0, 0)
-
-    def basis(self) -> tuple["Quaternion", ...]:
-        coords = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            coords[i][i] = 1
-        return tuple(self.element(*c) for c in coords)
 
 
 class Quaternion(Record):
@@ -52,20 +43,6 @@ class Quaternion(Record):
     def _check(self, other: "Quaternion"):
         if self.algebra != other.algebra:
             raise ValueError("quaternions belong to different algebras")
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        self._check(other)
-        return Quaternion(self.algebra, *(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        self._check(other)
-        return Quaternion(self.algebra, *(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(self.algebra, *(-x for x in self.coords))
-
-    def scale(self, c) -> "Quaternion":
-        return Quaternion(self.algebra, *(x * c for x in self.coords))
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         # over the monomials 1, y, x, xy of the symbol algebra the coordinates
@@ -96,9 +73,6 @@ class Quaternion(Record):
         t3 = pair_mul(pair_mul(a, b, u, w), s3, u, w)
         return FieldElement(desc, s0[0] - t1[0] - t2[0] + t3[0], s0[1] - t1[1] - t2[1] + t3[1])
 
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords)
-
 
 class ConicPoint(Record):
     __slots__ = ("x", "y", "z")
@@ -114,15 +88,12 @@ def on_conic(alpha: FieldElement, beta: FieldElement, point: ConicPoint) -> bool
 
 
 class SplitVerdict(Record):
-    """"split" always carries a verified conic point; "division" and
-    "unknown" record the search bound that backs them (0 = decided without
-    a search)."""
+    """"split" always carries a verified conic point; "division" none."""
 
-    __slots__ = ("kind", "point", "search_bound")  # kind: "split" | "division" | "unknown"
-    _defaults = {"point": None, "search_bound": 0}
+    __slots__ = ("kind", "point")  # kind: "split" | "division"
 
     def __post_init__(self):
-        if self.kind not in ("split", "division", "unknown"):
+        if self.kind not in ("split", "division"):
             raise ValueError(f"unknown verdict kind {self.kind!r}")
         if self.kind == "split" and self.point is None:
             raise ValueError("split verdict needs a conic point")
@@ -172,12 +143,12 @@ def classify_minus1_p(p: int) -> SplitVerdict:
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if p % 4 == 3:
-        return SplitVerdict("division")
+        return SplitVerdict("division", None)
     x, z = two_square_decomposition(p)
     point = ConicPoint(QQ.lift(x), QQ.one(), QQ.lift(z))
     if not on_conic(QQ.lift(-1), QQ.lift(p), point):
         raise ArithmeticError(f"conic point for p = {p} is not on the conic")
-    return SplitVerdict("split", point=point)
+    return SplitVerdict("split", point)
 
 
 def _integer_invariant(e: FieldElement) -> int:

@@ -57,9 +57,6 @@ class SymbolAlgebra(Record):
             rows.append(tuple(row))
         return SymbolElement(self, tuple(rows))
 
-    def zero(self) -> "SymbolElement":
-        return self.element([[0] * self.n for _ in range(self.n)])
-
     def one(self) -> "SymbolElement":
         return self.monomial(0, 0)
 
@@ -73,10 +70,6 @@ class SymbolAlgebra(Record):
 
     def y(self) -> "SymbolElement":
         return self.monomial(0, 1)
-
-    def basis(self):
-        """Monomials x^i y^j in (i, j)-lexicographic order."""
-        return [self.monomial(i, j) for i in range(self.n) for j in range(self.n)]
 
 
 class SymbolElement(Record):
@@ -97,9 +90,6 @@ class SymbolElement(Record):
         return self.algebra.element(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.coeffs, other.coeffs)]
         )
-
-    def __neg__(self) -> "SymbolElement":
-        return self.algebra.element([[-a for a in row] for row in self.coeffs])
 
     def scale(self, c) -> "SymbolElement":
         return self.algebra.element([[a * c for a in row] for row in self.coeffs])

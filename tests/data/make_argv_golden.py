@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 from symbalg.cli import main
@@ -219,7 +218,6 @@ def record(argv) -> dict:
 
 
 if __name__ == "__main__":
-    os.environ.pop("SYMBALG_SEARCH_BOUND", None)
     with OUT.open("w") as fh:
         for argv in ARGVS:
             fh.write(json.dumps(record(argv), sort_keys=True) + "\n")

@@ -156,7 +156,7 @@ def test_criterion_05_matrix_model_sign_pairs():
                 assert mat_mul(y, mat_mul(y, y)) == mat_scale(ident, alg.beta)
                 assert mat_mul(y, x) == mat_scale(mat_mul(x, y), alg.zeta)
                 # bijective homomorphism on all 81 basis pairs
-                basis = alg.basis()
+                basis = [alg.monomial(i, j) for i in range(3) for j in range(3)]
                 images = {i: rep.apply(b) for i, b in enumerate(basis)}
                 for i, b1 in enumerate(basis):
                     for j, b2 in enumerate(basis):
@@ -183,13 +183,13 @@ def test_criterion_06_quaternion_axioms():
         rng = random.Random(2024)
         for desc in (QQ, QSQRT3, QEPS):
             alg = QuaternionAlgebra(desc, desc.lift(-1), desc.lift(7))
-            one = alg.basis()[0]
             elements = [
                 alg.element(*(_random_field_element(rng, desc) for _ in range(4)))
                 for _ in range(1000)
             ]
             for a in elements:
-                assert (a * a - a.scale(a.trace()) + one.scale(a.norm())).is_zero()
+                t, n = a.trace(), a.norm()
+                assert (a * a).coords == (t * a.x0 - n, t * a.x1, t * a.x2, t * a.x3)
             for a, b in zip(elements[::2], elements[1::2]):
                 assert (a * b).norm() == a.norm() * b.norm()
         for _ in range(10):

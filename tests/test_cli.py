@@ -629,8 +629,7 @@ def test_demo_envelope_has_no_floats(capsys):
 
 
 def test_demo_golden_byte_identical():
-    env = {k: v for k, v in os.environ.items() if k != "SYMBALG_SEARCH_BOUND"}
-    out = subprocess.run([sys.executable, "-m", "symbalg", "demo"], capture_output=True, check=True, env=env)
+    out = subprocess.run([sys.executable, "-m", "symbalg", "demo"], capture_output=True, check=True)
     assert out.stdout == (DATA / "demo.json").read_bytes()
 
 
@@ -639,8 +638,7 @@ def _golden_records():
     return [json.loads(line) for line in (DATA / "argv_golden.jsonl").read_text().splitlines()]
 
 
-def test_argv_golden_records(capsys, monkeypatch):
-    monkeypatch.delenv("SYMBALG_SEARCH_BOUND", raising=False)
+def test_argv_golden_records(capsys):
     records = _golden_records()
     assert records
     for record in records:
@@ -660,8 +658,7 @@ def test_argv_golden_records(capsys, monkeypatch):
 )
 def test_argv_golden_records_as_processes(argv):
     (record,) = [record for record in _golden_records() if record["argv"] == argv]
-    env = {k: v for k, v in os.environ.items() if k != "SYMBALG_SEARCH_BOUND"}
-    out = subprocess.run([sys.executable, "-m", "symbalg", *argv], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-m", "symbalg", *argv], capture_output=True, text=True)
     assert (out.returncode, out.stdout, out.stderr) == (record["exit"], record["stdout"], "")
 
 
@@ -670,18 +667,6 @@ def test_pretty_flag(capsys):
     out = capsys.readouterr().out
     assert code == 0 and "\n  " in out
     assert json.loads(out)["result"] == {"a": 1, "b": 1}
-
-
-def test_search_bound_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", "3")
-    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha", "-1", "--beta", "13")
-    assert env["result"]["bound"] == 3
-    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", "not-a-number")
-    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha", "-1", "--beta", "13")
-    assert code == 2
-    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", str(MAX_SEARCH_BOUND + 1))
-    code, env = run_cli(capsys, "demo")
-    assert code == 1 and env["result"]["code"] == "domain_error"
 
 
 @pytest.mark.parametrize(
@@ -716,19 +701,6 @@ def test_search_trace_justifies_the_answer(capsys, alpha, beta, bound, decided_b
         pairs = [(x0, x1) for x0 in rng for x1 in rng]
         scanned = len(pairs) if witness is None else pairs.index((int(witness[0]), int(witness[1]))) + 1
         assert list(steps) == ["set_size", "decided_by", "pairs_scanned"] and steps["pairs_scanned"] == scanned
-
-
-def test_search_bound_env_is_read_after_the_zero_check(capsys, monkeypatch):
-    """a zero alpha is refused before SYMBALG_SEARCH_BOUND is read, and a
-    non-integer one only after it"""
-    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", "not-a-number")
-    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha=0", "--beta=7")
-    assert (code, env["result"]["precondition"]) == (1, "alpha and beta must be nonzero")
-    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha=1/2", "--beta=7")
-    assert (code, env["result"]["detail"]) == (2, "SYMBALG_SEARCH_BOUND must be an integer")
-    monkeypatch.setenv("SYMBALG_SEARCH_BOUND", "3")
-    code, env = run_cli(capsys, "quaternion", "search-zero", "--alpha=-1", "--beta=7/2")
-    assert (code, env["result"]["precondition"]) == (1, "search needs integer alpha and beta")
 
 
 def test_search_bound_cap(capsys):

@@ -29,7 +29,7 @@ from symbalg.eisenstein import (
     valuation,
 )
 from symbalg import intmath
-from symbalg.fields import QEPS
+from symbalg.fields import QEPS, pair_conj_norm
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
@@ -58,7 +58,7 @@ def test_norm_examples():
 
 def test_norm_agrees_with_field_norm():
     z = EisensteinInt(17, -12)
-    assert z.norm() == QEPS.element(z.a, z.b).norm()
+    assert z.norm() == pair_conj_norm((z.a, z.b), QEPS.u, QEPS.w)[1]
 
 
 @given(x=eisenstein_ints, y=eisenstein_ints)
@@ -78,7 +78,7 @@ def test_divrem_examples():
     q, r = divmod(EisensteinInt(5), EisensteinInt(2))
     assert q in (EisensteinInt(2), EisensteinInt(3))
     assert r.norm() < 4
-    assert q * EisensteinInt(2) + r == EisensteinInt(5)
+    assert q * EisensteinInt(2) == EisensteinInt(5) - r
 
 
 def test_division_by_zero():
@@ -91,7 +91,7 @@ def test_euclidean_property(x, y):
     if y.is_zero():
         return
     q, r = divmod(x, y)
-    assert q * y + r == x
+    assert q * y == x - r
     assert r.norm() < y.norm()
 
 
@@ -357,7 +357,7 @@ def test_symbol_multiplicative(prime):
     for x in residues:
         sx = table[x]
         for y in residues:
-            assert table[field.mul(x, y)] == sx * table[y]
+            assert table[field.mul(x, y)].k == (sx.k + table[y].k) % 3
 
 
 # ----------------------------------------------------------------- valuation
