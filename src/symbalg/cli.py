@@ -65,15 +65,44 @@ def _prime_json(prime) -> dict:
     return out
 
 
+# arrays and objects a JSON argument may nest (an element needs 3); json's
+# own limit follows the interpreter's recursion limit, which differs
+# between Python versions, so deeper text is refused before it is parsed
+MAX_JSON_DEPTH = 100
+
+
+def _json_too_deep(text: str) -> bool:
+    """Whether brackets outside strings nest deeper than MAX_JSON_DEPTH."""
+    depth = 0
+    in_string = escaped = False
+    for ch in text:
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                return True
+        elif ch in "]}":
+            depth -= 1
+    return False
+
+
 def _load_json(text: str) -> dict:
     import json
 
+    if _json_too_deep(text):
+        raise ParseError("malformed JSON: nested too deeply")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("malformed JSON: nested too deeply") from exc
 
 
 def _symbol_algebra(args):

@@ -9,6 +9,9 @@ grammar prints the quadratic generator as ``w``, e.g. ``3+1*w``.
 over the rationals or over the integers of ``linalg``.  ``symbol_product``
 is the one product of the algebras built on the field: the symbol algebra
 of degree n, of which the quaternion algebra is the case n = 2, zeta = -1.
+They do no ``Fraction`` work on a zero known in advance: ``pair_mul``
+multiplies by no zero t-part, and the running sums ``pair_add`` and
+``pair_sub`` take a first term as it is and add no zero t-part.
 """
 
 from __future__ import annotations
@@ -95,18 +98,46 @@ def sqrt_field(d: int) -> FieldDescriptor:
 QSQRT3 = sqrt_field(3)
 
 
+def pair_constants(desc: FieldDescriptor):
+    """desc's u and w as the kernel passes them to ``pair_mul``: as ints when
+    they are integral, as for Q, Q(e) and every Q(sqrt d), so that its tests
+    on them compare ints instead of calling ``Fraction`` methods."""
+    u, w = desc.u, desc.w
+    return u.numerator if u.denominator == 1 else u, w.numerator if w.denominator == 1 else w
+
+
 def pair_mul(x, y, u, w):
     """(x0 + x1*t)(y0 + y1*t) as a pair, where t^2 = -u*t - w, over Q or the
-    integers of ``linalg``; u = 0 (Q(sqrt d)), u = 1 and w = 1 (Q(e)) cost no product."""
+    integers of ``linalg``.  Nothing is multiplied by a zero t-part: two
+    factors without one cost one product.  u = 0 (Q(sqrt d)), u = 1 and
+    w = 1 (Q(e)) cost no product."""
     x0, x1 = x
     y0, y1 = y
     if not x1:
-        return x0 * y0, x0 * y1
+        return (x0 * y0, x0 * y1) if y1 else (x0 * y0, x1)
     if not y1:
         return x0 * y0, x1 * y0
     h = x1 * y1
     c1 = x0 * y1 + x1 * y0
-    return x0 * y0 - (h if w == 1 else w * h), (c1 - (h if u == 1 else u * h)) if u else c1
+    return x0 * y0 - (h if w == 1 else h * w), (c1 - (h if u == 1 else h * u)) if u else c1
+
+
+def pair_add(acc, term):
+    """acc + term for a running sum of pairs, where None is the empty sum:
+    the first term is taken as it is, and a zero t-part is never added."""
+    if acc is None:
+        return term
+    a1, t1 = acc[1], term[1]
+    return acc[0] + term[0], (a1 + t1 if a1 else t1) if t1 else a1
+
+
+def pair_sub(acc, term):
+    """acc - term for a running sum of pairs, as ``pair_add``."""
+    t0, t1 = term
+    if acc is None:
+        return -t0, -t1 if t1 else t1
+    a1 = acc[1]
+    return acc[0] - t0, (a1 - t1 if a1 else -t1) if t1 else a1
 
 
 def pair_conj_norm(y, u, w):
@@ -241,7 +272,7 @@ SYMBOL_SHAPES = {n: _symbol_shape(n) for n in (2, 3)}
 def symbol_scales(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement):
     """The pairs zeta^e alpha^a beta^b, at index (e*2 + a)*2 + b for e < n
     and a, b in {0, 1}: each run of four is the one before times zeta."""
-    u, w = zeta.desc.u, zeta.desc.w
+    u, w = pair_constants(zeta.desc)
     a, b = (alpha.c0, alpha.c1), (beta.c0, beta.c1)
     z = (zeta.c0, zeta.c1)
     scales = [(Fraction(1), Fraction(0)), b, a, pair_mul(a, b, u, w)]
@@ -261,7 +292,7 @@ def symbol_product(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldE
     field elements over the monomials x^i y^j in (i, j)-lexicographic order.
     """
     desc = zeta.desc
-    u, w = desc.u, desc.w
+    u, w = pair_constants(desc)
     scales = symbol_scales(n, zeta, alpha, beta)
     ys = [(y.c0, y.c1) if y.c0 or y.c1 else None for y in right]
     acc = [None] * (n * n)
@@ -275,7 +306,6 @@ def symbol_product(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldE
             term = pair_mul(xp, y, u, w)
             if s:
                 term = pair_mul(term, scales[s], u, w)
-            before = acc[r]
-            acc[r] = term if before is None else (before[0] + term[0], before[1] + term[1])
+            acc[r] = pair_add(acc[r], term)
     zero = desc.zero()
     return [zero if pair is None else FieldElement(desc, *pair) for pair in acc]

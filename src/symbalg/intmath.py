@@ -151,38 +151,46 @@ def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None) -> t
 
     The quartic loop is folded into a pairing: x0^2 - a*x1^2 must be b
     times a member of S = {x^2 - a*y^2 : 0 <= x, y <= bound}, and only on
-    a hit are the (x2, x3) partners regenerated, so memory is the size of
-    S.  Unless a is a positive square, only x = y = 0 gives 0, so a
-    witness needs nonzero s, s' in S with b*s = s'; without one the scan
-    is skipped.  A witness exists among all integer vectors iff one exists
-    among the primitive ones.  To a given steps list it appends, as
-    {"step", "value"} records, |S|, whether the emptiness proof or the
-    scan decided, and how many (x0, x1) pairs the scan read.
+    a hit are the (x2, x3) partners regenerated.  When |a| > bound^2, the
+    map (x, y) -> x^2 - a*y^2 is injective and x^2 is its value mod |a|,
+    so S is enumerated and tested arithmetically and memory does not grow
+    with it; otherwise S is held as a set.  Unless a is a positive square,
+    only x = y = 0 gives 0, so a witness needs nonzero s, s' in S with
+    b*s = s'; without one the scan is skipped.  A witness exists among all
+    integer vectors iff one exists among the primitive ones.  To a given
+    steps list it appends, as {"step", "value"} records, |S|, whether the
+    emptiness proof or the scan decided, and how many (x0, x1) pairs the
+    scan read.
     """
     check_search_bound(bound)
     if not a or not b:
         raise ValueError("alpha and beta must be nonzero")
     steps = [] if steps is None else steps
     squares = [x * x for x in range(bound + 1)]
-    values = set()
-    for t in squares:
-        values.update(map((-a * t).__add__, squares))
-    steps.append({"step": "set_size", "value": len(values)})
-    if not (a > 0 and math.isqrt(a) ** 2 == a):
-        # 0 is left out of the scan too: it pairs only with the zero vector
-        values.discard(0)
-        # b | s and s/b in S rather than b*s in S: for a large b each
-        # product would be about twice as long as the members of S
-        if not any(s % b == 0 and s // b in values for s in values):
-            steps.append({"step": "decided_by", "value": "emptiness_proof"})
-            return None
+    if abs(a) > squares[-1]:
+        size = len(squares) ** 2
+        members = (t - a * s for s in squares for t in squares)
+        contains = lambda s: _in_image(a, bound, s)
+    else:
+        members = set()
+        for t in squares:
+            members.update(map((-a * t).__add__, squares))
+        size, contains = len(members), members.__contains__
+    steps.append({"step": "set_size", "value": size})
+    # b | s and s/b in S rather than b*s in S: for a large b each product
+    # would be about twice as long as the members of S
+    if not (a > 0 and math.isqrt(a) ** 2 == a) and not any(
+        s and s % b == 0 and contains(s // b) for s in members
+    ):
+        steps.append({"step": "decided_by", "value": "emptiness_proof"})
+        return None
     steps.append({"step": "decided_by", "value": "scan"})
     side = 2 * bound + 1
     rng = range(-bound, bound + 1)
     for x0 in rng:
         for x1 in rng:
             quotient, rest = divmod(x0 * x0 - a * x1 * x1, b)
-            if rest or quotient not in values:
+            if rest or not contains(quotient):
                 continue
             for x2, x3 in _right_partners(a, quotient, bound):
                 if math.gcd(x0, x1, x2, x3) == 1:
@@ -192,6 +200,17 @@ def isotropic_vector(a: int, b: int, bound: int, steps: list | None = None) -> t
                     return x0, x1, x2, x3
     steps.append({"step": "pairs_scanned", "value": side * side})
     return None
+
+
+def _in_image(a: int, bound: int, s: int) -> bool:
+    """Whether s = x^2 - a*y^2 for some 0 <= x, y <= bound, given |a| > bound^2:
+    then x^2 < |a| is s mod |a|, and y^2 = (x^2 - s)/a."""
+    x_square = s % abs(a)
+    y_square, rest = divmod(x_square - s, a)
+    if rest or y_square < 0:
+        return False
+    x, y = math.isqrt(x_square), math.isqrt(y_square)
+    return x * x == x_square and y * y == y_square and max(x, y) <= bound
 
 
 def _right_partners(a: int, target: int, bound: int):

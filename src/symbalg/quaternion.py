@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, QSQRT3, FieldElement, Record, pair_mul, symbol_product
+from .fields import QQ, QSQRT3, FieldElement, Record, pair_add, pair_constants, pair_mul, pair_sub, symbol_product
 from .intmath import check_search_bound, cornacchia, is_prime, isotropic_vector
 
 
@@ -62,16 +62,21 @@ class Quaternion(Record):
         return self.x0 + self.x0
 
     def norm(self) -> FieldElement:
-        """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2."""
-        desc = self.algebra.desc
-        u, w = desc.u, desc.w
-        a = (self.algebra.alpha.c0, self.algebra.alpha.c1)
-        b = (self.algebra.beta.c0, self.algebra.beta.c1)
-        s0, s1, s2, s3 = (pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w) for x in self.coords)
-        t1 = pair_mul(a, s1, u, w)
-        t2 = pair_mul(b, s2, u, w)
-        t3 = pair_mul(pair_mul(a, b, u, w), s3, u, w)
-        return FieldElement(desc, s0[0] - t1[0] - t2[0] + t3[0], s0[1] - t1[1] - t2[1] + t3[1])
+        """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2, summed over the
+        nonzero coordinates; no known zero is multiplied or added."""
+        alg = self.algebra
+        u, w = pair_constants(alg.desc)
+        a, b = (alg.alpha.c0, alg.alpha.c1), (alg.beta.c0, alg.beta.c1)
+        total = None
+        for x, scales, add in zip(
+            self.coords, ((), (a,), (b,), (a, b)), (pair_add, pair_sub, pair_sub, pair_add)
+        ):
+            if x.c0 or x.c1:
+                term = pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w)
+                for scale in scales:
+                    term = pair_mul(term, scale, u, w)
+                total = add(total, term)
+        return alg.desc.zero() if total is None else FieldElement(alg.desc, *total)
 
 
 class ConicPoint(Record):

@@ -23,6 +23,8 @@ from .fields import (
     ParseError,
     Record,
     format_element,
+    pair_add,
+    pair_constants,
     pair_mul,
     parse_element,
     symbol_product,
@@ -142,18 +144,21 @@ class MatrixRep(Record):
     def apply(self, element: SymbolElement):
         if element.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        n = self.algebra.n
-        out = [[self.algebra.desc.zero()] * n for _ in range(n)]
+        n, desc = self.algebra.n, self.algebra.desc
+        u, w = pair_constants(desc)
+        out = [[None] * n for _ in range(n)]
         for coeff_row, image_row in zip(element.coeffs, self.images):
             for c, image in zip(coeff_row, image_row):
                 if c.is_zero():
                     continue
+                cp = (c.c0, c.c1)
                 # X^i Y^j is monomial: one nonzero entry in each row
                 for r, img_row in enumerate(image):
                     for s, e in enumerate(img_row):
                         if not e.is_zero():
-                            out[r][s] = out[r][s] + e * c
-        return out
+                            out[r][s] = pair_add(out[r][s], pair_mul((e.c0, e.c1), cp, u, w))
+        zero = desc.zero()
+        return [[zero if entry is None else FieldElement(desc, *entry) for entry in row] for row in out]
 
 
 def _monomial_mul(a, b):
@@ -217,13 +222,14 @@ def left_regular_matrix(u: SymbolElement):
     with that monomial and multiplied by its structure constant."""
     alg = u.algebra
     n, desc = alg.n, alg.desc
+    pu, pw = pair_constants(desc)
     scales = symbol_scales(n, alg.zeta, alg.alpha, alg.beta)
     matrix = [[desc.zero()] * (n * n) for _ in range(n * n)]
     for c, row in zip(u.flat(), SYMBOL_SHAPES[n]):
         if c.is_zero():
             continue
         for q, (r, s) in enumerate(row):
-            matrix[r][q] = FieldElement(desc, *pair_mul((c.c0, c.c1), scales[s], desc.u, desc.w)) if s else c
+            matrix[r][q] = FieldElement(desc, *pair_mul((c.c0, c.c1), scales[s], pu, pw)) if s else c
     return matrix
 
 

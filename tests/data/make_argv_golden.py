@@ -209,6 +209,13 @@ ARGVS += [
     _argv("--trace", "quaternion", "search-zero", alpha="-1", beta="5", bound=10),
 ]
 
+# --trace of the search where |alpha| > bound^2, so that S is tested and not
+# stored: the emptiness proof at a 40-digit alpha, and a scan to a witness
+ARGVS += [
+    _argv("--trace", "quaternion", "search-zero", alpha=f"-{BIG}", beta="7", bound=500),
+    _argv("--trace", "quaternion", "search-zero", alpha="-30", beta="31", bound=5),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()

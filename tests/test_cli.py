@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import symbalg
 from symbalg import eisenstein
-from symbalg.cli import _VERBS, _json_text, _option_specs, _read_argv, main
+from symbalg.cli import _VERBS, MAX_JSON_DEPTH, _json_text, _option_specs, _read_argv, main
 from symbalg.eisenstein import EisensteinInt, cubic_residue_symbol, factor_rational_prime, format_eisenstein
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MAX_SEARCH_BOUND, MILLER_RABIN_LIMIT
@@ -234,8 +234,8 @@ FIELD_TEXT = _mostly(
         st.sampled_from([MAX_SQRT_FIELD_D, MAX_SQRT_FIELD_D + 1, 999999999989, 10**18 + 3]).map("qsqrt:{}".format),
     ),
 )
-# JSON nested past the interpreter's recursion limit, which json.loads
-# meets with RecursionError
+# JSON nested past MAX_JSON_DEPTH, and past the interpreter's recursion
+# limit, which json.loads alone would meet differently on each version
 DEEP_JSON = st.sampled_from([1000, 50000]).flatmap(
     lambda depth: st.sampled_from(["[" * depth, "[" * depth + "]" * depth, '{"n": 3, "coeffs": ' + "[" * depth])
 )
@@ -295,7 +295,7 @@ def test_argv_grammar_fuzz(verb, data):
 
 # symbol rep refuses every alpha, beta outside {-1, 1} before it reads
 # --element, and the grammar fuzz draws both in it about one time in 50;
-# here they always are, and JSON nested past the recursion limit comes as
+# here they always are, and JSON nested past MAX_JSON_DEPTH comes as
 # often as any other grid text
 @settings(max_examples=200, deadline=timedelta(seconds=5))
 @given(
@@ -305,6 +305,28 @@ def test_argv_grammar_fuzz(verb, data):
 )
 def test_rep_element_fuzz(alpha, beta, element):
     _assert_one_envelope(["symbol", "rep", f"--alpha={alpha}", f"--beta={beta}", f"--element={element}"])
+
+
+def test_json_depth_bound_does_not_follow_the_recursion_limit(capsys):
+    # json.loads meets 1,000 open brackets with RecursionError only while the
+    # recursion limit is near its default; a raised limit stands in for a
+    # version whose parser goes deeper and reports the missing value instead
+    argv = ["symbol", "rep", "--alpha=1", "--beta=1"]
+    deep = lambda depth: "[" * depth + "]" * depth
+    too_deep = {"code": "parse_error", "detail": "malformed JSON: nested too deeply"}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        for text in ("[" * 1000, deep(1000), deep(MAX_JSON_DEPTH + 1), "[" * (MAX_JSON_DEPTH + 1)):
+            assert run_cli(capsys, *argv, f"--element={text}") == (2, {"status": "error", "result": too_deep})
+    finally:
+        sys.setrecursionlimit(limit)
+    # at the bound, and with brackets inside strings, json.loads decides
+    code, env = run_cli(capsys, *argv, f"--element={deep(MAX_JSON_DEPTH)}")
+    assert code == 2 and env["result"]["detail"] == "element must be a JSON object"
+    for text in ('{"n": 3, "coeffs": "' + "[" * 200 + '"}', '{"n": 3, "coeffs": "\\"' + "{" * 200 + '"}'):
+        code, env = run_cli(capsys, *argv, f"--element={text}")
+        assert code == 2 and env["result"]["detail"] == "coeffs must be an n x n grid"
 
 
 def test_large_sqrt_field_gets_a_domain_error(capsys):
@@ -680,6 +702,10 @@ def test_pretty_flag(capsys):
         (1, 1, 2, "scan"),
         (-1, 2, 2, "scan"),
         (2, -1, 3, "scan"),
+        # |alpha| > bound^2: S is tested, not stored
+        (-30, 7, 5, "emptiness_proof"),
+        (11, -3, 3, "emptiness_proof"),
+        (-30, 31, 5, "scan"),
     ],
 )
 def test_search_trace_justifies_the_answer(capsys, alpha, beta, bound, decided_by):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -6,10 +7,12 @@ from hypothesis import strategies as st
 
 from symbalg.intmath import (
     MILLER_RABIN_LIMIT,
+    _in_image,
     _order_dividing,
     cornacchia,
     euler_phi,
     is_prime,
+    isotropic_vector,
     sqrt_mod,
 )
 
@@ -185,3 +188,31 @@ def test_multiplicative_order_definition(a, n):
         q += 1
     if rest > 1:
         assert pow(a, f // rest, n) != 1
+
+
+@given(
+    bound=st.integers(1, 6),
+    excess=st.integers(1, 200),
+    sign=st.sampled_from([-1, 1]),
+    s=st.integers(-3000, 3000),
+)
+def test_image_membership_is_read_back_when_alpha_exceeds_bound_squared(bound, excess, sign, s):
+    a = sign * (bound * bound + excess)
+    image = {x * x - a * y * y for x in range(bound + 1) for y in range(bound + 1)}
+    assert len(image) == (bound + 1) ** 2  # injective
+    assert _in_image(a, bound, s) == (s in image)
+    assert all(_in_image(a, bound, v) for v in image)
+
+
+def test_isotropic_search_does_not_store_s_for_a_large_alpha():
+    # S has 101^2 members of about 1,000 digits each, about 4.5 MB as a set
+    a, b, bound = -(10**1000 + 3), 2 * 10**1000 + 7, 100
+    steps = []
+    tracemalloc.start()
+    try:
+        assert isotropic_vector(a, b, bound, steps) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == [{"step": "set_size", "value": 101**2}, {"step": "decided_by", "value": "emptiness_proof"}]
+    assert peak < 200_000

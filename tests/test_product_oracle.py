@@ -8,9 +8,14 @@ c0 + c1*t over Q[t]/(t^2 + u*t + w), and applies
                          * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
 
 term by term, one factor of zeta, alpha or beta at a time.  It calls no
-product code of symbalg and reads only the u and w of the descriptors.
+product code of symbalg and reads only the u and w of the descriptors, and
+the generators X and Y of the matrix model.
+
+Zero t-parts and rational or +-1 alpha and beta are drawn often, because
+the kernel skips the arithmetic on a zero it knows of.
 """
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -18,7 +23,7 @@ from hypothesis import strategies as st
 
 from symbalg.fields import QEPS, QQ, sqrt_field
 from symbalg.quaternion import QuaternionAlgebra
-from symbalg.symbol import SymbolAlgebra, left_regular_matrix
+from symbalg.symbol import SymbolAlgebra, left_regular_matrix, matrix_generators
 
 ZERO = (Fraction(0), Fraction(0))
 FIELDS = {"Q": QQ, "Q(sqrt 3)": sqrt_field(3), "Q(sqrt -5)": sqrt_field(-5), "Q(e)": QEPS}
@@ -66,14 +71,27 @@ def quaternion_dict(q):
 
 
 RATIONAL = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
+# each part of a coefficient c0 + c1*t is zero about half of the time
+PART = st.one_of(st.just(Fraction(0)), RATIONAL)
 
 
 @st.composite
 def coefficient(draw, desc, nonzero=False):
-    c = (draw(RATIONAL), draw(RATIONAL) if desc.degree == 2 else Fraction(0))
+    c = (draw(PART), draw(PART) if desc.degree == 2 else Fraction(0))
     if nonzero and c == ZERO:
         c = (Fraction(draw(st.sampled_from([-3, -1, 1, 2]))), c[1])
     return c
+
+
+@st.composite
+def invariant(draw, desc):
+    """alpha or beta: +-1, another rational, or any nonzero coefficient."""
+    kind = draw(st.sampled_from(["unit", "rational", "any"]))
+    if kind == "unit":
+        return (Fraction(draw(st.sampled_from([-1, 1]))), Fraction(0))
+    if kind == "rational":
+        return (draw(coefficient(QQ, nonzero=True))[0], Fraction(0))
+    return draw(coefficient(desc, nonzero=True))
 
 
 @st.composite
@@ -92,7 +110,7 @@ def symbol_case(draw):
         zeta = draw(st.sampled_from([(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(-1))]))
     else:
         desc, n, zeta = FIELDS[name], 2, (Fraction(-1), Fraction(0))
-    alpha, beta = draw(coefficient(desc, nonzero=True)), draw(coefficient(desc, nonzero=True))
+    alpha, beta = draw(invariant(desc)), draw(invariant(desc))
     alg = SymbolAlgebra(desc, n, desc.element(*zeta), desc.element(*alpha), desc.element(*beta))
     return desc, n, zeta, alpha, beta, alg
 
@@ -116,17 +134,37 @@ def test_symbol_product_matches_oracle(data):
 @given(st.data())
 def test_quaternion_product_and_norm_match_oracle(data):
     desc = FIELDS[data.draw(st.sampled_from(list(FIELDS)))]
-    alpha, beta = data.draw(coefficient(desc, nonzero=True)), data.draw(coefficient(desc, nonzero=True))
+    alpha, beta = data.draw(invariant(desc)), data.draw(invariant(desc))
     alg = QuaternionAlgebra(desc, desc.element(*alpha), desc.element(*beta))
     p, q = (alg.element(*(desc.element(*c) for c in data.draw(sparse_cells(desc, 4)))) for _ in range(2))
-    minus_one = (Fraction(-1), Fraction(0))
-    expected = o_product(desc, 2, minus_one, alpha, beta, quaternion_dict(p), quaternion_dict(q))
+    expected = o_product(desc, 2, (Fraction(-1), Fraction(0)), alpha, beta, quaternion_dict(p), quaternion_dict(q))
     assert quaternion_dict(p * q) == expected
-    # q * conj(q) = N(q) * 1
+    assert [pair(x.norm()) for x in (p, q)] == [o_norm(desc, alpha, beta, x) for x in (p, q)]
+
+
+def o_norm(desc, alpha, beta, q):
+    """N(q) from q * conj(q) = N(q) * 1."""
     conj = {key: c if key == (0, 0) else (-c[0], -c[1]) for key, c in quaternion_dict(q).items()}
-    norm = o_product(desc, 2, minus_one, alpha, beta, quaternion_dict(q), conj)
+    norm = o_product(desc, 2, (Fraction(-1), Fraction(0)), alpha, beta, quaternion_dict(q), conj)
     assert set(norm) <= {(0, 0)}
-    assert pair(q.norm()) == norm.get((0, 0), ZERO)
+    return norm.get((0, 0), ZERO)
+
+
+def test_norm_matches_oracle_on_every_zero_pattern():
+    """Each coordinate zero, rational, a multiple of t or neither, over
+    rational, unit and irrational alpha and beta."""
+    parts = [ZERO, (Fraction(2), Fraction(0)), (Fraction(0), Fraction(-3, 2)), (Fraction(1, 3), Fraction(5))]
+    invariants = [
+        ((Fraction(-1), Fraction(0)), (Fraction(7, 2), Fraction(0))),
+        ((Fraction(2), Fraction(1)), (Fraction(-3), Fraction(0))),
+        ((Fraction(1), Fraction(-1)), (Fraction(1, 2), Fraction(2))),
+    ]
+    for desc in FIELDS.values():
+        for alpha, beta in invariants if desc.degree == 2 else invariants[:1]:
+            alg = QuaternionAlgebra(desc, desc.element(*alpha), desc.element(*beta))
+            for coords in itertools.product(parts if desc.degree == 2 else parts[:2], repeat=4):
+                q = alg.element(*(desc.element(*c) for c in coords))
+                assert pair(q.norm()) == o_norm(desc, alpha, beta, q), coords
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,3 +178,47 @@ def test_left_regular_columns_match_oracle(data):
             column = {(r // n, r % n): pair(matrix[r][k * n + l]) for r in range(n * n)}
             expected = o_product(desc, n, zeta, alpha, beta, grid_dict(u), {(k, l): (Fraction(1), Fraction(0))})
             assert sparse(column) == expected
+
+
+def o_matmul(desc, a, b):
+    return [
+        [
+            (sum(o_mul(desc, a[r][k], b[k][s])[0] for k in range(len(b))),
+             sum(o_mul(desc, a[r][k], b[k][s])[1] for k in range(len(b))))
+            for s in range(len(b[0]))
+        ]
+        for r in range(len(a))
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_model_matches_oracle(data):
+    """apply(u) is the sum of u's coefficients times X^i Y^j, and the image
+    of the oracle's product u*v is the product of the images."""
+    zeta = data.draw(st.sampled_from([(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(-1))]))
+    alpha, beta = (data.draw(st.sampled_from([(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))])) for _ in range(2))
+    alg = SymbolAlgebra(QEPS, 3, QEPS.element(*zeta), QEPS.element(*alpha), QEPS.element(*beta))
+    rep = matrix_generators(alg)
+    gens = [[[pair(e) for e in row] for row in m] for m in (rep.X, rep.Y)]
+    identity = [[(Fraction(int(r == s)), Fraction(0)) for s in range(3)] for r in range(3)]
+    powers = [[identity], [identity]]
+    for m, pows in zip(gens, powers):
+        for _ in range(2):
+            pows.append(o_matmul(QEPS, pows[-1], m))
+
+    def image(cells):
+        out = [[ZERO] * 3 for _ in range(3)]
+        for (i, j), c in cells.items():
+            monomial = o_matmul(QEPS, powers[0][i], powers[1][j])
+            for r in range(3):
+                for s in range(3):
+                    t = o_mul(QEPS, c, monomial[r][s])
+                    out[r][s] = (out[r][s][0] + t[0], out[r][s][1] + t[1])
+        return out
+
+    u, v = (symbol_element(alg, data.draw(sparse_cells(QEPS, 9))) for _ in range(2))
+    applied = [[[pair(e) for e in row] for row in rep.apply(x)] for x in (u, v)]
+    assert applied == [image(grid_dict(u)), image(grid_dict(v))]
+    product = o_product(QEPS, 3, zeta, alpha, beta, grid_dict(u), grid_dict(v))
+    assert o_matmul(QEPS, *applied) == image(product)
