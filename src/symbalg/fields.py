@@ -27,15 +27,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(*read_rational(text))
 
 
-def is_rational_square(q: Fraction | int) -> bool:
-    q = Fraction(q)
-    if q < 0:
-        return False
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    return rn * rn == q.numerator and rd * rd == q.denominator
-
-
 def _squarefree(n: int) -> bool:
     n = abs(n)
     d = 2
@@ -49,16 +40,18 @@ def _squarefree(n: int) -> bool:
 
 
 class FieldDescriptor(Record):
-    """Q (degree 1) or the quadratic field Q[t]/(t^2 + u*t + w) (degree 2)."""
+    """Q (degree 1) or the quadratic field Q[t]/(t^2 + u*t + w) (degree 2),
+    for ints u and w: every quadratic field has such a generator t."""
 
     __slots__ = ("degree", "u", "w")
 
     def __post_init__(self):
-        object.__setattr__(self, "u", Fraction(self.u))
-        object.__setattr__(self, "w", Fraction(self.w))
         if self.degree not in (1, 2):
             raise ValueError("only Q and quadratic extensions are supported")
-        if self.degree == 2 and is_rational_square(self.u * self.u - 4 * self.w):
+        if type(self.u) is not int or type(self.w) is not int:
+            raise ValueError("u and w must be ints")
+        disc = self.u * self.u - 4 * self.w
+        if self.degree == 2 and disc >= 0 and math.isqrt(disc) ** 2 == disc:
             raise ValueError("t^2 + u*t + w must be irreducible over Q")
 
     def element(self, c0, c1=0) -> "FieldElement":
@@ -81,7 +74,7 @@ class FieldDescriptor(Record):
 
 
 QQ = FieldDescriptor(1, 0, 0)
-QEPS = FieldDescriptor(2, Fraction(1), Fraction(1))
+QEPS = FieldDescriptor(2, 1, 1)
 # largest |d| sqrt_field accepts; its squarefree test divides up to sqrt|d|
 MAX_SQRT_FIELD_D = 10**12
 
@@ -92,18 +85,10 @@ def sqrt_field(d: int) -> FieldDescriptor:
         raise ValueError(f"|d| must be at most {MAX_SQRT_FIELD_D}")
     if d in (0, 1) or not _squarefree(d):
         raise ValueError("d must be squarefree and different from 0 and 1")
-    return FieldDescriptor(2, Fraction(0), Fraction(-d))
+    return FieldDescriptor(2, 0, -d)
 
 
 QSQRT3 = sqrt_field(3)
-
-
-def pair_constants(desc: FieldDescriptor):
-    """desc's u and w as the kernel passes them to ``pair_mul``: as ints when
-    they are integral, as for Q, Q(e) and every Q(sqrt d), so that its tests
-    on them compare ints instead of calling ``Fraction`` methods."""
-    u, w = desc.u, desc.w
-    return u.numerator if u.denominator == 1 else u, w.numerator if w.denominator == 1 else w
 
 
 def pair_mul(x, y, u, w):
@@ -192,8 +177,6 @@ class FieldElement(Record):
             return self
         if o.c0 == 0 and o.c1 == 0:
             return o
-        if self.desc.degree == 1:
-            return FieldElement(self.desc, self.c0 * o.c0)
         return FieldElement(self.desc, *pair_mul((self.c0, self.c1), (o.c0, o.c1), self.desc.u, self.desc.w))
 
     __rmul__ = __mul__
@@ -272,7 +255,7 @@ SYMBOL_SHAPES = {n: _symbol_shape(n) for n in (2, 3)}
 def symbol_scales(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement):
     """The pairs zeta^e alpha^a beta^b, at index (e*2 + a)*2 + b for e < n
     and a, b in {0, 1}: each run of four is the one before times zeta."""
-    u, w = pair_constants(zeta.desc)
+    u, w = zeta.desc.u, zeta.desc.w
     a, b = (alpha.c0, alpha.c1), (beta.c0, beta.c1)
     z = (zeta.c0, zeta.c1)
     scales = [(Fraction(1), Fraction(0)), b, a, pair_mul(a, b, u, w)]
@@ -292,7 +275,7 @@ def symbol_product(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldE
     field elements over the monomials x^i y^j in (i, j)-lexicographic order.
     """
     desc = zeta.desc
-    u, w = pair_constants(desc)
+    u, w = desc.u, desc.w
     scales = symbol_scales(n, zeta, alpha, beta)
     ys = [(y.c0, y.c1) if y.c0 or y.c1 else None for y in right]
     acc = [None] * (n * n)

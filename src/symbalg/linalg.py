@@ -2,12 +2,11 @@
 
 `determinant` and `solve` run Bareiss's fraction-free elimination (Bareiss,
 Math. Comp. 22, 1968; Cohen, *A Course in Computational Algebraic Number
-Theory*, Alg. 2.2.6) on integer pairs (a, b) standing for a + b*s, with
-s = D*t for the lcm D of the denominators of u and w: s is a root of
-s^2 + D*u*s + D^2*w, so the pairs form the order Z[s], an integral domain.
-Each row is first multiplied by the lcm of its denominators.  The divisions
-are exact in Z[s]: x/y is x*conj(y) over the integer N(y), and a remainder
-raises ArithmeticError.
+Theory*, Alg. 2.2.6) on integer pairs (a, b) standing for a + b*t: t is a
+root of t^2 + u*t + w with ints u and w, so the pairs form the order Z[t],
+an integral domain.  Each row is first multiplied by the lcm of its
+denominators.  The divisions are exact in Z[t]: x/y is x*conj(y) over the
+integer N(y), and a remainder raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -21,23 +20,22 @@ Matrix = list[list[FieldElement]]
 
 
 def _integral_rows(a: Matrix):
-    """(D, U, W, rows, scale): s = D*t is a root of s^2 + U*s + W; rows are those
-    of a on the basis (1, s) times the lcm of their denominators, whose product is scale."""
+    """(rows, scale): the rows of a on the basis (1, t) times the lcm of their
+    denominators, whose product is scale."""
     desc = a[0][0].desc
-    d = math.lcm(desc.u.denominator, desc.w.denominator)
     rows, scale = [], 1
     for row in a:
         if any(e.desc != desc for e in row):
             raise ValueError("elements belong to different fields")
-        m = math.lcm(*(e.c0.denominator for e in row), *(e.c1.denominator * d for e in row))
+        m = math.lcm(*(e.c0.denominator for e in row), *(e.c1.denominator for e in row))
         rows.append([(e.c0.numerator * (m // e.c0.denominator),
-                      e.c1.numerator * (m // (e.c1.denominator * d))) for e in row])
+                      e.c1.numerator * (m // e.c1.denominator)) for e in row])
         scale *= m
-    return d, int(desc.u * d), int(desc.w * d * d), rows, scale
+    return rows, scale
 
 
 def _exact_quotient(x, conj_y, norm_y: int, u: int, w: int):
-    """x/y in Z[s] from conj(y) and N(y); ArithmeticError if y does not divide x."""
+    """x/y in Z[t] from conj(y) and N(y); ArithmeticError if y does not divide x."""
     (q0, r0), (q1, r1) = (divmod(c, norm_y) for c in pair_mul(x, conj_y, u, w))
     if r0 or r1:
         raise ArithmeticError("inexact division in the order of the field")
@@ -70,10 +68,11 @@ def _eliminate(rows: list, n: int, u: int, w: int) -> int:
 
 
 def determinant(a: Matrix) -> FieldElement:
-    d, u, w, rows, scale = _integral_rows(a)
-    sign = _eliminate(rows, len(rows), u, w)
+    desc = a[0][0].desc
+    rows, scale = _integral_rows(a)
+    sign = _eliminate(rows, len(rows), desc.u, desc.w)
     x0, x1 = rows[-1][-1]
-    return FieldElement(a[0][0].desc, Fraction(sign * x0, scale), Fraction(sign * x1 * d, scale))
+    return FieldElement(desc, Fraction(sign * x0, scale), Fraction(sign * x1, scale))
 
 
 def solve(a: Matrix, rhs: list[FieldElement]) -> list[FieldElement]:
@@ -81,10 +80,11 @@ def solve(a: Matrix, rhs: list[FieldElement]) -> list[FieldElement]:
 
     After elimination of [a | rhs] the last pivot p is the determinant up
     to sign, and back-substitution computes y = p*x, which Cramer's rule
-    puts in Z[s]; each x = y*conj(p)/N(p) is one field division.
+    puts in Z[t]; each x = y*conj(p)/N(p) is one field division.
     """
-    n = len(a)
-    d, u, w, rows, _ = _integral_rows([row + [b] for row, b in zip(a, rhs)])
+    n, desc = len(a), a[0][0].desc
+    u, w = desc.u, desc.w
+    rows, _ = _integral_rows([row + [b] for row, b in zip(a, rhs)])
     if not _eliminate(rows, n, u, w):
         raise ValueError("singular matrix")
     p = rows[n - 1][n - 1]
@@ -96,5 +96,5 @@ def solve(a: Matrix, rhs: list[FieldElement]) -> list[FieldElement]:
             acc0, acc1 = acc0 - t0, acc1 - t1
         y[i] = _exact_quotient((acc0, acc1), *pair_conj_norm(rows[i][i], u, w), u, w)
     conj, norm = pair_conj_norm(p, u, w)
-    return [FieldElement(a[0][0].desc, Fraction(x0, norm), Fraction(x1 * d, norm))
+    return [FieldElement(desc, Fraction(x0, norm), Fraction(x1, norm))
             for x0, x1 in (pair_mul(yi, conj, u, w) for yi in y)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, QSQRT3, FieldElement, Record, pair_add, pair_constants, pair_mul, pair_sub, symbol_product
+from .fields import QQ, QSQRT3, FieldElement, Record, pair_add, pair_mul, pair_sub, symbol_product
 from .intmath import check_search_bound, cornacchia, is_prime, isotropic_vector
 
 
@@ -65,7 +65,7 @@ class Quaternion(Record):
         """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2, summed over the
         nonzero coordinates; no known zero is multiplied or added."""
         alg = self.algebra
-        u, w = pair_constants(alg.desc)
+        u, w = alg.desc.u, alg.desc.w
         a, b = (alg.alpha.c0, alg.alpha.c1), (alg.beta.c0, alg.beta.c1)
         total = None
         for x, scales, add in zip(

@@ -24,7 +24,6 @@ from .fields import (
     Record,
     format_element,
     pair_add,
-    pair_constants,
     pair_mul,
     parse_element,
     symbol_product,
@@ -139,24 +138,23 @@ class MatrixRep(Record):
     """3 x 3 matrix model: x -> X = c*diag(1, zeta, zeta^2), y -> c'*P for
     the cyclic permutation P, extended linearly over the basis x^i y^j."""
 
-    __slots__ = ("algebra", "X", "Y", "images")  # images[i][j] = X^i Y^j as a tuple matrix
+    # images[i][j] = X^i Y^j as the monomial matrix (shift, diagonal) of _monomial_mul
+    __slots__ = ("algebra", "images")
 
     def apply(self, element: SymbolElement):
         if element.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
-        n, desc = self.algebra.n, self.algebra.desc
-        u, w = pair_constants(desc)
-        out = [[None] * n for _ in range(n)]
+        desc = self.algebra.desc
+        u, w = desc.u, desc.w
+        out = [[None] * 3 for _ in range(3)]
         for coeff_row, image_row in zip(element.coeffs, self.images):
-            for c, image in zip(coeff_row, image_row):
+            for c, (j, diag) in zip(coeff_row, image_row):
                 if c.is_zero():
                     continue
                 cp = (c.c0, c.c1)
-                # X^i Y^j is monomial: one nonzero entry in each row
-                for r, img_row in enumerate(image):
-                    for s, e in enumerate(img_row):
-                        if not e.is_zero():
-                            out[r][s] = pair_add(out[r][s], pair_mul((e.c0, e.c1), cp, u, w))
+                for r, e in enumerate(diag):
+                    s = (r + j) % 3
+                    out[r][s] = pair_add(out[r][s], pair_mul((e.c0, e.c1), cp, u, w))
         zero = desc.zero()
         return [[zero if entry is None else FieldElement(desc, *entry) for entry in row] for row in out]
 
@@ -169,15 +167,10 @@ def _monomial_mul(a, b):
     return (ja + jb) % 3, tuple(da[r] * db[(r + ja) % 3] for r in range(3))
 
 
-def _dense(monomial, zero) -> tuple:
-    j, d = monomial
-    return tuple(tuple(d[r] if s == (r + j) % 3 else zero for s in range(3)) for r in range(3))
-
-
 def matrix_generators(alg: SymbolAlgebra) -> MatrixRep:
     if alg.n != 3:
         raise ValueError("the matrix model is built for degree 3")
-    desc, z, one, zero = alg.desc, alg.zeta, alg.desc.one(), alg.desc.zero()
+    desc, z, one = alg.desc, alg.zeta, alg.desc.one()
     c, c2 = desc.lift(_sign_unit(alg.alpha)), desc.lift(_sign_unit(alg.beta))
     x_mat = (0, (c, z * c, z * z * c))
     y_mat = (1, (c2, c2, c2))  # c' times the cyclic P
@@ -190,8 +183,8 @@ def matrix_generators(alg: SymbolAlgebra) -> MatrixRep:
         and _monomial_mul(y_mat, x_mat) == _monomial_mul((0, (z, z, z)), _monomial_mul(x_mat, y_mat))
     ):
         raise ArithmeticError("matrix model violates the defining relations")
-    images = tuple(tuple(_dense(_monomial_mul(xi, yj), zero) for yj in y_pows) for xi in x_pows)
-    return MatrixRep(alg, _dense(x_mat, zero), _dense(y_mat, zero), images)
+    images = tuple(tuple(_monomial_mul(xi, yj) for yj in y_pows) for xi in x_pows)
+    return MatrixRep(alg, images)
 
 
 def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]:
@@ -222,7 +215,7 @@ def left_regular_matrix(u: SymbolElement):
     with that monomial and multiplied by its structure constant."""
     alg = u.algebra
     n, desc = alg.n, alg.desc
-    pu, pw = pair_constants(desc)
+    pu, pw = desc.u, desc.w
     scales = symbol_scales(n, alg.zeta, alg.alpha, alg.beta)
     matrix = [[desc.zero()] * (n * n) for _ in range(n * n)]
     for c, row in zip(u.flat(), SYMBOL_SHAPES[n]):

@@ -149,8 +149,8 @@ def test_criterion_05_matrix_model_sign_pairs():
             for beta in (-1, 1):
                 alg = SymbolAlgebra(QEPS, 3, QEPS.gen(), QEPS.lift(alpha), QEPS.lift(beta))
                 rep = matrix_generators(alg)
-                x = [list(row) for row in rep.X]
-                y = [list(row) for row in rep.Y]
+                x = rep.apply(alg.x())
+                y = rep.apply(alg.y())
                 ident = identity(QEPS, 3)
                 assert mat_mul(x, mat_mul(x, x)) == mat_scale(ident, alg.alpha)
                 assert mat_mul(y, mat_mul(y, y)) == mat_scale(ident, alg.beta)

@@ -18,7 +18,8 @@ from symbalg.fields import (
     sqrt_field,
 )
 
-DESCRIPTORS = [QQ, QEPS, QSQRT3, sqrt_field(-1), sqrt_field(5)]
+# the last field, t^2 + 3t + 1, has u outside {0, 1}: pair_mul multiplies by u and w
+DESCRIPTORS = [QQ, QEPS, QSQRT3, sqrt_field(-1), sqrt_field(5), FieldDescriptor(2, 3, 1)]
 
 small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -91,12 +92,25 @@ def test_lift_is_the_explicit_embedding():
 
 
 def test_reducible_min_poly_rejected():
-    with pytest.raises(ValueError):
-        FieldDescriptor(2, Fraction(0), Fraction(-4))  # t^2 = 4
+    # t^2 - 4, t^2 + 3t + 2 and t^2 + 2t + 1 have the square discriminants 16, 1 and 0
+    for u, w in ((0, -4), (3, 2), (2, 1)):
+        with pytest.raises(ValueError, match="irreducible"):
+            FieldDescriptor(2, u, w)
     with pytest.raises(ValueError):
         sqrt_field(1)
     with pytest.raises(ValueError):
         sqrt_field(12)
+
+
+def test_descriptor_constants_are_ints():
+    for desc in (QQ, QEPS, QSQRT3, sqrt_field(-1), sqrt_field(-5)):
+        assert type(desc.u) is int and type(desc.w) is int
+    refused = [(Fraction(1), 1), (1, Fraction(1)), (Fraction(1, 2), Fraction(3, 4)), (1.0, 1), (0, -3.0), (True, 1)]
+    for u, w in refused:
+        with pytest.raises(ValueError, match="must be ints"):
+            FieldDescriptor(2, u, w)
+    with pytest.raises(ValueError, match="must be ints"):
+        FieldDescriptor(1, Fraction(0), 0)
 
 
 def _accepted(d):

@@ -12,8 +12,8 @@ from symbalg import linalg
 from symbalg.fields import QEPS, QQ, QSQRT3, FieldDescriptor, pair_conj_norm, sqrt_field
 from symbalg.symbol import SymbolAlgebra, left_regular_matrix
 
-# the last field has non-integral u and w, so its generator is rescaled
-FIELDS = [QQ, QEPS, QSQRT3, sqrt_field(-5), FieldDescriptor(2, Fraction(1, 2), Fraction(3, 4))]
+# the last field, t^2 + 3t + 1, has u outside {0, 1}: pair_mul multiplies by u and w
+FIELDS = [QQ, QEPS, QSQRT3, sqrt_field(-5), FieldDescriptor(2, 3, 1)]
 
 
 def reference_solve(a, rhs):

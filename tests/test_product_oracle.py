@@ -8,8 +8,8 @@ c0 + c1*t over Q[t]/(t^2 + u*t + w), and applies
                          * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
 
 term by term, one factor of zeta, alpha or beta at a time.  It calls no
-product code of symbalg and reads only the u and w of the descriptors, and
-the generators X and Y of the matrix model.
+product code of symbalg and reads only the u and w of the descriptors; the
+matrix model's generators X and Y are read as the images of x and y.
 
 Zero t-parts and rational or +-1 alpha and beta are drawn often, because
 the kernel skips the arithmetic on a zero it knows of.
@@ -21,12 +21,20 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbalg.fields import QEPS, QQ, sqrt_field
+from symbalg.fields import QEPS, QQ, FieldDescriptor, sqrt_field
 from symbalg.quaternion import QuaternionAlgebra
 from symbalg.symbol import SymbolAlgebra, left_regular_matrix, matrix_generators
 
 ZERO = (Fraction(0), Fraction(0))
-FIELDS = {"Q": QQ, "Q(sqrt 3)": sqrt_field(3), "Q(sqrt -5)": sqrt_field(-5), "Q(e)": QEPS}
+# Q(t) for t^2 + 3t + 1 is Q(sqrt 5) on a generator with u outside {0, 1},
+# which takes pair_mul's products by u and w
+FIELDS = {
+    "Q": QQ,
+    "Q(sqrt 3)": sqrt_field(3),
+    "Q(sqrt -5)": sqrt_field(-5),
+    "Q(e)": QEPS,
+    "Q(t), t^2 + 3t + 1": FieldDescriptor(2, 3, 1),
+}
 # 1, e1, e2, e3 of H(alpha, beta) are 1, x, y, xy of the symbol algebra of degree 2
 QUATERNION_MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -102,7 +110,7 @@ def sparse_cells(draw, desc, count):
 
 @st.composite
 def symbol_case(draw):
-    """(desc, n, zeta, alpha, beta, algebra): degree 2 over the four fields
+    """(desc, n, zeta, alpha, beta, algebra): degree 2 over the five fields
     and degree 3 over Q(e), with either primitive cube root as zeta."""
     name = draw(st.sampled_from([*FIELDS, "Q(e), n = 3"]))
     if name == "Q(e), n = 3":
@@ -200,7 +208,7 @@ def test_matrix_model_matches_oracle(data):
     alpha, beta = (data.draw(st.sampled_from([(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))])) for _ in range(2))
     alg = SymbolAlgebra(QEPS, 3, QEPS.element(*zeta), QEPS.element(*alpha), QEPS.element(*beta))
     rep = matrix_generators(alg)
-    gens = [[[pair(e) for e in row] for row in m] for m in (rep.X, rep.Y)]
+    gens = [[[pair(e) for e in row] for row in rep.apply(g)] for g in (alg.x(), alg.y())]
     identity = [[(Fraction(int(r == s)), Fraction(0)) for s in range(3)] for r in range(3)]
     powers = [[identity], [identity]]
     for m, pows in zip(gens, powers):

@@ -106,7 +106,7 @@ def test_unequal_fields_make_unequal_records():
 
 def test_positional_construction():
     assert EisensteinInt(3) == EisensteinInt(3, 0) and FieldDescriptor(1, 0, 0) == QQ
-    assert type(FieldDescriptor(2, 0, -3).w) is Fraction
+    assert type(FieldDescriptor(2, 0, -3).w) is int
     element = FieldElement(QQ, 2)
     assert element == FieldElement(QQ, 2, 0) and type(element.c1) is Fraction
     assert repr(EisensteinInt(3, 1)) == "EisensteinInt(a=3, b=1)"

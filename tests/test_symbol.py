@@ -7,7 +7,6 @@ import pytest
 from symbalg import linalg, symbol
 from symbalg.fields import QEPS, QQ, ParseError
 from symbalg.symbol import (
-    MatrixRep,
     SymbolAlgebra,
     element_from_json,
     element_to_json,
@@ -100,27 +99,28 @@ def test_distributivity_random():
 
 
 def test_matrix_generators_minus1_1():
-    rep = matrix_generators(cubic(-1, 1))
+    alg = cubic(-1, 1)
+    rep = matrix_generators(alg)
     eps = QEPS.gen()
     zero, one = QEPS.zero(), QEPS.one()
-    assert rep.X == (
-        (-one, zero, zero),
-        (zero, -eps, zero),
-        (zero, zero, -(eps * eps)),
-    )
-    assert rep.Y == (
-        (zero, one, zero),
-        (zero, zero, one),
-        (one, zero, zero),
-    )
+    assert rep.apply(alg.x()) == [
+        [-one, zero, zero],
+        [zero, -eps, zero],
+        [zero, zero, -(eps * eps)],
+    ]
+    assert rep.apply(alg.y()) == [
+        [zero, one, zero],
+        [zero, zero, one],
+        [one, zero, zero],
+    ]
 
 
 @pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 1), (-1, -1), (1, -1)])
 def test_matrix_relations(alpha, beta):
     alg = cubic(alpha, beta)
     rep = matrix_generators(alg)
-    x = [list(row) for row in rep.X]
-    y = [list(row) for row in rep.Y]
+    x = rep.apply(alg.x())
+    y = rep.apply(alg.y())
     ident = identity(QEPS, 3)
     assert mat_mul(x, mat_mul(x, x)) == mat_scale(ident, alg.alpha)
     assert mat_mul(y, mat_mul(y, y)) == mat_scale(ident, alg.beta)
@@ -128,8 +128,8 @@ def test_matrix_relations(alpha, beta):
 
 
 def _dense_model(alg):
-    """The model as dense 3 x 3 matrices: X = c*diag(1, zeta, zeta^2), Y = c'*P,
-    and the images X^i Y^j as dense products."""
+    """The images X^i Y^j of the model as dense 3 x 3 products of
+    X = c*diag(1, zeta, zeta^2) and Y = c'*P."""
     zero, z = QEPS.zero(), alg.zeta
     c, c2 = alg.alpha, alg.beta  # each is its own cube root when it is 1 or -1
     x = [[c, zero, zero], [zero, z * c, zero], [zero, zero, z * z * c]]
@@ -137,16 +137,15 @@ def _dense_model(alg):
     ident = identity(QEPS, 3)
     x_pows = [ident, x, mat_mul(x, x)]
     y_pows = [ident, y, mat_mul(y, y)]
-    freeze = lambda m: tuple(tuple(row) for row in m)
-    images = tuple(tuple(freeze(mat_mul(xi, yj)) for yj in y_pows) for xi in x_pows)
-    return MatrixRep(alg, freeze(x), freeze(y), images)
+    return [[mat_mul(xi, yj) for yj in y_pows] for xi in x_pows]
 
 
 @pytest.mark.parametrize("zeta", [QEPS.gen(), QEPS.gen() * QEPS.gen()], ids=["w", "w^2"])
 @pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 1), (-1, -1), (1, -1)])
 def test_matrix_generators_equal_dense_construction(alpha, beta, zeta):
     alg = SymbolAlgebra(QEPS, 3, zeta, QEPS.lift(alpha), QEPS.lift(beta))
-    assert matrix_generators(alg) == _dense_model(alg)
+    rep = matrix_generators(alg)
+    assert [[rep.apply(alg.monomial(i, j)) for j in range(3)] for i in range(3)] == _dense_model(alg)
 
 
 def test_matrix_model_relation_check_raises(monkeypatch):
@@ -184,7 +183,8 @@ def test_rep_identity_and_homomorphism():
 
 def _basis_image_matrix(rep):
     """9 x 9 matrix whose columns are the flattened images of the basis."""
-    columns = [[entry for row in rep.images[i][j] for entry in row] for i in range(3) for j in range(3)]
+    basis = [rep.algebra.monomial(i, j) for i in range(3) for j in range(3)]
+    columns = [[entry for row in rep.apply(b) for entry in row] for b in basis]
     return [list(row) for row in zip(*columns)]
 
 
