@@ -13,7 +13,7 @@ from functools import lru_cache
 from .base import ParseError, Record, read_element
 from .intmath import _order_dividing, cornacchia, euler_phi, is_prime
 
-# entries kept by the factor_rational_prime and residue_field caches: every
+# entries kept by the factor_rational_prime and eps_image caches: every
 # fresh prime would otherwise stay in memory for the life of the process
 PRIME_CACHE_SIZE = 128
 # largest l cyclotomic_splitting accepts: factoring l and phi(l) is trial
@@ -180,71 +180,15 @@ def factor_rational_prime(p: int) -> EisensteinPrime:
     return EisensteinPrime(pi, "split", p, pi.conjugate(), p)
 
 
-class ResidueField(Record):
-    """Z[e]/pi as F_p (eps_image a primitive cube root, or 1 when p = 3)
-    or as F_p[t]/(t^2 + t + 1) with elements stored as (c0, c1) pairs."""
-
-    __slots__ = ("char", "degree", "eps_image")
-
-    def __post_init__(self):
-        e = self.eps_image
-        if self.degree == 1:
-            root = (e * e + e + 1) % self.char == 0
-        else:
-            root = self.add(self.add(self.mul(e, e), e), self.one) == self.zero
-        if not root:
-            raise ValueError("eps_image is not a root of t^2 + t + 1")
-
-    @property
-    def zero(self):
-        return 0 if self.degree == 1 else (0, 0)
-
-    @property
-    def one(self):
-        return 1 if self.degree == 1 else (1, 0)
-
-    def reduce(self, z: EisensteinInt):
-        if self.degree == 1:
-            return (z.a + z.b * self.eps_image) % self.char
-        return (z.a % self.char, z.b % self.char)
-
-    def add(self, x, y):
-        if self.degree == 1:
-            return (x + y) % self.char
-        return ((x[0] + y[0]) % self.char, (x[1] + y[1]) % self.char)
-
-    def mul(self, x, y):
-        if self.degree == 1:
-            return x * y % self.char
-        # t^2 = -1 - t
-        p = self.char
-        a0, a1 = x
-        b0, b1 = y
-        return ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0 - a1 * b1) % p)
-
-    def pow(self, x, k: int):
-        if self.degree == 1:
-            return pow(x, k, self.char)
-        result = self.one
-        base = x
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
-
-
 @lru_cache(maxsize=PRIME_CACHE_SIZE)
-def residue_field(prime: EisensteinPrime) -> ResidueField:
-    if prime.kind == "split":
-        a, b = prime.pi.a, prime.pi.b
-        # b is invertible mod p, else p would divide pi and norm(pi) = p^2
-        b_inv = pow(b % prime.p, prime.p - 2, prime.p)
-        return ResidueField(prime.p, 1, (-a * b_inv) % prime.p)
-    if prime.kind == "inert":
-        return ResidueField(prime.p, 2, (0, 1))
-    return ResidueField(3, 1, 1)
+def eps_image(pi: EisensteinInt, p: int) -> int:
+    """The image r = -a/b mod p of e in Z[e]/pi = F_p, for pi = a + b*e
+    above a split p; r is a root of t^2 + t + 1 mod p."""
+    # b is invertible mod p, else p would divide pi and norm(pi) = p^2
+    r = -pi.a * pow(pi.b, p - 2, p) % p
+    if (r * r + r + 1) % p:
+        raise ValueError(f"{format_eisenstein(pi)} is not a prime above {p}")
+    return r
 
 
 class CubicSymbol(Record):
@@ -273,21 +217,36 @@ class CubicSymbol(Record):
 
 
 def cubic_residue_symbol(alpha: EisensteinInt, prime: EisensteinPrime) -> CubicSymbol:
-    """alpha^((N(pi) - 1)/3) mod pi, identified as a power of the cube root.
+    """alpha^((N(pi) - 1)/3) mod pi, identified as a power of the cube root:
+    in F_p through the image of e at a split prime, and in F_p[e] on int
+    pairs at an inert one.
 
     Undefined at the ramified prime, where (N(pi) - 1)/3 is not integral.
     """
     if prime.kind == "ramified":
         raise ValueError("cubic residue symbol is undefined at the ramified prime")
-    field = residue_field(prime)
-    abar = field.reduce(alpha)
-    if abar == field.zero:
-        return CubicSymbol.zero()
-    value = field.pow(abar, (prime.abs_norm - 1) // 3)
-    for k in range(3):
-        if value == field.pow(field.eps_image, k):
-            return CubicSymbol.root(k)
-    raise ArithmeticError("character value is not a cube root of unity")
+    p, k = prime.p, (prime.abs_norm - 1) // 3
+    if prime.kind == "split":
+        r = eps_image(prime.pi, p)
+        x = (alpha.a + alpha.b * r) % p
+        if not x:
+            return CubicSymbol.zero()
+        value, roots = pow(x, k, p), (1, r, r * r % p)
+    else:
+        x0, x1 = alpha.a % p, alpha.b % p
+        if not (x0 or x1):
+            return CubicSymbol.zero()
+        # square and multiply in F_p[e], where e^2 = -1 - e
+        v0, v1 = 1, 0
+        while k:
+            if k & 1:
+                v0, v1 = (v0 * x0 - v1 * x1) % p, (v0 * x1 + v1 * x0 - v1 * x1) % p
+            x0, x1 = (x0 * x0 - x1 * x1) % p, (2 * x0 - x1) * x1 % p
+            k >>= 1
+        value, roots = (v0, v1), ((1, 0), (0, 1), (p - 1, p - 1))
+    if value not in roots:
+        raise ArithmeticError("character value is not a cube root of unity")
+    return CubicSymbol.root(roots.index(value))
 
 
 def valuation(num: EisensteinInt, prime: EisensteinPrime, den: EisensteinInt = ONE) -> int:
@@ -315,20 +274,28 @@ class SplittingData(Record):
     __slots__ = ("e", "f", "g")
 
 
-def splitting_in_kummer(alpha: EisensteinInt, prime: EisensteinPrime) -> SplittingData:
+def splitting_in_kummer(alpha: EisensteinInt, prime: EisensteinPrime, steps: list | None = None) -> SplittingData:
     """How prime behaves in the degree-3 Kummer extension adjoining a cube
     root of alpha = pi^v * u with u prime to pi: ramifies when 3 does not
     divide v; otherwise the extension is the one of u, and prime stays
     prime when the symbol of u is a primitive cube root and splits
-    completely when it is 1."""
+    completely when it is 1.
+
+    Given a steps list, it appends what decided as {"step", "value"}
+    records: the symbol of alpha when pi does not divide it, else v and,
+    when 3 divides v, the symbol of u."""
     if alpha.is_zero():
         raise ValueError("alpha must be nonzero")
-    symbol = cubic_residue_symbol(alpha, prime)
+    symbol, step = cubic_residue_symbol(alpha, prime), "cubic_symbol"
     if symbol.is_zero:
         v, unit = split_valuation(alpha, prime.pi)
+        if steps is not None:
+            steps.append({"step": "valuation", "value": v})
         if v % 3:
             return SplittingData(3, 1, 1)
-        symbol = cubic_residue_symbol(unit, prime)
+        symbol, step = cubic_residue_symbol(unit, prime), "unit_symbol"
+    if steps is not None:
+        steps.append({"step": step, "value": str(symbol)})
     if symbol.is_trivial:
         return SplittingData(1, 1, 3)
     return SplittingData(1, 3, 1)

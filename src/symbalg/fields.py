@@ -184,11 +184,6 @@ class FieldElement(Record):
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0
 
-    def as_rational(self) -> Fraction:
-        if self.c1 != 0:
-            raise ValueError("element is not rational")
-        return self.c0
-
     def inv(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -218,10 +213,13 @@ class FieldElement(Record):
 
 
 def format_element(e: FieldElement) -> str:
-    if e.c1 == 0:
-        return str(e.c0)
-    sign = "+" if e.c1 > 0 else "-"
-    return f"{e.c0}{sign}{abs(e.c1)}*w"
+    try:
+        if e.c1 == 0:
+            return str(e.c0)
+        sign = "+" if e.c1 > 0 else "-"
+        return f"{e.c0}{sign}{abs(e.c1)}*w"
+    except ValueError as exc:  # the interpreter's int-to-text limit, worded per version
+        raise ValueError("a coefficient has too many digits to write") from exc
 
 
 def parse_element(desc: FieldDescriptor, text: str) -> FieldElement:

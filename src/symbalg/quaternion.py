@@ -156,13 +156,6 @@ def classify_minus1_p(p: int) -> SplitVerdict:
     return SplitVerdict("split", point)
 
 
-def _integer_invariant(e: FieldElement) -> int:
-    v = e.as_rational()
-    if v.denominator != 1:
-        raise ValueError("search needs integer alpha and beta")
-    return int(v)
-
-
 def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | None:
     """First primitive integer vector (lexicographic order, coordinates in
     [-bound, bound]) with vanishing norm form, or None if there is none:
@@ -170,5 +163,8 @@ def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | No
     check_search_bound(bound)
     if alg.desc != QQ:
         raise ValueError("zero search is defined over Q")
-    witness = isotropic_vector(_integer_invariant(alg.alpha), _integer_invariant(alg.beta), bound)
+    a, b = alg.alpha.c0, alg.beta.c0
+    if a.denominator != 1 or b.denominator != 1:
+        raise ValueError("search needs integer alpha and beta")
+    witness = isotropic_vector(int(a), int(b), bound)
     return None if witness is None else alg.element(*witness)

@@ -216,6 +216,19 @@ ARGVS += [
     _argv("--trace", "quaternion", "search-zero", alpha="-30", beta="31", bound=5),
 ]
 
+# --trace of the ramified splitting case: the valuation alone decides it
+ARGVS += [
+    _argv("--trace", "eisenstein", "splitting", alpha="14", p=7),
+]
+
+# errors whose texts json and int-to-text conversion word differently on
+# each Python version, so that the program writes its own: a trailing comma
+# in a JSON argument, and a product past the int-to-text digit limit
+ARGVS += [
+    _argv("symbol", "mul", alpha="1", beta="1", u="[1,]", v="1"),
+    _argv("quaternion", "mul", alpha="1", beta="1", a=f"{'1' * 2200},0,0,0", b=f"{'1' * 2200},0,0,0"),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import symbalg
 from symbalg import eisenstein
 from symbalg.cli import _VERBS, MAX_JSON_DEPTH, _json_text, _option_specs, _read_argv, main
-from symbalg.eisenstein import EisensteinInt, cubic_residue_symbol, factor_rational_prime, format_eisenstein
+from symbalg.eisenstein import EisensteinInt, factor_rational_prime, format_eisenstein
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MAX_SEARCH_BOUND, MILLER_RABIN_LIMIT
 
@@ -410,11 +410,23 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_args(self, args=None, namespace=None):
         namespace = super().parse_args(args, namespace)
-        # argparse reads --name=-- as no value at all, an empty list
+        # --name=-- read as no value at all, an empty list
         for name, value in vars(namespace).items():
             if value == []:
                 self.error(f"argument --{name}: expected one argument")
         return namespace
+
+
+def _dashes_as_no_value(kind):
+    """The option type kind (None for a string), except that the value
+    "--" is read as no value, an empty list.  argparse before Python 3.13
+    reads --name=-- so without calling the type; 3.13 passes "--" to it."""
+
+    def read(text):
+        return [] if text == "--" else text if kind is None else kind(text)
+
+    read.__name__ = "str" if kind is None else kind.__name__  # argparse's "invalid int value"
+    return read
 
 
 def build_parser():
@@ -431,7 +443,7 @@ def build_parser():
             verb_parser = sub.add_parser(verb)
             for name, kind, required, default in _option_specs(specs):
                 value = {"required": True} if required else {"default": default}
-                verb_parser.add_argument(f"--{name}", type=kind, **value)
+                verb_parser.add_argument(f"--{name}", type=_dashes_as_no_value(kind), **value)
     return ap
 
 
@@ -886,30 +898,30 @@ def test_each_verb_loads_only_what_it_computes_with(argv):
 @pytest.mark.parametrize("alpha", [1, 2, 3, 5, 6, 10])
 @pytest.mark.parametrize("v", [0, 1, 2, 3, 4, 6])
 def test_splitting_trace_justifies_the_efg(capsys, alpha, v):
-    """pi | alpha traces v_pi(alpha) and the symbol of the unit alpha/pi^v:
-    e = 3 when 3 does not divide v, else f = 1 exactly when that symbol
-    is trivial; alpha prime to pi traces its own symbol."""
+    """pi | alpha traces v_pi(alpha), which alone decides e = 3 when 3
+    does not divide it; else it traces the symbol of the unit alpha/pi^v
+    too, trivial exactly when f = 1; alpha prime to pi traces its own
+    symbol."""
     pi = factor_rational_prime(7).pi
     z = EisensteinInt(alpha) * pi**v
     code, env = run_cli(capsys, "--trace", "eisenstein", "splitting", f"--alpha={format_eisenstein(z)}", "--p=7")
     assert code == 0
     steps = {step["step"]: step["value"] for step in env["trace"]}
     efg = env["result"]["efg"]
-    if v:
-        assert list(steps) == ["valuation", "unit_symbol"] and steps["valuation"] == v
-    else:
-        assert list(steps) == ["cubic_symbol"]
-    symbol = steps.get("unit_symbol", steps.get("cubic_symbol"))
-    assert symbol == str(cubic_residue_symbol(EisensteinInt(alpha), factor_rational_prime(7)))
     if v % 3:
-        assert efg == [3, 1, 1]
-    else:
-        assert efg == ([1, 1, 3] if symbol == "eps^0" else [1, 3, 1])
+        assert steps == {"valuation": v} and efg == [3, 1, 1]
+        return
+    assert list(steps) == (["valuation", "unit_symbol"] if v else ["cubic_symbol"])
+    assert steps.get("valuation", 0) == v
+    symbol = steps.get("unit_symbol", steps.get("cubic_symbol"))
+    # 3 + e | e - 4, so e maps to 4 in F_7, and the symbol is alpha^2 mod 7
+    assert symbol == f"eps^{[1, 4, 2].index(alpha * alpha % 7)}"
+    assert efg == ([1, 1, 3] if symbol == "eps^0" else [1, 3, 1])
 
 
 def test_splitting_builds_its_trace_only_under_trace(capsys, monkeypatch):
-    """without --trace the verb evaluates only the symbols that
-    splitting_in_kummer itself needs"""
+    """with or without --trace the verb evaluates only the symbols that
+    splitting_in_kummer itself needs: the trace is the steps it took"""
     calls = []
     symbol = eisenstein.cubic_residue_symbol
     monkeypatch.setattr(eisenstein, "cubic_residue_symbol", lambda *args: calls.append(args) or symbol(*args))
@@ -921,7 +933,7 @@ def test_splitting_builds_its_trace_only_under_trace(capsys, monkeypatch):
         calls.clear()
         assert run_cli(capsys, *argv)[0] == 0 and len(calls) == verdict_calls
         calls.clear()
-        assert run_cli(capsys, "--trace", *argv)[1]["trace"] and len(calls) > verdict_calls
+        assert run_cli(capsys, "--trace", *argv)[1]["trace"] and len(calls) == verdict_calls
 
 
 JSON_TEXT = st.one_of(

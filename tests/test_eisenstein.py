@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -15,16 +14,15 @@ from symbalg.eisenstein import (
     EisensteinInt,
     EisensteinPrime,
     ParseError,
-    ResidueField,
     canonical_associate,
     cubic_residue_symbol,
     cyclotomic_splitting,
+    eps_image,
     factor_rational_prime,
     format_eisenstein,
     format_prime,
     parse_eisenstein,
     parse_eisenstein_fraction,
-    residue_field,
     splitting_in_kummer,
     valuation,
 )
@@ -32,12 +30,9 @@ from symbalg import intmath
 from symbalg.fields import QEPS, pair_conj_norm
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
+from residue_oracle import Residues, pair_mul
+
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
-
-
-def residue_elements(field):
-    """Every element of a residue field: an int mod p, or a (c0, c1) pair for F_p^2."""
-    return range(field.char) if field.degree == 1 else itertools.product(range(field.char), repeat=2)
 
 
 def _conjugate_prime(prime):
@@ -204,13 +199,13 @@ def test_factor_large_inert_prime_and_refusal():
 
 
 def test_prime_caches_are_bounded():
-    for cached in (factor_rational_prime, residue_field):
+    for cached in (factor_rational_prime, eps_image):
         assert cached.cache_info().maxsize == PRIME_CACHE_SIZE
-    for p in primes_below(2000):
+    for p in primes_below(4000):
         if p > 3:
-            residue_field(factor_rational_prime(p))
+            cubic_residue_symbol(EPS, factor_rational_prime(p))
     assert factor_rational_prime.cache_info().currsize == PRIME_CACHE_SIZE
-    assert residue_field.cache_info().currsize == PRIME_CACHE_SIZE
+    assert eps_image.cache_info().currsize == PRIME_CACHE_SIZE
 
 
 def test_conjugate_prime_is_the_other_orbit():
@@ -259,54 +254,51 @@ def test_canonical_associate_is_orbit_constant(z):
 
 def test_reduce_split():
     pr = factor_rational_prime(7)
-    field = residue_field(pr)
-    assert field.reduce(EPS) == 4
+    field = Residues.of(pr)
+    # e - 4 = (3 + e)(e - 1), and no other r in 0..6 has 3 + e | e - r
+    assert field.r == 4 == eps_image(pr.pi, 7)
     assert (4 * 4 + 4 + 1) % 7 == 0
-    assert field.reduce(EisensteinInt(7)) == 0
-    assert field.reduce(pr.pi) == 0
+    assert field.reduce((7, 0)) == 0 and field.reduce((3, 1)) == 0
+    for prime in _all_primes_with_norm_upto(200):
+        if prime.kind == "split":
+            assert eps_image(prime.pi, prime.p) == Residues.of(prime).r, prime
 
 
 def test_reduce_inert():
-    field = residue_field(factor_rational_prime(5))
-    assert field.reduce(EPS) == (0, 1)
-    assert field.eps_image == (0, 1)
-    # t^2 + t + 1 = 0 in F_25
-    t = field.eps_image
-    assert field.add(field.add(field.mul(t, t), t), field.one) == field.zero
+    # no r in 0..4 has 5 | e - r, so the field is F_5[e] and e is (0, 1)
+    field = Residues.of(factor_rational_prime(5))
+    assert field.r is None and field.reduce((0, 1)) == (0, 1)
+    # e^((25 - 1)/3) = e^8 = e^2, since e^3 = 1
+    assert cubic_residue_symbol(EPS, factor_rational_prime(5)) == CubicSymbol.root(2)
+    assert field.symbol((0, 1)) == 2
 
 
 def test_reduce_ramified():
-    field = residue_field(factor_rational_prime(3))
-    assert field.reduce(EisensteinInt(1, -1)) == 0
-    assert field.reduce(EPS) == 1
+    # 1 - e divides e - 1 but neither e nor e - 2, of norms 1 and 7
+    field = Residues.of(factor_rational_prime(3))
+    assert field.r == 1
+    assert field.reduce((1, -1)) == 0
 
 
 # ------------------------------------------------------ cubic residue symbol
 
 
-def _cube_set(field):
-    """Oracle: the set of cubes in the residue field, by enumeration."""
-    return {field.pow(x, 3) for x in residue_elements(field)}
-
-
 def test_symbol_two_at_split_seven():
     pr = factor_rational_prime(7)
     # cubes in F_7 are {0, 1, 6}; 2 is not one, so the symbol is nontrivial
-    assert _cube_set(residue_field(pr)) == {0, 1, 6}
+    assert Residues.of(pr).cubes() == {0, 1, 6}
     symbol = cubic_residue_symbol(EisensteinInt(2), pr)
     assert symbol == CubicSymbol.root(1)
-    # 2^2 = 4 is the chosen cube root image itself
-    assert pow(2, 2, 7) == residue_field(pr).eps_image
+    # 2^2 = 4 is the image of e itself
+    assert pow(2, 2, 7) == Residues.of(pr).r
 
 
 def test_symbol_two_at_inert_five():
     pr = factor_rational_prime(5)
-    field = residue_field(pr)
     symbol = cubic_residue_symbol(EisensteinInt(2), pr)
     assert symbol == CubicSymbol.root(0)
     # oracle: some x in F_25 cubes to 2
-    target = field.reduce(EisensteinInt(2))
-    assert any(field.pow(x, 3) == target for x in residue_elements(field))
+    assert (2, 0) in Residues.of(pr).cubes()
     assert pow(2, 8, 5) == 1
 
 
@@ -335,24 +327,24 @@ def _all_primes_with_norm_upto(bound):
 
 @pytest.mark.parametrize("prime", _all_primes_with_norm_upto(60), ids=str)
 def test_symbol_matches_cube_oracle_small(prime):
-    field = residue_field(prime)
-    cubes = _cube_set(field)
+    field = Residues.of(prime)
+    cubes = field.cubes()
     for a in range(prime.p):
-        for b in range(prime.p if prime.kind == "inert" else 1):
-            z = EisensteinInt(a, b)
-            image = field.reduce(z)
-            symbol = cubic_residue_symbol(z, prime)
+        for b in range(prime.p):
+            image = field.reduce((a, b))
+            symbol = cubic_residue_symbol(EisensteinInt(a, b), prime)
             if image == field.zero:
                 assert symbol.is_zero
             else:
                 assert symbol.is_trivial == (image in cubes)
+                assert symbol.k == field.symbol((a, b))
 
 
 @pytest.mark.parametrize("prime", _all_primes_with_norm_upto(200), ids=str)
 def test_symbol_multiplicative(prime):
-    field = residue_field(prime)
-    lift = (lambda x: EisensteinInt(x)) if field.degree == 1 else (lambda x: EisensteinInt(*x))
-    residues = [x for x in residue_elements(field) if x != field.zero]
+    field = Residues.of(prime)
+    lift = (lambda x: EisensteinInt(x)) if field.r is not None else (lambda x: EisensteinInt(*x))
+    residues = [x for x in field.elements() if x != field.zero]
     table = {x: cubic_residue_symbol(lift(x), prime) for x in residues}
     for x in residues:
         sx = table[x]
@@ -405,23 +397,25 @@ def test_splitting_reads_the_valuation_when_pi_divides_alpha():
         splitting_in_kummer(EisensteinInt(2), factor_rational_prime(3))
 
 
-def _brute_force_efg(alpha, prime, cubes):
+def _brute_force_efg(alpha, field, cubes):
     """Oracle: strip pi by exact division alpha*conj(pi)/N(pi), then ask
     whether the rest is a cube in the residue field by enumeration."""
-    n, v = prime.abs_norm, 0
+    (a, b), (c, d), v = (alpha.a, alpha.b), field.pi, 0
+    n = c * c - c * d + d * d
     while True:
-        t = alpha * prime.pi.conjugate()
-        if t.a % n or t.b % n:
+        t = pair_mul((a, b), (c - d, -d))
+        if t[0] % n or t[1] % n:
             break
-        alpha, v = EisensteinInt(t.a // n, t.b // n), v + 1
+        a, b, v = t[0] // n, t[1] // n, v + 1
     if v % 3:
         return 3, 1, 1
-    return (1, 1, 3) if residue_field(prime).reduce(alpha) in cubes else (1, 3, 1)
+    return (1, 1, 3) if field.reduce((a, b)) in cubes else (1, 3, 1)
 
 
 @pytest.mark.parametrize("prime", _all_primes_with_norm_upto(40), ids=str)
 def test_splitting_matches_cube_count_oracle(prime):
-    cubes = _cube_set(residue_field(prime))
+    field = Residues.of(prime)
+    cubes = field.cubes()
     for k in range(5):
         for a in range(-3, 4):
             for b in range(-3, 4):
@@ -429,7 +423,7 @@ def test_splitting_matches_cube_count_oracle(prime):
                 if alpha.is_zero():
                     continue
                 data = splitting_in_kummer(alpha, prime)
-                assert (data.e, data.f, data.g) == _brute_force_efg(alpha, prime, cubes), (k, a, b)
+                assert (data.e, data.f, data.g) == _brute_force_efg(alpha, field, cubes), (k, a, b)
 
 
 @pytest.mark.parametrize("prime", _all_primes_with_norm_upto(60), ids=str)
@@ -521,11 +515,12 @@ def test_prime_dataclass_validation():
 
 
 def test_residue_field_validation():
-    assert ResidueField(7, 1, 2).eps_image == 2
+    assert eps_image(EisensteinInt(3, 1), 7) == 4
+    # -1/1 = 6 mod 7 and 6^2 + 6 + 1 = 43 is not 0 mod 7: 1 + e lies above no 7
+    with pytest.raises(ValueError, match="not a prime above 7"):
+        eps_image(EisensteinInt(1, 1), 7)
     with pytest.raises(ValueError):
-        ResidueField(7, 1, 3)  # 3^2 + 3 + 1 = 13 is not 0 mod 7
-    with pytest.raises(ValueError):
-        ResidueField(5, 2, (1, 0))
+        eps_image(EisensteinInt(7), 7)
 
 
 def test_is_prime_helper():

@@ -9,7 +9,6 @@ from symbalg.eisenstein import (
     EisensteinInt,
     cubic_residue_symbol,
     factor_rational_prime,
-    residue_field,
 )
 from symbalg.intmath import primes_below
 from symbalg.local import (
@@ -24,6 +23,8 @@ from symbalg.local import (
     report_split_prime_power,
     residual_degree,
 )
+
+from residue_oracle import Residues
 
 PI7 = factor_rational_prime(7)
 PI5 = factor_rational_prime(5)
@@ -135,10 +136,8 @@ def test_split_power_report_case_one():
 
 
 def test_split_power_report_p13_case_from_oracle():
-    prime = factor_rational_prime(13)
-    field = residue_field(prime)
-    image = field.reduce(EisensteinInt(2))
-    is_cube = any(field.pow(x, 3) == image for x in range(13))  # 13 splits: the field is F_13
+    # 13 splits: the field is F_13, where 2 is a cube exactly when some x has x^3 = 2
+    is_cube = 2 in Residues.of(factor_rational_prime(13)).cubes()
     report = report_split_prime_power(EisensteinInt(2), 13, 1)
     assert report["case"] == ("3.3-2" if is_cube else "3.3-1")
     assert report["verdict"] == "split"
@@ -167,20 +166,9 @@ def test_non_rational_alpha_at_inert_prime_is_reported_honestly():
     # a generator-like residue can have a nontrivial symbol at an inert
     # prime; the classifier must surface it and still conclude split for
     # beta = p^(3l)
-    prime = factor_rational_prime(5)
-    field = residue_field(prime)
-    nontrivial = None
-    for a in range(5):
-        for b in range(5):
-            z = EisensteinInt(a, b)
-            if field.reduce(z) == field.zero:
-                continue
-            if not cubic_residue_symbol(z, prime).is_trivial:
-                nontrivial = z
-                break
-        if nontrivial:
-            break
-    assert nontrivial is not None
+    field = Residues.of(factor_rational_prime(5))
+    cubes = field.cubes()
+    nontrivial = next(EisensteinInt(*z) for z in field.elements() if z not in cubes)
     spec = power_spec(nontrivial, 5, 1)
     report = classify_report(spec)
     assert report["symbol"] != "eps^0"

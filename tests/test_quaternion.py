@@ -231,7 +231,7 @@ def test_search_finds_witness_13():
     witness = norm_form_zero_search(alg, 5)
     assert witness is not None
     assert witness.norm().is_zero()
-    ints = [c.as_rational() for c in witness.coords]
+    ints = [c.c0 for c in witness.coords]
     assert math.gcd(*(int(v) for v in ints)) == 1
 
 
@@ -273,7 +273,7 @@ def test_search_is_deterministic_lex_smallest():
     ]:
         alg = QuaternionAlgebra(QQ, QQ.lift(alpha), QQ.lift(beta))
         witness = norm_form_zero_search(alg, bound)
-        coords = None if witness is None else tuple(int(c.as_rational()) for c in witness.coords)
+        coords = None if witness is None else tuple(int(c.c0) for c in witness.coords)
         assert coords == _first_isotropic_oracle(alpha, beta, bound), (alpha, beta, bound)
         assert norm_form_zero_search(alg, bound) == witness
 
@@ -287,7 +287,7 @@ def test_search_matches_quartic_oracle_on_small_grid():
             alg = QuaternionAlgebra(QQ, QQ.lift(alpha), QQ.lift(beta))
             for bound in (1, 2, 3):
                 witness = norm_form_zero_search(alg, bound)
-                coords = None if witness is None else tuple(int(c.as_rational()) for c in witness.coords)
+                coords = None if witness is None else tuple(int(c.c0) for c in witness.coords)
                 assert coords == _first_isotropic_oracle(alpha, beta, bound), (alpha, beta, bound)
 
 
@@ -354,7 +354,7 @@ def _fraction_path_search(alg, bound):
     moved to intmath: the set S, the emptiness proof, the lexicographic
     scan, the partners solved per x2 and the primitivity gcd, with the
     witness built as a Quaternion and checked by its norm."""
-    a, b = (int(v.as_rational()) for v in (alg.alpha, alg.beta))
+    a, b = (int(v.c0) for v in (alg.alpha, alg.beta))
     squares = [x * x for x in range(bound + 1)]
     values = {x - a * y for x in squares for y in squares}
     if not (a > 0 and math.isqrt(a) ** 2 == a):
@@ -393,7 +393,7 @@ def test_integer_core_matches_the_fraction_path(a, b, bound):
     alg = QuaternionAlgebra(QQ, QQ.lift(a), QQ.lift(b))
     expected = _fraction_path_search(alg, bound)
     assert norm_form_zero_search(alg, bound) == expected
-    coords = None if expected is None else tuple(int(c.as_rational()) for c in expected.coords)
+    coords = None if expected is None else tuple(int(c.c0) for c in expected.coords)
     assert intmath.isotropic_vector(a, b, bound) == coords
 
 

@@ -30,8 +30,6 @@ NEVER_CALLED = {
     "cli._escape": "writes the characters JSON escapes, which no replayed output holds",
     "cli._usage": "the usage line that -h and --help print",
     "quaternion.norm_form_zero_search": "the search on an algebra, which the traced cli probe times",
-    "quaternion._integer_invariant": "reads alpha and beta for norm_form_zero_search",
-    "fields.FieldElement.as_rational": "reads alpha and beta for norm_form_zero_search",
 }
 
 

@@ -9,10 +9,9 @@ from symbalg.eisenstein import (
     CubicSymbol,
     EisensteinInt,
     EisensteinPrime,
-    ResidueField,
     SplittingData,
+    eps_image,
     factor_rational_prime,
-    residue_field,
 )
 from symbalg.fields import QEPS, QQ, FieldDescriptor, FieldElement, Record
 from symbalg.local import ArtinSymbolResult, LocalAlgebraSpec, NormCertificate, Verdict
@@ -34,7 +33,6 @@ FACTORIES = {
     FieldElement: lambda: FieldElement(QEPS, Fraction(1, 2), 3),
     EisensteinInt: lambda: EisensteinInt(3, 1),
     EisensteinPrime: lambda: EisensteinPrime(EisensteinInt(3, 1), "split", 7, EisensteinInt(2, -1), 7),
-    ResidueField: lambda: ResidueField(7, 1, 2),
     CubicSymbol: lambda: CubicSymbol(1),
     SplittingData: lambda: SplittingData(1, 3, 1),
     QuaternionAlgebra: lambda: QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7)),
@@ -140,7 +138,7 @@ def test_construction_validates():
 
 def test_prime_caches_hit_on_equal_records():
     factor_rational_prime.cache_clear()
-    residue_field.cache_clear()
+    eps_image.cache_clear()
     prime = factor_rational_prime(7)
     assert factor_rational_prime(7) is prime
     assert factor_rational_prime.cache_info().hits == 1
@@ -148,7 +146,7 @@ def test_prime_caches_hit_on_equal_records():
         EisensteinInt(prime.pi.a, prime.pi.b), prime.kind, prime.p,
         EisensteinInt(prime.conjugate.a, prime.conjugate.b), prime.abs_norm,
     )
-    field = residue_field(prime)
-    assert residue_field(twin) is field and residue_field(prime) is field
-    assert residue_field.cache_info().hits == 2
+    r = eps_image(prime.pi, prime.p)
+    assert eps_image(twin.pi, twin.p) == r and eps_image(prime.pi, prime.p) == r
+    assert eps_image.cache_info().hits == 2
     assert LocalAlgebraSpec(EisensteinInt(2), EisensteinInt(7), ONE, twin).prime == prime
