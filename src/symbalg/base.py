@@ -21,15 +21,17 @@ class ParseError(ValueError):
 
 class Record:
     """Immutable record built from its fields, given positionally in the
-    order of ``__slots__``; equal by type and fields."""
+    order of ``__slots__``; equal by type and fields.  A slot named "_..." is
+    derived from the fields in ``__post_init__``, and not given or compared."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._key = operator.attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = operator.attrgetter(*cls._fields)
 
     def __init__(self, *args):
-        names = self.__slots__
+        names = self._fields
         if len(args) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
         for name, value in zip(names, args):
@@ -55,7 +57,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
 
 def _reduced(num: int, den: int):

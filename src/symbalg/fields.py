@@ -9,7 +9,10 @@ grammar prints the quadratic generator as ``w``, e.g. ``3+1*w``.
 over the rationals or over the integers of ``linalg``.  ``symbol_product``
 is the one product of the algebras built on the field: the symbol algebra
 of degree n, of which the quaternion algebra is the case n = 2, zeta = -1.
-They do no ``Fraction`` work on a zero known in advance: ``pair_mul``
+It twists each left coefficient by powers of zeta, with no product when
+zeta is -1 or a root of unity of Q(e), and multiplies by alpha and beta
+once per output bin, on the ``symbol_constants`` each algebra builds once.
+Nothing does ``Fraction`` work on a zero known in advance: ``pair_mul``
 multiplies by no zero t-part, and the running sums ``pair_add`` and
 ``pair_sub`` take a first term as it is and add no zero t-part.
 """
@@ -230,63 +233,57 @@ def parse_element(desc: FieldDescriptor, text: str) -> FieldElement:
     return FieldElement(desc, Fraction(*c0), Fraction(*c1))
 
 
-def _symbol_shape(n: int):
-    """Entry [p][q] for the basis monomials p = i*n + j and q = k*n + l is
-    (r, s): x^i y^j * x^k y^l is the monomial r = ((i+k) mod n)*n + (j+l) mod n
-    times zeta^e alpha^a beta^b, which is entry s = (e*2 + a)*2 + b of
-    ``symbol_scales``, with e = j*k mod n, a = (i+k) div n, b = (j+l) div n."""
-    return tuple(
-        tuple(
-            ((i + k) % n * n + (j + l) % n, (j * k % n * 2 + (i + k) // n) * 2 + (j + l) // n)
-            for k in range(n)
-            for l in range(n)
-        )
-        for i in range(n)
-        for j in range(n)
-    )
-
-
-# the shape of the product depends on the degree alone
-SYMBOL_SHAPES = {n: _symbol_shape(n) for n in (2, 3)}
-
-
-def symbol_scales(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement):
-    """The pairs zeta^e alpha^a beta^b, at index (e*2 + a)*2 + b for e < n
-    and a, b in {0, 1}: each run of four is the one before times zeta."""
+def symbol_constants(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement):
+    """What every product in the symbol algebra of degree n reads, built once
+    per algebra: u and w; the twists p -> p*zeta^e at index e < n (None at 0),
+    without a product when zeta is -1 or t or t^2 in Q(e); and the scales
+    beta, alpha, alpha*beta at index a*2 + b for a, b in {0, 1} (None at 0)."""
     u, w = zeta.desc.u, zeta.desc.w
-    a, b = (alpha.c0, alpha.c1), (beta.c0, beta.c1)
     z = (zeta.c0, zeta.c1)
-    scales = [(Fraction(1), Fraction(0)), b, a, pair_mul(a, b, u, w)]
-    for _ in range(n - 1):
-        scales += [pair_mul(z, c, u, w) for c in scales[-4:]]
-    return scales
+    if z == (-1, 0):
+        twists = (None, lambda p: (-p[0], -p[1] if p[1] else p[1]))
+    elif (u, w) == (1, 1):  # zeta is t or t^2 = -1 - t: additions, none of a zero part
+        times_t = lambda p: (-p[1], p[0] - p[1] if p[0] else -p[1]) if p[1] else (p[1], p[0])
+        times_t2 = lambda p: (p[1] - p[0] if p[1] else -p[0], -p[0]) if p[0] else (p[1], p[0])
+        twists = (None, times_t, times_t2) if z == (0, 1) else (None, times_t2, times_t)
+    else:  # a cube root of unity on another generator, as (-1 + t)/2 in Q(sqrt -3)
+        z2 = pair_mul(z, z, u, w)
+        twists = (None, lambda p: pair_mul(p, z, u, w), lambda p: pair_mul(p, z2, u, w))
+    a, b = (alpha.c0, alpha.c1), (beta.c0, beta.c1)
+    return u, w, twists, (None, b, a, pair_mul(a, b, u, w))
 
 
-def symbol_product(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement, left, right):
-    """The product in the symbol algebra of degree n generated by x, y with
-    x^n = alpha, y^n = beta, y*x = zeta*x*y:
-
-        (x^i y^j)(x^k y^l) = zeta^(j*k) * alpha^((i+k) div n)
-                             * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
-
-    extended bilinearly.  Both factors and the result are lists of n*n
-    field elements over the monomials x^i y^j in (i, j)-lexicographic order.
-    """
-    desc = zeta.desc
-    u, w = desc.u, desc.w
-    scales = symbol_scales(n, zeta, alpha, beta)
-    ys = [(y.c0, y.c1) if y.c0 or y.c1 else None for y in right]
-    acc = [None] * (n * n)
-    for x, row in zip(left, SYMBOL_SHAPES[n]):
+def symbol_product(constants, left, right):
+    """The product in the symbol algebra of degree n with x^n = alpha,
+    y^n = beta, y*x = zeta*x*y, on its ``symbol_constants``, of lists of the
+    n*n coefficients of x^i y^j in (i, j)-lexicographic order.  Row i holds
+    P_i in u = sum_i x^i P_i(y), and P(y) x^k = x^k P(zeta^k y), so each
+    nonzero left coefficient is twisted by zeta^(j*k) once per k; the term
+    products are summed into unreduced bins [i+k][j+l], and each bin of
+    y-degree n or more is folded n lower by one product with beta, then each
+    of x-degree n or more by one with alpha."""
+    u, w, twists, scales = constants
+    n = len(twists)
+    m = 2 * n - 1
+    # the nonzero (l, coefficient) of each Q_k
+    rights = [[(l, (y.c0, y.c1)) for l, y in enumerate(right[k * n:k * n + n]) if y.c0 or y.c1]
+              for k in range(n)]
+    bins = [None] * (m * m)  # bin [I][J] at I*m + J
+    for index, x in enumerate(left):
         if not (x.c0 or x.c1):
             continue
-        xp = (x.c0, x.c1)
-        for (r, s), y in zip(row, ys):
-            if y is None:
-                continue
-            term = pair_mul(xp, y, u, w)
-            if s:
-                term = pair_mul(term, scales[s], u, w)
-            acc[r] = pair_add(acc[r], term)
-    zero = desc.zero()
-    return [zero if pair is None else FieldElement(desc, *pair) for pair in acc]
+        i, j = divmod(index, n)
+        for k, row in enumerate(rights):
+            p = twists[j * k % n]((x.c0, x.c1)) if j * k % n and row else (x.c0, x.c1)
+            for l, y in row:
+                r = (i + k) * m + j + l
+                bins[r] = pair_add(bins[r], pair_mul(p, y, u, w))
+    # top down, each bin has all its terms before it is folded
+    for r in range(m * m - 1, n - 1, -1):
+        big_i, big_j = divmod(r, m)
+        if bins[r] is not None and (big_i >= n or big_j >= n):
+            to, scale = (r - n, scales[1]) if big_j >= n else (r - n * m, scales[2])
+            bins[to] = pair_add(bins[to], pair_mul(bins[r], scale, u, w))
+    desc = left[0].desc
+    out = [bins[i * m + j] for i in range(n) for j in range(n)]
+    return [desc.zero() if pair is None else FieldElement(desc, *pair) for pair in out]

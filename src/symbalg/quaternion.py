@@ -12,18 +12,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, QSQRT3, FieldElement, Record, pair_add, pair_mul, pair_sub, symbol_product
+from .fields import (
+    QQ, QSQRT3, FieldElement, Record, pair_add, pair_mul, pair_sub, symbol_constants, symbol_product
+)
 from .intmath import check_search_bound, cornacchia, is_prime, isotropic_vector
 
 
 class QuaternionAlgebra(Record):
-    __slots__ = ("desc", "alpha", "beta")
+    __slots__ = ("desc", "alpha", "beta", "_constants")
 
     def __post_init__(self):
         if self.alpha.desc != self.desc or self.beta.desc != self.desc:
             raise ValueError("alpha and beta must live in the base field")
         if self.alpha.is_zero() or self.beta.is_zero():
             raise ValueError("alpha and beta must be nonzero")
+        object.__setattr__(self, "_constants", symbol_constants(2, self.desc.lift(-1), self.alpha, self.beta))
 
     def element(self, x0, x1, x2, x3) -> "Quaternion":
         lift = lambda v: v if isinstance(v, FieldElement) else self.desc.lift(v)
@@ -50,8 +53,7 @@ class Quaternion(Record):
         self._check(other)
         alg = self.algebra
         x0, x2, x1, x3 = symbol_product(
-            2, alg.desc.lift(-1), alg.alpha, alg.beta,
-            [self.x0, self.x2, self.x1, self.x3], [other.x0, other.x2, other.x1, other.x3],
+            alg._constants, [self.x0, self.x2, self.x1, self.x3], [other.x0, other.x2, other.x1, other.x3]
         )
         return Quaternion(alg, x0, x1, x2, x3)
 
@@ -65,17 +67,14 @@ class Quaternion(Record):
         """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2, summed over the
         nonzero coordinates; no known zero is multiplied or added."""
         alg = self.algebra
-        u, w = alg.desc.u, alg.desc.w
-        a, b = (alg.alpha.c0, alg.alpha.c1), (alg.beta.c0, alg.beta.c1)
+        u, w, _, (_, beta, alpha, alpha_beta) = alg._constants
         total = None
-        for x, scales, add in zip(
-            self.coords, ((), (a,), (b,), (a, b)), (pair_add, pair_sub, pair_sub, pair_add)
+        for x, scale, add in zip(
+            self.coords, (None, alpha, beta, alpha_beta), (pair_add, pair_sub, pair_sub, pair_add)
         ):
             if x.c0 or x.c1:
                 term = pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w)
-                for scale in scales:
-                    term = pair_mul(term, scale, u, w)
-                total = add(total, term)
+                total = add(total, pair_mul(term, scale, u, w) if scale else term)
         return alg.desc.zero() if total is None else FieldElement(alg.desc, *total)
 
 

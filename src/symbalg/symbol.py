@@ -2,15 +2,12 @@
 
 Generated by x, y with x^n = alpha, y^n = beta and y*x = zeta*x*y, for a
 primitive n-th root of unity zeta in the base field.  Elements are n x n
-coefficient grids over the basis x^i y^j; multiplication is
-``fields.symbol_product``, which extends
-
-    (x^i y^j)(x^k y^l) = zeta^(j*k) * alpha^((i+k) div n)
-                         * beta^((j+l) div n) * x^((i+k) mod n) y^((j+l) mod n)
-
-bilinearly, the unique rule consistent with the three relations.  Degree 3
-over the cube-root field carries an explicit 3 x 3 matrix model, computed on
-monomial matrices, that turns non-division claims into concrete zero divisors.
+coefficient grids over the basis x^i y^j, row i the coefficients of P_i in
+sum_i x^i P_i(y).  The relations give P(y) x^k = x^k P(zeta^k y), and so
+the product, which ``fields.symbol_product`` computes on constants each
+algebra builds once.  Degree 3 over the cube-root field carries an explicit
+3 x 3 matrix model, computed on monomial matrices, that turns non-division
+claims into concrete zero divisors.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import (
-    SYMBOL_SHAPES,
     FieldElement,
     ParseError,
     Record,
@@ -26,13 +22,13 @@ from .fields import (
     pair_add,
     pair_mul,
     parse_element,
+    symbol_constants,
     symbol_product,
-    symbol_scales,
 )
 
 
 class SymbolAlgebra(Record):
-    __slots__ = ("desc", "n", "zeta", "alpha", "beta")
+    __slots__ = ("desc", "n", "zeta", "alpha", "beta", "_constants")
 
     def __post_init__(self):
         if self.n < 2:
@@ -47,6 +43,7 @@ class SymbolAlgebra(Record):
         one = self.desc.one()
         if self.zeta ** self.n != one or any(self.zeta ** k == one for k in range(1, self.n)):
             raise ValueError("zeta must be a primitive n-th root of unity")
+        object.__setattr__(self, "_constants", symbol_constants(self.n, self.zeta, self.alpha, self.beta))
 
     def element(self, grid) -> "SymbolElement":
         rows = []
@@ -99,7 +96,7 @@ class SymbolElement(Record):
         self._check(other)
         alg = self.algebra
         n = alg.n
-        flat = symbol_product(n, alg.zeta, alg.alpha, alg.beta, self.flat(), other.flat())
+        flat = symbol_product(alg._constants, self.flat(), other.flat())
         return SymbolElement(alg, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
 
     def flat(self) -> list[FieldElement]:
@@ -210,19 +207,24 @@ def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]
 
 def left_regular_matrix(u: SymbolElement):
     """Matrix of v -> u*v in the (i, j)-lexicographic basis; singular
-    exactly when u is zero or a left zero divisor.  Column q is u times the
-    q-th monomial: each coefficient of u moved to the index of its product
-    with that monomial and multiplied by its structure constant."""
+    exactly when u is zero or a left zero divisor.  Column k*n + l is u times
+    x^k y^l: the coefficient of x^i y^j, twisted by zeta^(j*k), moves to
+    x^((i+k) mod n) y^((j+l) mod n), times alpha when i + k >= n and beta
+    when j + l >= n."""
     alg = u.algebra
     n, desc = alg.n, alg.desc
-    pu, pw = desc.u, desc.w
-    scales = symbol_scales(n, alg.zeta, alg.alpha, alg.beta)
+    pu, pw, twists, scales = alg._constants
     matrix = [[desc.zero()] * (n * n) for _ in range(n * n)]
-    for c, row in zip(u.flat(), SYMBOL_SHAPES[n]):
+    for index, c in enumerate(u.flat()):
         if c.is_zero():
             continue
-        for q, (r, s) in enumerate(row):
-            matrix[r][q] = FieldElement(desc, *pair_mul((c.c0, c.c1), scales[s], pu, pw)) if s else c
+        i, j = divmod(index, n)
+        for k in range(n):
+            p = twists[j * k % n]((c.c0, c.c1)) if j * k % n else (c.c0, c.c1)
+            for l in range(n):
+                s = scales[(i + k >= n) * 2 + (j + l >= n)]
+                entry = pair_mul(p, s, pu, pw) if s else p
+                matrix[(i + k) % n * n + (j + l) % n][k * n + l] = FieldElement(desc, *entry)
     return matrix
 
 

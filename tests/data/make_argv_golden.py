@@ -74,6 +74,9 @@ ARGVS += [
     _argv("symbol", "mul", alpha="1+1*w", beta="-2/3*w", u=EPS_V, v=EPS_U),
     _argv("symbol", "mul", alpha="-1", beta="1", zeta="-1-1*w", u=EPS_U, v=EPS_SPARSE),
     _argv("symbol", "mul", n=3, alpha="5/2", beta="3*w", u=EPS_SPARSE, v=EPS_SPARSE),
+    # Q(sqrt -3) holds the cube roots of unity (-1 +- w)/2 on a generator other than e
+    _argv("symbol", "mul", field="qsqrt:-3", n=3, zeta="-1/2+1/2*w", alpha="2", beta="1-1*w", u=EPS_U, v=EPS_V),
+    _argv("symbol", "mul", field="qsqrt:-3", n=3, zeta="-1/2-1/2*w", alpha="-3/2*w", beta="5", u=EPS_V, v=EPS_U),
     _argv("symbol", "relations", field="q", n=2, alpha="-1", beta="7"),
     _argv("symbol", "relations", field="qsqrt:-5", n=2, alpha="w", beta="2/3"),
     _argv("symbol", "relations", alpha="2", beta="1+1*w"),

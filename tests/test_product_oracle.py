@@ -108,14 +108,24 @@ def sparse_cells(draw, desc, count):
     return [draw(st.one_of(st.just(ZERO), coefficient(desc))) for _ in range(count)]
 
 
+# the primitive cube roots of unity of the fields of degree-3 cases: t and
+# t^2 = -1 - t in Q(e), which the kernel applies by additions, and
+# (-1 +- t)/2 in Q(sqrt -3), which it applies by products
+CUBE_ROOTS = {
+    "Q(e), n = 3": (QEPS, [(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(-1))]),
+    "Q(sqrt -3), n = 3": (sqrt_field(-3), [(Fraction(-1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(-1, 2))]),
+}
+
+
 @st.composite
 def symbol_case(draw):
     """(desc, n, zeta, alpha, beta, algebra): degree 2 over the five fields
-    and degree 3 over Q(e), with either primitive cube root as zeta."""
-    name = draw(st.sampled_from([*FIELDS, "Q(e), n = 3"]))
-    if name == "Q(e), n = 3":
-        desc, n = QEPS, 3
-        zeta = draw(st.sampled_from([(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(-1))]))
+    and degree 3 over Q(e) and Q(sqrt -3), with either primitive cube root
+    as zeta."""
+    name = draw(st.sampled_from([*FIELDS, *CUBE_ROOTS]))
+    if name in CUBE_ROOTS:
+        (desc, roots), n = CUBE_ROOTS[name], 3
+        zeta = draw(st.sampled_from(roots))
     else:
         desc, n, zeta = FIELDS[name], 2, (Fraction(-1), Fraction(0))
     alpha, beta = draw(invariant(desc)), draw(invariant(desc))

@@ -118,6 +118,7 @@ def test_positional_construction():
         lambda: CubicSymbol(j=1),  # no such field
         lambda: SplitVerdict("split", kind="split"),  # a field given twice
         lambda: EisensteinInt(1, a=2),
+        lambda: QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7), None),  # _constants is derived, not given
     ],
 )
 def test_bad_construction_raises_type_error(build):

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from symbalg import linalg, symbol
-from symbalg.fields import QEPS, QQ, ParseError
+from symbalg import fields, linalg, quaternion, symbol
+from symbalg.fields import QEPS, QQ, ParseError, pair_mul
+from symbalg.quaternion import QuaternionAlgebra
 from symbalg.symbol import (
     SymbolAlgebra,
     element_from_json,
@@ -93,6 +94,35 @@ def test_distributivity_random():
     for _ in range(40):
         u, v, w = (_rand_element(rng, alg) for _ in range(3))
         assert u * (v + w) == u * v + u * w
+
+
+@pytest.mark.parametrize(
+    "kind, products",
+    [("symbol n=3 over Q(e)", 97), ("quaternion over Q(e)", 21)],
+)
+def test_pair_products_of_one_dense_product(monkeypatch, kind, products):
+    """One product of two elements with every coefficient c0 + c1*w nonzero
+    in both parts: a term product per pair of coefficients, and one product
+    by alpha or beta per folded bin (n = 3: 81 + 16; n = 2: 16 + 5); the
+    twists by zeta in Q(e) and by -1 take none."""
+    rng = random.Random(17)
+    coefficient = lambda: QEPS.element(Fraction(rng.randint(1, 9), rng.randint(1, 4)), rng.randint(1, 9))
+    if kind.startswith("symbol"):
+        alg = cubic(QEPS.element(2, 1), QEPS.element(-1, 3))
+        u, v = (alg.element([[coefficient() for _ in range(3)] for _ in range(3)]) for _ in range(2))
+    else:
+        alg = QuaternionAlgebra(QEPS, QEPS.element(2, 1), QEPS.element(-1, 3))
+        u, v = (alg.element(*(coefficient() for _ in range(4))) for _ in range(2))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pair_mul(*args)
+
+    for module in (fields, symbol, quaternion):
+        monkeypatch.setattr(module, "pair_mul", counted)
+    u * v
+    assert len(calls) == products
 
 
 # ------------------------------------------------------------- matrix model
