@@ -82,8 +82,9 @@ class EisensteinInt(Record):
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # no square past the last bit
+                base = base * base
         return result
 
     def __divmod__(self, other):

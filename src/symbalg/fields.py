@@ -197,20 +197,6 @@ class FieldElement(Record):
         (c0, c1), n = pair_conj_norm((self.c0, self.c1), self.desc.u, self.desc.w)
         return FieldElement(self.desc, c0 / n, c1 / n)
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inv() ** (-k)
-        result = self.desc.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __str__(self):
         return format_element(self)
 

@@ -6,8 +6,8 @@ coefficient grids over the basis x^i y^j, row i the coefficients of P_i in
 sum_i x^i P_i(y).  The relations give P(y) x^k = x^k P(zeta^k y), and so
 the product, which ``fields.symbol_product`` computes on constants each
 algebra builds once.  Degree 3 over the cube-root field carries an explicit
-3 x 3 matrix model, computed on monomial matrices, that turns non-division
-claims into concrete zero divisors.
+3 x 3 matrix model, computed on monomial matrices of coefficient pairs,
+that turns non-division claims into concrete zero divisors.
 """
 
 from __future__ import annotations
@@ -40,8 +40,14 @@ class SymbolAlgebra(Record):
                 raise ValueError(f"{name} must live in the base field")
         if self.alpha.is_zero() or self.beta.is_zero():
             raise ValueError("alpha and beta must be nonzero")
-        one = self.desc.one()
-        if self.zeta ** self.n != one or any(self.zeta ** k == one for k in range(1, self.n)):
+        # zeta is a root of the n-th cyclotomic polynomial: z = -1, or z^2 + z + 1 = 0
+        z0, z1 = self.zeta.c0, self.zeta.c1
+        if self.n == 2:
+            primitive = z0 == -1 and z1 == 0
+        else:
+            s0, s1 = pair_mul((z0, z1), (z0, z1), self.desc.u, self.desc.w)
+            primitive = s0 + z0 + 1 == 0 and s1 + z1 == 0
+        if not primitive:
             raise ValueError("zeta must be a primitive n-th root of unity")
         object.__setattr__(self, "_constants", symbol_constants(self.n, self.zeta, self.alpha, self.beta))
 
@@ -122,12 +128,10 @@ def verify_relations(alg: SymbolAlgebra) -> bool:
     )
 
 
-def _sign_unit(value: FieldElement):
+def _sign_unit(value: FieldElement) -> Fraction:
     """The rational cube root of alpha when alpha is 1 or -1."""
-    if value == value.desc.one():
-        return 1
-    if value == -value.desc.one():
-        return -1
+    if value.c1 == 0 and abs(value.c0) == 1:
+        return value.c0
     raise ValueError("only alpha, beta in {-1, 1} admit the diagonal matrix model")
 
 
@@ -135,7 +139,7 @@ class MatrixRep(Record):
     """3 x 3 matrix model: x -> X = c*diag(1, zeta, zeta^2), y -> c'*P for
     the cyclic permutation P, extended linearly over the basis x^i y^j."""
 
-    # images[i][j] = X^i Y^j as the monomial matrix (shift, diagonal) of _monomial_mul
+    # images[i][j] = X^i Y^j as the monomial matrix (shift, diagonal of pairs) of _monomial_mul
     __slots__ = ("algebra", "images")
 
     def apply(self, element: SymbolElement):
@@ -151,36 +155,43 @@ class MatrixRep(Record):
                 cp = (c.c0, c.c1)
                 for r, e in enumerate(diag):
                     s = (r + j) % 3
-                    out[r][s] = pair_add(out[r][s], pair_mul((e.c0, e.c1), cp, u, w))
+                    out[r][s] = pair_add(out[r][s], pair_mul(e, cp, u, w))
         zero = desc.zero()
         return [[zero if entry is None else FieldElement(desc, *entry) for entry in row] for row in out]
 
 
-def _monomial_mul(a, b):
-    """Product of 3 x 3 monomial matrices (j, d), where (j, d) has the entry
-    d[r] in row r, column (r + j) mod 3 and zeros elsewhere: 3 field products."""
+def _monomial_mul(a, b, u, w):
+    """Product of 3 x 3 monomial matrices (j, d) over Q[t]/(t^2 + u*t + w),
+    where (j, d) has the pair d[r] in row r, column (r + j) mod 3 and zeros
+    elsewhere: 3 pair products."""
     ja, da = a
     jb, db = b
-    return (ja + jb) % 3, tuple(da[r] * db[(r + ja) % 3] for r in range(3))
+    return (ja + jb) % 3, tuple(pair_mul(da[r], db[(r + ja) % 3], u, w) for r in range(3))
 
 
 def matrix_generators(alg: SymbolAlgebra) -> MatrixRep:
     if alg.n != 3:
         raise ValueError("the matrix model is built for degree 3")
-    desc, z, one = alg.desc, alg.zeta, alg.desc.one()
-    c, c2 = desc.lift(_sign_unit(alg.alpha)), desc.lift(_sign_unit(alg.beta))
-    x_mat = (0, (c, z * c, z * z * c))
-    y_mat = (1, (c2, c2, c2))  # c' times the cyclic P
-    ident = (0, (one, one, one))
-    x_pows = [ident, x_mat, _monomial_mul(x_mat, x_mat)]
-    y_pows = [ident, y_mat, _monomial_mul(y_mat, y_mat)]
+    u, w = alg.desc.u, alg.desc.w
+    zero, z = Fraction(0), (alg.zeta.c0, alg.zeta.c1)
+    c, c2 = _sign_unit(alg.alpha), _sign_unit(alg.beta)
+
+    def mul(a, b):
+        return _monomial_mul(a, b, u, w)
+
+    cz = (c * z[0], c * z[1])
+    x_mat = (0, ((c, zero), cz, pair_mul(cz, z, u, w)))
+    y_mat = (1, ((c2, zero),) * 3)  # c' times the cyclic P
+    ident = (0, ((Fraction(1), zero),) * 3)
+    x_pows = [ident, x_mat, mul(x_mat, x_mat)]
+    y_pows = [ident, y_mat, mul(y_mat, y_mat)]
     if not (
-        _monomial_mul(x_pows[2], x_mat) == (0, (alg.alpha,) * 3)
-        and _monomial_mul(y_pows[2], y_mat) == (0, (alg.beta,) * 3)
-        and _monomial_mul(y_mat, x_mat) == _monomial_mul((0, (z, z, z)), _monomial_mul(x_mat, y_mat))
+        mul(x_pows[2], x_mat) == (0, ((alg.alpha.c0, alg.alpha.c1),) * 3)
+        and mul(y_pows[2], y_mat) == (0, ((alg.beta.c0, alg.beta.c1),) * 3)
+        and mul(y_mat, x_mat) == mul((0, (z, z, z)), mul(x_mat, y_mat))
     ):
         raise ArithmeticError("matrix model violates the defining relations")
-    images = tuple(tuple(_monomial_mul(xi, yj) for yj in y_pows) for xi in x_pows)
+    images = tuple(tuple(mul(xi, yj) for yj in y_pows) for xi in x_pows)
     return MatrixRep(alg, images)
 
 

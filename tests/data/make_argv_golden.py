@@ -233,6 +233,16 @@ ARGVS += [
 ]
 
 
+# the root test's refusals: a zeta that is no primitive n-th root of unity
+# in its field, for n = 2 and for n = 3 over Q(e) and Q(sqrt -3)
+ARGVS += [
+    _argv("symbol", "relations", n=2, zeta="w", alpha="2", beta="7"),
+    _argv("symbol", "relations", n=3, zeta="1", alpha="2", beta="7"),
+    _argv("symbol", "relations", n=3, zeta="-1", alpha="2", beta="7"),
+    _argv("symbol", "relations", field="qsqrt:-3", n=3, zeta="1/2+1/2*w", alpha="2", beta="7"),
+]
+
+
 def record(argv) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -76,6 +76,26 @@ def test_divrem_examples():
     assert q * EisensteinInt(2) == EisensteinInt(5) - r
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 300, 511, 512])
+def test_power_multiplies_popcount_plus_bit_length_minus_one_times(monkeypatch, k):
+    """Square and multiply squares only while bits of k remain, so that
+    pi ** k takes popcount(k) + bit_length(k) - 1 products (none for k = 0)."""
+    pi = factor_rational_prime(7).pi
+    expected = ONE
+    for _ in range(k):
+        expected = expected * pi
+    exact = EisensteinInt.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return exact(self, other)
+
+    monkeypatch.setattr(EisensteinInt, "__mul__", counting)
+    assert pi ** k == expected
+    assert len(calls) == (bin(k).count("1") + k.bit_length() - 1 if k else 0)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod(ONE, EisensteinInt(0))

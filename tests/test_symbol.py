@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symbalg import fields, linalg, quaternion, symbol
-from symbalg.fields import QEPS, QQ, ParseError, pair_mul
+from symbalg.fields import QEPS, QQ, ParseError, pair_mul, sqrt_field
 from symbalg.quaternion import QuaternionAlgebra
 from symbalg.symbol import (
     SymbolAlgebra,
@@ -157,6 +157,68 @@ def test_matrix_relations(alpha, beta):
     assert mat_mul(y, x) == mat_scale(mat_mul(x, y), alg.zeta)
 
 
+QSQRT_M3 = sqrt_field(-3)
+
+
+def _is_primitive_root(zeta, n):
+    """zeta^n = 1 and zeta^k != 1 for 0 < k < n, by repeated products."""
+    one, power, orders = zeta.desc.one(), zeta, []
+    for k in range(1, n + 1):
+        if power == one:
+            orders.append(k)
+        power = power * zeta
+    return orders == [n]
+
+
+# (field, n, zeta as (c0, c1), accepted); the labels are checked by products
+ROOTS = [
+    (QQ, 2, (-1, 0), True),
+    (QEPS, 2, (-1, 0), True),
+    (QSQRT_M3, 2, (-1, 0), True),
+    (QQ, 2, (1, 0), False),
+    (QQ, 2, (2, 0), False),
+    (QEPS, 2, (1, 0), False),
+    (QEPS, 2, (0, 1), False),  # t is a cube root of unity, not a square root
+    (QSQRT_M3, 2, (1, 0), False),
+    (QSQRT_M3, 2, (0, 1), False),
+    (QSQRT_M3, 2, (-1, 1), False),
+    (QEPS, 3, (0, 1), True),  # t and t^2 = -1 - t
+    (QEPS, 3, (-1, -1), True),
+    (QSQRT_M3, 3, (Fraction(-1, 2), Fraction(1, 2)), True),  # (-1 +- t)/2
+    (QSQRT_M3, 3, (Fraction(-1, 2), Fraction(-1, 2)), True),
+    (QEPS, 3, (1, 0), False),
+    (QEPS, 3, (-1, 0), False),
+    (QEPS, 3, (0, -1), False),  # -t is a primitive sixth root
+    (QEPS, 3, (1, 1), False),
+    (QSQRT_M3, 3, (1, 0), False),
+    (QSQRT_M3, 3, (Fraction(1, 2), Fraction(1, 2)), False),  # a sixth root, cube -1
+    (QSQRT_M3, 3, (Fraction(-1, 2), Fraction(3, 2)), False),
+    # Q holds no primitive cube root of unity
+    *((QQ, 3, (c, 0), False) for c in (1, -1, 0, 2, Fraction(-1, 2), Fraction(1, 3))),
+]
+
+
+@pytest.mark.parametrize("desc,n,zeta,accepted", ROOTS)
+def test_root_test_accepts_exactly_the_primitive_roots(desc, n, zeta, accepted):
+    zeta = desc.element(*zeta)
+    assert _is_primitive_root(zeta, n) is accepted
+    make = lambda: SymbolAlgebra(desc, n, zeta, desc.lift(2), desc.lift(7))
+    if accepted:
+        assert make().zeta == zeta
+    else:
+        with pytest.raises(ValueError, match="^zeta must be a primitive n-th root of unity$"):
+            make()
+
+
+def test_root_test_comes_after_the_other_checks():
+    with pytest.raises(ValueError, match="alpha and beta must be nonzero"):
+        SymbolAlgebra(QQ, 3, QQ.one(), QQ.zero(), QQ.one())
+    with pytest.raises(ValueError, match="degrees above 3"):
+        SymbolAlgebra(QQ, 4, QQ.one(), QQ.one(), QQ.one())
+    with pytest.raises(ValueError, match="zeta must live in the base field"):
+        SymbolAlgebra(QQ, 3, QEPS.one(), QQ.one(), QQ.one())
+
+
 def _dense_model(alg):
     """The images X^i Y^j of the model as dense 3 x 3 products of
     X = c*diag(1, zeta, zeta^2) and Y = c'*P."""
@@ -181,9 +243,9 @@ def test_matrix_generators_equal_dense_construction(alpha, beta, zeta):
 def test_matrix_model_relation_check_raises(monkeypatch):
     exact = symbol._monomial_mul
 
-    def one_wrong_entry(a, b):
-        shift, diag = exact(a, b)
-        return shift, (diag[0] + QEPS.one(), *diag[1:])
+    def one_wrong_entry(a, b, u, w):
+        shift, ((d0, d1), *rest) = exact(a, b, u, w)
+        return shift, ((d0 + 1, d1), *rest)
 
     monkeypatch.setattr(symbol, "_monomial_mul", one_wrong_entry)
     with pytest.raises(ArithmeticError):
@@ -312,7 +374,7 @@ def test_left_regular_zero_divisor_is_singular():
 def test_left_regular_determinant_of_x():
     alg = cubic(-1, 1)
     det = linalg.determinant(left_regular_matrix(alg.x()))
-    cube = alg.alpha ** 3
+    cube = alg.alpha * alg.alpha * alg.alpha
     assert det in (cube, -cube)
     assert not det.is_zero()
 
