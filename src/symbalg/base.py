@@ -21,13 +21,14 @@ class ParseError(ValueError):
 
 class Record:
     """Immutable record built from its fields, given positionally in the
-    order of ``__slots__``; equal by type and fields.  A slot named "_..." is
-    derived from the fields in ``__post_init__``, and not given or compared."""
+    order of ``__slots__``, a base record's first; equal by type and fields.
+    A slot named "_..." is derived in ``__post_init__``, not given or compared."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        slots = [name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ())]
+        cls._fields = tuple(name for name in slots if name[0] != "_")
         cls._key = operator.attrgetter(*cls._fields)
 
     def __init__(self, *args):

@@ -161,14 +161,6 @@ def _handle_eisenstein(args):
     return {"f": f, "r": r}, None
 
 
-def _quaternion_algebra(args):
-    from .fields import parse_element
-    from .quaternion import QuaternionAlgebra
-
-    desc = _field_descriptor(args.field)
-    return QuaternionAlgebra(desc, parse_element(desc, args.alpha), parse_element(desc, args.beta))
-
-
 def _search_zero(args):
     """The search on ints, refusing in the order of the algebra it stands
     for: a parse error, a zero alpha or beta, the bound, a non-integer."""
@@ -189,16 +181,16 @@ def _search_zero(args):
 def _handle_quaternion(args):
     if args.verb == "search-zero":
         return _search_zero(args)
-    from .quaternion import classify_minus1_p, conic_point_sqrt3, gauss_representation
+    from .fields import parse_element
+    from .quaternion import QuaternionAlgebra, classify_minus1_p, conic_point_sqrt3, gauss_representation
 
-    if args.verb == "mul":
-        alg = _quaternion_algebra(args)
-        a = alg.element(*_parse_coords(alg.desc, args.a))
-        b = alg.element(*_parse_coords(alg.desc, args.b))
-        return {"product": [str(c) for c in (a * b).coords]}, None
-    if args.verb == "norm":
-        alg = _quaternion_algebra(args)
-        a = alg.element(*_parse_coords(alg.desc, args.a))
+    if args.verb in ("mul", "norm"):
+        desc = _field_descriptor(args.field)
+        alg = QuaternionAlgebra(desc, parse_element(desc, args.alpha), parse_element(desc, args.beta))
+        a = alg.element(*_parse_coords(desc, args.a))
+        if args.verb == "mul":
+            b = alg.element(*_parse_coords(desc, args.b))
+            return {"product": [str(c) for c in (a * b).coords]}, None
         return {
             "norm": str(a.norm()),
             "trace": str(a.trace()),

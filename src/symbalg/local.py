@@ -137,13 +137,13 @@ def report_inert_prime_power(alpha: int, p: int, l: int) -> dict:
 
 def report_split_prime_power(alpha: EisensteinInt, p: int, l: int) -> dict:
     """Report for alpha at the canonical prime above a split p with
-    beta = p^(3l); the cubic symbol selects the inert-extension case
-    (f = 3) or the totally split one (f = 1), and both classify split."""
+    beta = p^(3l); the report's residual degree, read off its cubic symbol,
+    selects the inert-extension case (f = 3) or the totally split one
+    (f = 1), and both classify split."""
     if not is_prime(p) or p % 3 != 1:
         raise ValueError("p must be a prime congruent to 1 mod 3")
-    spec = power_spec(alpha, p, l)
-    symbol = cubic_residue_symbol(spec.alpha, spec.prime)
-    report = classify_report(spec, case="3.3-2" if symbol.is_trivial else "3.3-1")
+    report = classify_report(power_spec(alpha, p, l))
+    report["case"] = "3.3-2" if report["f"] == 1 else "3.3-1"
     if report["verdict"] != "split" or report["artin_exponent"] != 0:
         raise ArithmeticError("beta = p^(3l) did not classify split")
     return report

@@ -1,10 +1,10 @@
 """Generalized quaternion algebras H_K(alpha, beta).
 
 The basis is {1, e1, e2, e3} with e1^2 = alpha, e2^2 = beta, e1*e2 = e3,
-e2*e1 = -e3.  The product is the symbol product of degree 2 with
-zeta = -1 (``fields.symbol_product``) under 1, e1, e2, e3 <-> 1, x, y, xy.
-Split/division decisions come with exact witnesses: a point on the
-associated conic alpha*x^2 + beta*y^2 = z^2 for split algebras, an
+e2*e1 = -e3: the symbol algebra of degree 2 with zeta = -1 under
+1, e1, e2, e3 <-> 1, x, y, xy, whose product, sum and scaling a quaternion
+inherits.  Split/division decisions come with exact witnesses: a point on
+the associated conic alpha*x^2 + beta*y^2 = z^2 for split algebras, an
 exhaustive isotropic-vector search for division consistency.
 """
 
@@ -12,66 +12,54 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (
-    QQ, QSQRT3, FieldElement, Record, pair_add, pair_mul, pair_sub, symbol_constants, symbol_product
-)
+from .fields import QQ, QSQRT3, FieldElement, Record, pair_add, pair_mul, pair_sub
 from .intmath import check_search_bound, cornacchia, is_prime, isotropic_vector
+from .symbol import SymbolAlgebra, SymbolElement
 
 
-class QuaternionAlgebra(Record):
-    __slots__ = ("desc", "alpha", "beta", "_constants")
+class QuaternionAlgebra(SymbolAlgebra):
+    """The symbol algebra (alpha, beta / K, zeta = -1) of degree 2."""
 
-    def __post_init__(self):
-        if self.alpha.desc != self.desc or self.beta.desc != self.desc:
-            raise ValueError("alpha and beta must live in the base field")
-        if self.alpha.is_zero() or self.beta.is_zero():
-            raise ValueError("alpha and beta must be nonzero")
-        object.__setattr__(self, "_constants", symbol_constants(2, self.desc.lift(-1), self.alpha, self.beta))
+    __slots__ = ()
+
+    def __init__(self, desc, alpha, beta):
+        super().__init__(desc, 2, desc.lift(-1), alpha, beta)
 
     def element(self, x0, x1, x2, x3) -> "Quaternion":
-        lift = lambda v: v if isinstance(v, FieldElement) else self.desc.lift(v)
-        return Quaternion(self, lift(x0), lift(x1), lift(x2), lift(x3))
+        return Quaternion(self, self._lifted(((x0, x2), (x1, x3))))
 
-    def one(self) -> "Quaternion":
-        return self.element(1, 0, 0, 0)
+    def monomial(self, i: int, j: int, coeff=1) -> "Quaternion":
+        coords = [0, 0, 0, 0]
+        coords[i + 2 * j] = coeff
+        return self.element(*coords)
 
 
-class Quaternion(Record):
-    __slots__ = ("algebra", "x0", "x1", "x2", "x3")
+class Quaternion(SymbolElement):
+    """x0 + x1*e1 + x2*e2 + x3*e3, stored as the grid ((x0, x2), (x1, x3)) of
+    the coefficients of ((1, y), (x, xy))."""
+
+    __slots__ = ()
 
     @property
     def coords(self) -> tuple[FieldElement, FieldElement, FieldElement, FieldElement]:
-        return (self.x0, self.x1, self.x2, self.x3)
-
-    def _check(self, other: "Quaternion"):
-        if self.algebra != other.algebra:
-            raise ValueError("quaternions belong to different algebras")
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        # over the monomials 1, y, x, xy of the symbol algebra the coordinates
-        # run x0, x2, x1, x3
-        self._check(other)
-        alg = self.algebra
-        x0, x2, x1, x3 = symbol_product(
-            alg._constants, [self.x0, self.x2, self.x1, self.x3], [other.x0, other.x2, other.x1, other.x3]
-        )
-        return Quaternion(alg, x0, x1, x2, x3)
+        (x0, x2), (x1, x3) = self.coeffs
+        return x0, x1, x2, x3
 
     def conjugate(self) -> "Quaternion":
-        return Quaternion(self.algebra, self.x0, -self.x1, -self.x2, -self.x3)
+        x0, x1, x2, x3 = self.coords
+        return self.algebra.element(x0, -x1, -x2, -x3)
 
     def trace(self) -> FieldElement:
-        return self.x0 + self.x0
+        return self.coeffs[0][0] + self.coeffs[0][0]
 
     def norm(self) -> FieldElement:
-        """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2, summed over the
-        nonzero coordinates; no known zero is multiplied or added."""
+        """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2: each nonzero c of
+        x^a y^b adds (-1)^(a+b) c^2 times the scale alpha^a beta^b at flat
+        index a*2 + b; no known zero is multiplied or added."""
         alg = self.algebra
-        u, w, _, (_, beta, alpha, alpha_beta) = alg._constants
+        u, w, _, scales = alg._constants
         total = None
-        for x, scale, add in zip(
-            self.coords, (None, alpha, beta, alpha_beta), (pair_add, pair_sub, pair_sub, pair_add)
-        ):
+        for x, scale, add in zip(self.flat(), scales, (pair_add, pair_sub, pair_sub, pair_add)):
             if x.c0 or x.c1:
                 term = pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w)
                 total = add(total, pair_mul(term, scale, u, w) if scale else term)

@@ -52,14 +52,13 @@ class SymbolAlgebra(Record):
         object.__setattr__(self, "_constants", symbol_constants(self.n, self.zeta, self.alpha, self.beta))
 
     def element(self, grid) -> "SymbolElement":
-        rows = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                v = grid[i][j]
-                row.append(v if isinstance(v, FieldElement) else self.desc.lift(v))
-            rows.append(tuple(row))
-        return SymbolElement(self, tuple(rows))
+        return SymbolElement(self, self._lifted(grid))
+
+    def _lifted(self, grid):
+        """The n x n grid as rows of field elements, ints and Fractions lifted."""
+        n, lift = self.n, self.desc.lift
+        entries = ((grid[i][j] for j in range(n)) for i in range(n))
+        return tuple(tuple(v if isinstance(v, FieldElement) else lift(v) for v in row) for row in entries)
 
     def one(self) -> "SymbolElement":
         return self.monomial(0, 0)
@@ -85,25 +84,25 @@ class SymbolElement(Record):
 
     def __add__(self, other: "SymbolElement") -> "SymbolElement":
         self._check(other)
-        return self.algebra.element(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.coeffs, other.coeffs)]
+        return type(self)(
+            self.algebra, tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: "SymbolElement") -> "SymbolElement":
         self._check(other)
-        return self.algebra.element(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.coeffs, other.coeffs)]
+        return type(self)(
+            self.algebra, tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.coeffs, other.coeffs))
         )
 
     def scale(self, c) -> "SymbolElement":
-        return self.algebra.element([[a * c for a in row] for row in self.coeffs])
+        return type(self)(self.algebra, tuple(tuple(a * c for a in row) for row in self.coeffs))
 
     def __mul__(self, other: "SymbolElement") -> "SymbolElement":
         self._check(other)
         alg = self.algebra
         n = alg.n
         flat = symbol_product(alg._constants, self.flat(), other.flat())
-        return SymbolElement(alg, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
+        return type(self)(alg, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
 
     def flat(self) -> list[FieldElement]:
         """The coefficients in (i, j)-lexicographic order of x^i y^j."""

@@ -183,7 +183,8 @@ def test_criterion_06_quaternion_axioms():
             ]
             for a in elements:
                 t, n = a.trace(), a.norm()
-                assert (a * a).coords == (t * a.x0 - n, t * a.x1, t * a.x2, t * a.x3)
+                x0, x1, x2, x3 = a.coords
+                assert (a * a).coords == (t * x0 - n, t * x1, t * x2, t * x3)
             for a, b in zip(elements[::2], elements[1::2]):
                 assert (a * b).norm() == a.norm() * b.norm()
         for _ in range(10):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symbalg import local
+from symbalg import eisenstein, local
 from symbalg.eisenstein import (
     ONE,
     UNITS,
@@ -141,6 +141,29 @@ def test_split_power_report_p13_case_from_oracle():
     report = report_split_prime_power(EisensteinInt(2), 13, 1)
     assert report["case"] == ("3.3-2" if is_cube else "3.3-1")
     assert report["verdict"] == "split"
+
+
+def test_split_power_report_labels_the_case_from_its_own_symbol(monkeypatch):
+    """The case is read off the report: 3.3-2 exactly when the symbol is
+    trivial; the rest is classify_report's, and no symbol is evaluated
+    beyond the ones classify_report takes."""
+    calls = []
+    for module in (local, eisenstein):
+        real = module.cubic_residue_symbol
+        monkeypatch.setattr(module, "cubic_residue_symbol", lambda *args, real=real: calls.append(args) or real(*args))
+    for p in (7, 13, 19, 31):
+        for alpha in (EisensteinInt(2), EisensteinInt(3, 1), EisensteinInt(5, -2)):
+            if factor_rational_prime(p).divides(alpha):
+                continue
+            calls.clear()
+            expected = classify_report(power_spec(alpha, p, 2))
+            taken = len(calls)
+            calls.clear()
+            report = report_split_prime_power(alpha, p, 2)
+            assert len(calls) == taken
+            assert report["case"] == ("3.3-2" if report["symbol"] == "eps^0" else "3.3-1")
+            assert report == {**expected, "case": report["case"]}
+            assert list(report) == list(expected)
 
 
 def test_split_power_report_rejects_divisible_alpha():

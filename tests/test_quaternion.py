@@ -10,6 +10,7 @@ from symbalg import intmath, quaternion
 from symbalg.fields import QEPS, QQ, QSQRT3
 from symbalg.intmath import primes_below
 from symbalg.quaternion import (
+    Quaternion,
     QuaternionAlgebra,
     classify_minus1_p,
     conic_point_sqrt3,
@@ -18,6 +19,7 @@ from symbalg.quaternion import (
     on_conic,
     two_square_decomposition,
 )
+from symbalg.symbol import SymbolAlgebra, quaternion_crosscheck, verify_relations
 
 
 def _rand_element(rng, desc):
@@ -76,8 +78,9 @@ def test_quadratic_identity_random(alg):
     for _ in range(100):
         a = _rand_quaternion(rng, alg)
         t, n = a.trace(), a.norm()
+        x0, x1, x2, x3 = a.coords
         # a^2 - t(a)*a + n(a) = 0, coordinate by coordinate
-        assert (a * a).coords == (t * a.x0 - n, t * a.x1, t * a.x2, t * a.x3)
+        assert (a * a).coords == (t * x0 - n, t * x1, t * x2, t * x3)
 
 
 @pytest.mark.parametrize("alg", _algebras(), ids=lambda a: f"({a.alpha},{a.beta})")
@@ -87,6 +90,42 @@ def test_norm_multiplicative_random(alg):
         a = _rand_quaternion(rng, alg)
         b = _rand_quaternion(rng, alg)
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+@pytest.mark.parametrize("alg", _algebras(), ids=lambda a: f"({a.alpha},{a.beta})")
+def test_quaternions_are_the_degree_two_symbol_algebra(alg):
+    """The symbol-algebra checks hold on a quaternion algebra, and every
+    way to build or combine its elements gives a Quaternion."""
+    assert verify_relations(alg)
+    assert quaternion_crosscheck(alg)
+    rng = random.Random(5)
+    a, b = _rand_quaternion(rng, alg), _rand_quaternion(rng, alg)
+    built = [alg.one(), alg.x(), alg.y(), alg.monomial(1, 1, 3), a + b, a - b, a.scale(alg.alpha), a.scale(2), a * b]
+    assert all(type(q) is Quaternion for q in built)
+    # 1, x, y, xy are e0, e1, e2, e3, and the grid holds x0, x2 / x1, x3
+    assert alg.x() == alg.element(0, 1, 0, 0) and alg.y() == alg.element(0, 0, 1, 0)
+    assert alg.monomial(1, 1, 3) == alg.element(0, 0, 0, 3)
+    assert a.coeffs == ((a.coords[0], a.coords[2]), (a.coords[1], a.coords[3]))
+    assert (a + b).coords == tuple(p + q for p, q in zip(a.coords, b.coords))
+    assert (a - b).coords == tuple(p - q for p, q in zip(a.coords, b.coords))
+
+
+@pytest.mark.parametrize("alg", _algebras(), ids=lambda a: f"({a.alpha},{a.beta})")
+def test_a_quaternion_is_not_the_symbol_element_with_its_grid(alg):
+    """The same grid in SymbolAlgebra(desc, 2, -1, alpha, beta) is another
+    algebra's element: neither equal nor a factor of a product."""
+    twin = SymbolAlgebra(alg.desc, 2, alg.desc.lift(-1), alg.alpha, alg.beta)
+    assert (twin.desc, twin.n, twin.zeta, twin.alpha, twin.beta) == (alg.desc, alg.n, alg.zeta, alg.alpha, alg.beta)
+    assert twin != alg and alg != twin
+    a = _rand_quaternion(random.Random(9), alg)
+    s = twin.element(a.coeffs)
+    assert s.coeffs == a.coeffs
+    assert s != a and a != s
+    for left, right in ((a, s), (s, a)):
+        with pytest.raises(ValueError):
+            left * right
+        with pytest.raises(ValueError):
+            left + right
 
 
 def test_algebra_mismatch():

@@ -52,15 +52,36 @@ FACTORIES = {
 RECORDS = pytest.mark.parametrize("make", FACTORIES.values(), ids=[c.__name__ for c in FACTORIES])
 
 
+def _record_types(cls=Record):
+    """Every record type, including those derived from another record."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def _slots(record):
+    """The slots of the record's type and of the records it derives from."""
+    return [name for cls in type(record).__mro__ for name in vars(cls).get("__slots__", ())]
+
+
 def test_every_record_type_is_covered():
-    assert set(FACTORIES) == set(Record.__subclasses__())
+    assert set(FACTORIES) == set(_record_types())
     assert all(type(make()) is cls for cls, make in FACTORIES.items())
+
+
+def test_a_derived_record_takes_its_bases_fields_first():
+    assert QuaternionAlgebra._fields == SymbolAlgebra._fields == ("desc", "n", "zeta", "alpha", "beta")
+    assert Quaternion._fields == SymbolElement._fields == ("algebra", "coeffs")
+    alg = QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7))
+    assert (alg.n, alg.zeta, alg.alpha, alg.beta) == (2, QQ.lift(-1), QQ.lift(-1), QQ.lift(7))
+    assert repr(alg.one()).startswith("Quaternion(algebra=QuaternionAlgebra(desc=")
 
 
 @RECORDS
 def test_fields_cannot_be_assigned_or_deleted(make):
     record = make()
-    for name in record.__slots__:
+    assert set(record._fields) <= set(_slots(record))
+    for name in _slots(record):
         value = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, value)
@@ -84,7 +105,7 @@ def test_equal_records_hash_equally(make):
 @RECORDS
 def test_no_record_equals_a_tuple(make):
     record = make()
-    values = tuple(getattr(record, name) for name in record.__slots__)
+    values = tuple(getattr(record, name) for name in record._fields)
     assert record != values and values != record
     assert record != values[0]
 
