@@ -283,51 +283,17 @@ def _handle_local(args):
     return local_mod.report_split_prime_power(parse_eisenstein(args.alpha), args.p, args.l), None
 
 
-def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
-    """Fixed composition of the headline computations, fully deterministic."""
+def _run(*argv) -> dict:
+    """The result of the verb argv names, as its handler gives it."""
+    args = _read_argv(argv)
+    return _HANDLERS[args.group](args)[0]
+
+
+def demo_report() -> dict:
+    """Fixed composition of the headline computations, fully deterministic:
+    the results of four verbs, each with its inputs, and a local sweep."""
     from . import local as local_mod
-    from . import symbol as symbol_mod
     from .eisenstein import EisensteinInt
-    from .fields import QSQRT3
-    from .intmath import isotropic_vector
-    from .quaternion import conic_point_sqrt3, gauss_representation, on_conic
-
-    witness = isotropic_vector(-1, 7, bound)
-    h_part = {
-        "alpha": "-1",
-        "beta": "7",
-        "bound": bound,
-        "witness": None if witness is None else [str(x) for x in witness],
-        "division_consistent": witness is None,
-    }
-
-    conic_part = []
-    for p in (7, 13, 31):
-        a, b = gauss_representation(p)
-        point = conic_point_sqrt3(p)
-        conic_part.append(
-            {
-                "p": p,
-                "gauss": {"a": a, "b": b},
-                "point": _point_json(point),
-                "verified": on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), point),
-            }
-        )
-
-    divisor_part = []
-    for alpha in (-1, 1):
-        for beta in (-1, 1):
-            alg = _cubic_eps_algebra(str(alpha), str(beta))
-            u, v = symbol_mod.find_zero_divisor(alg)  # it raises unless u*v = 0
-            divisor_part.append(
-                {
-                    "alpha": str(alpha),
-                    "beta": str(beta),
-                    "u": symbol_mod.element_to_json(u),
-                    "v": symbol_mod.element_to_json(v),
-                    "product_zero": True,
-                }
-            )
 
     sweep_part = []
     for p in (5, 7, 11, 13):
@@ -337,10 +303,18 @@ def demo_report(bound: int = DEFAULT_SEARCH_BOUND) -> dict:
             report.update({"p": p, "l": l, "alpha": "2"})
             sweep_part.append(report)
 
+    search = _run("quaternion", "search-zero", "--alpha=-1", "--beta=7")
     return {
-        "h_minus1_7": h_part,
-        "conic_points": conic_part,
-        "zero_divisors": divisor_part,
+        "h_minus1_7": {"alpha": "-1", "beta": "7", **search, "division_consistent": search["witness"] is None},
+        "conic_points": [
+            {**_run("quaternion", "conic-point", f"--p={p}"), "gauss": _run("quaternion", "gauss", f"--p={p}")}
+            for p in (7, 13, 31)
+        ],
+        "zero_divisors": [
+            {"alpha": alpha, "beta": beta, **_run("symbol", "zero-divisor", f"--alpha={alpha}", f"--beta={beta}")}
+            for alpha in ("-1", "1")
+            for beta in ("-1", "1")
+        ],
         "local_sweep": sweep_part,
     }
 

@@ -52,9 +52,6 @@ class EisensteinInt(Record):
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_associate(self, other: "EisensteinInt") -> bool:
-        return any(self == other * u for u in UNITS)
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -103,9 +100,6 @@ class EisensteinInt(Record):
         q = EisensteinInt(_round_div(t.a, n), _round_div(t.b, n))
         return q, self - q * o
 
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
 
 ONE = EisensteinInt(1)
 EPS = EisensteinInt(0, 1)
@@ -125,29 +119,31 @@ def canonical_associate(z: EisensteinInt) -> EisensteinInt:
 
 
 class EisensteinPrime(Record):
-    """A classified prime of Z[e] above the rational prime p."""
+    """The prime pi of Z[e] above the rational prime p: split with N(pi) = p
+    when p = 1 mod 3, inert with pi = p when p = 2 mod 3, ramified with
+    N(pi) = 3 at p = 3; kind, abs_norm and conjugate are read off pi and p."""
 
-    __slots__ = ("pi", "kind", "p", "conjugate", "abs_norm")  # kind: "split" | "inert" | "ramified"
+    __slots__ = ("pi", "p")
 
     def __post_init__(self):
-        if self.kind not in ("split", "inert", "ramified"):
-            raise ValueError(f"unknown prime kind {self.kind!r}")
-        if self.pi.norm() != self.abs_norm:
-            raise ValueError("abs_norm does not match norm(pi)")
-        if self.kind == "split":
-            if self.p % 3 != 1 or self.abs_norm != self.p or self.conjugate is None:
-                raise ValueError("inconsistent split prime data")
-            if not (self.pi * self.conjugate).is_associate(EisensteinInt(self.p)):
-                raise ValueError("pi * conjugate is not an associate of p")
-        elif self.kind == "inert":
-            if self.p % 3 != 2 or self.pi != EisensteinInt(self.p) or self.abs_norm != self.p * self.p:
-                raise ValueError("inconsistent inert prime data")
-        else:
-            if self.p != 3 or not self.pi.is_associate(EisensteinInt(1, -1)):
-                raise ValueError("inconsistent ramified prime data")
+        p, pi = self.p, self.pi
+        if p % 3 == 0 and p != 3 or pi.norm() != self.abs_norm or p % 3 == 2 and pi != EisensteinInt(p):
+            raise ValueError(f"{format_eisenstein(pi)} is not a prime above {p}")
+
+    @property
+    def kind(self) -> str:
+        return "ramified" if self.p == 3 else "split" if self.p % 3 == 1 else "inert"
+
+    @property
+    def abs_norm(self) -> int:
+        return self.p * self.p if self.p % 3 == 2 else self.p
+
+    @property
+    def conjugate(self) -> EisensteinInt | None:
+        return self.pi.conjugate() if self.p % 3 == 1 else None
 
     def divides(self, z: EisensteinInt) -> bool:
-        return (z % self.pi).is_zero()
+        return divmod(z, self.pi)[1].is_zero()
 
     def __str__(self):
         return format_prime(self)
@@ -169,16 +165,16 @@ def factor_rational_prime(p: int) -> EisensteinPrime:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 3:
-        return EisensteinPrime(EisensteinInt(1, -1), "ramified", 3, None, 3)
+        return EisensteinPrime(EisensteinInt(1, -1), 3)
     if p % 3 == 2:
-        return EisensteinPrime(EisensteinInt(p), "inert", p, None, p * p)
+        return EisensteinPrime(EisensteinInt(p), p)
     z = _norm_equation(p)
     # the two prime orbits above p both contain a window representative;
     # the lexicographically smaller one is the canonical pi
     c1 = canonical_associate(z)
     c2 = canonical_associate(z.conjugate())
     pi = min(c1, c2, key=lambda t: (t.a, t.b))
-    return EisensteinPrime(pi, "split", p, pi.conjugate(), p)
+    return EisensteinPrime(pi, p)
 
 
 @lru_cache(maxsize=PRIME_CACHE_SIZE)

@@ -17,8 +17,6 @@ import math
 from .eisenstein import (
     ONE,
     EisensteinInt,
-    EisensteinPrime,
-    SplittingData,
     cubic_residue_symbol,
     factor_rational_prime,
     splitting_in_kummer,
@@ -48,17 +46,6 @@ class LocalAlgebraSpec(Record):
             raise ValueError("pi divides alpha: the cube-root extension ramifies")
 
 
-def residual_degree(alpha: EisensteinInt, prime: EisensteinPrime) -> tuple[int, SplittingData]:
-    """f of the cube-root extension at pi: 3 when the cubic symbol is a
-    primitive root, 1 when it is trivial."""
-    if prime.kind == "ramified":
-        raise ValueError("the ramified prime is out of scope")
-    if prime.divides(alpha):
-        raise ValueError("pi divides alpha: the cube-root extension ramifies")
-    data = splitting_in_kummer(alpha, prime)
-    return data.f, data
-
-
 class NormCertificate(Record):
     # residual degree f (1 or 3), valuation m of beta, f | m (beta is a norm)
     __slots__ = ("f", "m", "divides")
@@ -73,7 +60,8 @@ class Verdict(Record):
 
 
 def is_norm(spec: LocalAlgebraSpec) -> NormCertificate:
-    f, _ = residual_degree(spec.alpha, spec.prime)
+    # the spec has pi prime to alpha, so the extension is unramified of degree f
+    f = splitting_in_kummer(spec.alpha, spec.prime).f
     m = valuation(spec.beta_num, spec.prime, spec.beta_den)
     return NormCertificate(f, m, m % f == 0)
 
@@ -88,20 +76,20 @@ def classify(spec: LocalAlgebraSpec) -> Verdict:
     return Verdict("split" if cert.divides else "division", cert)
 
 
-def classify_report(spec: LocalAlgebraSpec, case: str = "general") -> dict:
+def classify_report(spec: LocalAlgebraSpec) -> dict:
     """JSON-ready report for a spec; the honest symbol value is included
     so inert primes with non-rational alpha stay visible."""
     symbol = cubic_residue_symbol(spec.alpha, spec.prime)
-    f, data = residual_degree(spec.alpha, spec.prime)
     verdict = classify(spec)
     artin = artin_symbol(spec)
+    f = verdict.certificate.f
     return {
         "verdict": verdict.outcome,
         "f": f,
         "m": verdict.certificate.m,
         "artin_exponent": artin.exponent,
-        "efg": [data.e, data.f, data.g],
-        "case": case,
+        "efg": [1, f, 3 // f],
+        "case": "general",
         "symbol": str(symbol),
     }
 
@@ -126,8 +114,8 @@ def report_inert_prime_power(alpha: int, p: int, l: int) -> dict:
         raise ValueError("p must be a prime congruent to 2 mod 3 and exceed 3")
     if math.gcd(alpha, p) != 1:
         raise ValueError("alpha must be coprime to p")
-    spec = power_spec(EisensteinInt(alpha), p, l)
-    report = classify_report(spec, case="3.2")
+    report = classify_report(power_spec(EisensteinInt(alpha), p, l))
+    report["case"] = "3.2"
     if report["symbol"] != "eps^0" or report["f"] != 1:
         raise ArithmeticError("rational alpha has a nontrivial cubic symbol at an inert prime")
     if report["verdict"] != "split" or report["artin_exponent"] != 0:

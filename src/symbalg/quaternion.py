@@ -28,9 +28,9 @@ class QuaternionAlgebra(SymbolAlgebra):
     def element(self, x0, x1, x2, x3) -> "Quaternion":
         return Quaternion(self, self._lifted(((x0, x2), (x1, x3))))
 
-    def monomial(self, i: int, j: int, coeff=1) -> "Quaternion":
+    def monomial(self, i: int, j: int) -> "Quaternion":
         coords = [0, 0, 0, 0]
-        coords[i + 2 * j] = coeff
+        coords[i + 2 * j] = 1
         return self.element(*coords)
 
 

@@ -55,17 +55,21 @@ class SymbolAlgebra(Record):
         return SymbolElement(self, self._lifted(grid))
 
     def _lifted(self, grid):
-        """The n x n grid as rows of field elements, ints and Fractions lifted."""
-        n, lift = self.n, self.desc.lift
-        entries = ((grid[i][j] for j in range(n)) for i in range(n))
-        return tuple(tuple(v if isinstance(v, FieldElement) else lift(v) for v in row) for row in entries)
+        """The n x n grid as rows of base-field elements, ints and Fractions lifted."""
+        n, desc = self.n, self.desc
+        if len(grid) != n or any(len(row) != n for row in grid):
+            raise ValueError(f"the grid must be {n} x {n}")
+        rows = tuple(tuple(v if isinstance(v, FieldElement) else desc.lift(v) for v in row) for row in grid)
+        if any(v.desc != desc for row in rows for v in row):
+            raise ValueError("coefficients must live in the base field")
+        return rows
 
     def one(self) -> "SymbolElement":
         return self.monomial(0, 0)
 
-    def monomial(self, i: int, j: int, coeff=1) -> "SymbolElement":
+    def monomial(self, i: int, j: int) -> "SymbolElement":
         grid = [[0] * self.n for _ in range(self.n)]
-        grid[i][j] = coeff
+        grid[i][j] = 1
         return self.element(grid)
 
     def x(self) -> "SymbolElement":

@@ -15,6 +15,13 @@ def pair_mul(x, y):
     return a * c - b * d, a * d + b * c - b * d
 
 
+def is_associate(x, y):
+    """x = y * u for one of the six units u of Z[e], for x and y given as
+    anything with the coordinates .a and .b of a + b*e."""
+    units = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))
+    return any(pair_mul((y.a, y.b), u) == (x.a, x.b) for u in units)
+
+
 def divides(pi, z):
     """pi | z: N(pi) divides both coordinates of z*conj(pi)."""
     a, b = pi

@@ -38,7 +38,7 @@ from symbalg.quaternion import (
 )
 from symbalg.symbol import SymbolAlgebra, find_zero_divisor, matrix_generators, quaternion_crosscheck
 
-from residue_oracle import Residues
+from residue_oracle import Residues, is_associate
 
 
 def identity(desc, n):
@@ -75,7 +75,7 @@ def test_criterion_01_factorization_sweep():
             elif p % 3 == 1:
                 assert prime.kind == "split"
                 assert prime.pi.norm() == p
-                assert (prime.pi * prime.conjugate).is_associate(EisensteinInt(p))
+                assert is_associate(prime.pi * prime.conjugate, EisensteinInt(p))
             else:
                 assert prime.kind == "inert"
                 assert prime.abs_norm == p * p
@@ -84,7 +84,7 @@ def test_criterion_01_factorization_sweep():
 def _conjugate_prime(prime):
     """The other prime above a split p, in its canonical window form."""
     pi = canonical_associate(prime.pi.conjugate())
-    return EisensteinPrime(pi, "split", prime.p, pi.conjugate(), prime.p)
+    return EisensteinPrime(pi, prime.p)
 
 
 def _primes_with_norm_upto(bound):

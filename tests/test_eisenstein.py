@@ -30,7 +30,7 @@ from symbalg import intmath
 from symbalg.fields import QEPS, pair_conj_norm
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
-from residue_oracle import Residues, pair_mul
+from residue_oracle import Residues, is_associate, pair_mul
 
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
 
@@ -38,7 +38,7 @@ eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-
 def _conjugate_prime(prime):
     """The other prime above a split p, in its canonical window form."""
     pi = canonical_associate(prime.pi.conjugate())
-    return EisensteinPrime(pi, "split", prime.p, pi.conjugate(), prime.p)
+    return EisensteinPrime(pi, prime.p)
 
 
 # ------------------------------------------------------------ ring basics
@@ -131,8 +131,8 @@ def test_factor_split_seven():
     assert pr.conjugate == EisensteinInt(2, -1)
     assert pr.abs_norm == 7
     solutions = _norm_solutions(7)
-    assert solutions and all(s.is_associate(pr.pi) or s.is_associate(pr.conjugate) for s in solutions)
-    assert (pr.pi * pr.conjugate).is_associate(EisensteinInt(7))
+    assert solutions and all(is_associate(s, pr.pi) or is_associate(s, pr.conjugate) for s in solutions)
+    assert is_associate(pr.pi * pr.conjugate, EisensteinInt(7))
 
 
 def test_factor_inert_five():
@@ -168,7 +168,7 @@ def test_factor_sweep_small():
         elif p % 3 == 1:
             assert pr.kind == "split"
             assert pr.pi.norm() == p
-            assert (pr.pi * pr.conjugate).is_associate(EisensteinInt(p))
+            assert is_associate(pr.pi * pr.conjugate, EisensteinInt(p))
         else:
             assert pr.kind == "inert"
 
@@ -205,7 +205,7 @@ def test_factor_large_split_primes(p):
     pr = factor_rational_prime(p)
     assert pr.kind == "split" and pr.pi.norm() == p
     assert pr.pi.a > 0 and 0 <= pr.pi.b < pr.pi.a
-    assert (pr.pi * pr.conjugate).is_associate(EisensteinInt(p))
+    assert is_associate(pr.pi * pr.conjugate, EisensteinInt(p))
     other = _conjugate_prime(pr)
     assert (pr.pi.a, pr.pi.b) < (other.pi.a, other.pi.b)
     assert cubic_residue_symbol(EisensteinInt(p), pr).is_zero
@@ -232,8 +232,8 @@ def test_conjugate_prime_is_the_other_orbit():
     pr = factor_rational_prime(7)
     other = _conjugate_prime(pr)
     assert other.pi == EisensteinInt(3, 2)
-    assert not other.pi.is_associate(pr.pi)
-    assert other.pi.is_associate(pr.conjugate)
+    assert not is_associate(other.pi, pr.pi)
+    assert is_associate(other.pi, pr.conjugate)
 
 
 # ------------------------------------------------------ canonical associate
@@ -265,7 +265,7 @@ def test_canonical_associate_is_orbit_constant(z):
     reps = {canonical_associate(z * u) for u in UNITS}
     assert len(reps) == 1
     rep = reps.pop()
-    assert rep.is_associate(z)
+    assert is_associate(rep, z)
     assert rep.a > 0 and 0 <= rep.b < rep.a
 
 
@@ -525,13 +525,34 @@ def test_eisenstein_round_trip(z):
     assert parse_eisenstein(format_eisenstein(z)) == z
 
 
-def test_prime_dataclass_validation():
-    with pytest.raises(ValueError):
-        EisensteinPrime(EisensteinInt(3, 1), "split", 7, None, 7)
-    with pytest.raises(ValueError):
-        EisensteinPrime(EisensteinInt(3, 1), "inert", 7, None, 7)
-    with pytest.raises(ValueError):
-        EisensteinPrime(EisensteinInt(3, 1), "split", 7, EisensteinInt(2, -1), 11)
+def test_a_prime_is_pi_and_p():
+    assert EisensteinPrime._fields == ("pi", "p")
+    assert EisensteinPrime(EisensteinInt(3, 1), 7) == factor_rational_prime(7)
+    # any prime above p, canonical or not
+    for pi, p in ((EisensteinInt(2, -1), 7), (EisensteinInt(5), 5), (EisensteinInt(2, 1), 3), (EisensteinInt(1, -1), 3)):
+        assert EisensteinPrime(pi, p).pi == pi
+
+
+def test_a_prime_refuses_pi_not_above_p():
+    refused = [
+        # p = 0 mod 3 other than 3, with N(pi) = p: -3e = (1 - e)^2, and 0
+        (EisensteinInt(0, -3), 9),
+        (EisensteinInt(0), 0),
+        # inert p with pi != p, of norm p^2 or not
+        (EisensteinInt(-5), 5),
+        (EisensteinInt(0, 5), 5),
+        (EisensteinInt(3, 1), 5),
+        # split p and N(pi) != p
+        (EisensteinInt(3, 1), 13),
+        (EisensteinInt(1, 1), 7),
+        (EisensteinInt(7), 7),
+        # ramified p = 3 and N(pi) != 3
+        (EisensteinInt(3), 3),
+        (EisensteinInt(1), 3),
+    ]
+    for pi, p in refused:
+        with pytest.raises(ValueError, match=f"is not a prime above {p}$"):
+            EisensteinPrime(pi, p)
 
 
 def test_residue_field_validation():

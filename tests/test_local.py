@@ -7,8 +7,11 @@ from symbalg.eisenstein import (
     ONE,
     UNITS,
     EisensteinInt,
+    EisensteinPrime,
+    SplittingData,
     cubic_residue_symbol,
     factor_rational_prime,
+    splitting_in_kummer,
 )
 from symbalg.intmath import primes_below
 from symbalg.local import (
@@ -21,7 +24,6 @@ from symbalg.local import (
     power_spec,
     report_inert_prime_power,
     report_split_prime_power,
-    residual_degree,
 )
 
 from residue_oracle import Residues
@@ -42,15 +44,30 @@ def spec_for(alpha, num, den=ONE, p=7):
 # -------------------------------------------------------------- ingredients
 
 
-def test_residual_degree_examples():
-    f, data = residual_degree(EisensteinInt(2), PI7)
-    assert f == 3 and (data.e, data.f, data.g) == (1, 3, 1)
-    f, data = residual_degree(EisensteinInt(2), PI5)
-    assert f == 1 and (data.e, data.f, data.g) == (1, 1, 3)
-    with pytest.raises(ValueError):
-        residual_degree(EisensteinInt(7), PI7)
-    with pytest.raises(ValueError):
-        residual_degree(EisensteinInt(2), factor_rational_prime(3))
+def test_residual_degree_is_read_off_the_kummer_splitting():
+    assert splitting_in_kummer(EisensteinInt(2), PI7) == SplittingData(1, 3, 1)
+    assert splitting_in_kummer(EisensteinInt(2), PI5) == SplittingData(1, 1, 3)
+    assert is_norm(spec_for(2, 7)).f == 3
+    assert is_norm(spec_for(2, 5, p=5)).f == 1
+    # pi | alpha and the ramified prime are refused by LocalAlgebraSpec
+    # (test_spec_validation) before any f is read
+
+
+def test_classify_report_takes_its_spec_as_checked(monkeypatch):
+    """A built spec has pi prime to alpha, so classify_report tests no
+    divisibility, and it evaluates at most 3 cubic symbols."""
+    divides, symbols = [], []
+    real_divides = EisensteinPrime.divides
+    monkeypatch.setattr(EisensteinPrime, "divides", lambda self, z: divides.append(z) or real_divides(self, z))
+    for module in (local, eisenstein):
+        real = module.cubic_residue_symbol
+        monkeypatch.setattr(module, "cubic_residue_symbol", lambda *args, real=real: symbols.append(args) or real(*args))
+    for spec in (spec_for(2, 7**4), spec_for(3, 1, 7), spec_for(2, 5, p=5), power_spec(EisensteinInt(5, -3), 13, 2)):
+        divides.clear()
+        symbols.clear()
+        classify_report(spec)
+        assert divides == []
+        assert len(symbols) <= 3
 
 
 def test_is_norm_examples():
@@ -81,11 +98,11 @@ def test_classify_examples():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        spec_for(7, 5)  # pi divides alpha
+    with pytest.raises(ValueError, match="pi divides alpha"):
+        spec_for(7, 5)
     with pytest.raises(ValueError):
         spec_for(2, 0)  # beta = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="split or inert"):
         spec_for(2, 5, p=3)  # ramified prime
     with pytest.raises(ValueError):
         spec_for(2, 5, p=2)  # p too small
@@ -176,9 +193,7 @@ def test_split_power_report_rejects_divisible_alpha():
 def test_prime_power_reports_check_the_verdict(monkeypatch):
     # the checks must not be asserts, which python -O strips
     real = local.classify_report
-    monkeypatch.setattr(
-        local, "classify_report", lambda spec, case="general": {**real(spec, case), "verdict": "division"}
-    )
+    monkeypatch.setattr(local, "classify_report", lambda spec: {**real(spec), "verdict": "division"})
     with pytest.raises(ArithmeticError):
         report_inert_prime_power(2, 5, 1)
     with pytest.raises(ArithmeticError):
@@ -252,7 +267,7 @@ def test_division_only_when_f_three_and_m_not_divisible():
         for alpha in (2, 3, 4, 5, 6, 8):
             if alpha % p == 0 or prime.divides(EisensteinInt(alpha)):
                 continue
-            f, _ = residual_degree(EisensteinInt(alpha), prime)
+            f = splitting_in_kummer(EisensteinInt(alpha), prime).f
             for m in range(0, 6):
                 spec = LocalAlgebraSpec(EisensteinInt(alpha), prime.pi ** m, ONE, prime)
                 verdict = classify(spec)

@@ -100,14 +100,23 @@ def test_quaternions_are_the_degree_two_symbol_algebra(alg):
     assert quaternion_crosscheck(alg)
     rng = random.Random(5)
     a, b = _rand_quaternion(rng, alg), _rand_quaternion(rng, alg)
-    built = [alg.one(), alg.x(), alg.y(), alg.monomial(1, 1, 3), a + b, a - b, a.scale(alg.alpha), a.scale(2), a * b]
+    built = [alg.one(), alg.x(), alg.y(), alg.monomial(1, 1).scale(3), a + b, a - b, a.scale(alg.alpha), a.scale(2), a * b]
     assert all(type(q) is Quaternion for q in built)
     # 1, x, y, xy are e0, e1, e2, e3, and the grid holds x0, x2 / x1, x3
     assert alg.x() == alg.element(0, 1, 0, 0) and alg.y() == alg.element(0, 0, 1, 0)
-    assert alg.monomial(1, 1, 3) == alg.element(0, 0, 0, 3)
+    assert alg.monomial(1, 1).scale(3) == alg.element(0, 0, 0, 3)
     assert a.coeffs == ((a.coords[0], a.coords[2]), (a.coords[1], a.coords[3]))
     assert (a + b).coords == tuple(p + q for p, q in zip(a.coords, b.coords))
     assert (a - b).coords == tuple(p - q for p, q in zip(a.coords, b.coords))
+
+
+def test_element_refuses_a_coordinate_of_another_field():
+    # sqrt 3 taken as-is in Q(e) read as e: the norm of sqrt 3 came out -1-1*w
+    alg = QuaternionAlgebra(QEPS, QEPS.lift(-1), QEPS.lift(7))
+    for coords in ((QSQRT3.gen(), 0, 0, 0), (0, 0, 0, QQ.lift(2))):
+        with pytest.raises(ValueError, match="^coefficients must live in the base field$"):
+            alg.element(*coords)
+    assert alg.element(QEPS.gen(), 0, 0, 0).norm() == QEPS.gen() * QEPS.gen()
 
 
 @pytest.mark.parametrize("alg", _algebras(), ids=lambda a: f"({a.alpha},{a.beta})")

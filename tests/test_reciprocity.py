@@ -32,7 +32,7 @@ from symbalg.eisenstein import (
     splitting_in_kummer,
     valuation,
 )
-from symbalg.intmath import is_prime
+from symbalg.intmath import is_prime, primes_below
 from symbalg.local import LocalAlgebraSpec, NormCertificate, is_norm
 
 # the primes drawn have at most 82 bits: 2^81 is about 2.4e24, and the
@@ -52,11 +52,33 @@ def _primes_above(p):
     """The primes above p > 3, each with a primary pi: q itself when p = q
     is inert, and both conjugates when p splits."""
     if p % 3 == 2:
-        return [EisensteinPrime(EisensteinInt(p), "inert", p, None, p * p)]
+        return [EisensteinPrime(EisensteinInt(p), p)]
     pi = _primary(factor_rational_prime(p).pi)
     assert pi.norm() == p
     rho = pi.conjugate()
-    return [EisensteinPrime(pi, "split", p, rho, p), EisensteinPrime(rho, "split", p, pi, p)]
+    return [EisensteinPrime(pi, p), EisensteinPrime(rho, p)]
+
+
+def test_kind_norm_and_conjugate_are_read_off_pi_and_p():
+    """The canonical prime above each p < 200, and the primes above p as
+    _primes_above builds them, read kind, abs_norm and conjugate off pi and
+    p: the conjugate is a - b - b*e for pi = a + b*e when p splits, else None."""
+    for p in primes_below(200):
+        canonical = factor_rational_prime(p)
+        above = [canonical] + (_primes_above(p) if p > 3 else [])
+        for prime in above:
+            pi = prime.pi
+            if p == 3:
+                expected = ("ramified", 3, None)
+            elif p % 3 == 2:
+                expected = ("inert", p * p, None)
+            else:
+                expected = ("split", p, EisensteinInt(pi.a - pi.b, -pi.b))
+            assert (prime.kind, prime.abs_norm, prime.conjugate) == expected, prime
+    # the two primes above a split p are each other's conjugates
+    for p in (7, 13, 199):
+        first, second = _primes_above(p)
+        assert (first.conjugate, second.conjugate) == (second.pi, first.pi)
 
 
 @st.composite

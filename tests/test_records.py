@@ -32,7 +32,7 @@ FACTORIES = {
     FieldDescriptor: lambda: FieldDescriptor(2, 1, 1),
     FieldElement: lambda: FieldElement(QEPS, Fraction(1, 2), 3),
     EisensteinInt: lambda: EisensteinInt(3, 1),
-    EisensteinPrime: lambda: EisensteinPrime(EisensteinInt(3, 1), "split", 7, EisensteinInt(2, -1), 7),
+    EisensteinPrime: lambda: EisensteinPrime(EisensteinInt(3, 1), 7),
     CubicSymbol: lambda: CubicSymbol(1),
     SplittingData: lambda: SplittingData(1, 3, 1),
     QuaternionAlgebra: lambda: QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7)),
@@ -155,7 +155,7 @@ def test_construction_validates():
     with pytest.raises(ValueError):
         FieldElement(QQ, 1, 1)
     with pytest.raises(ValueError):
-        EisensteinPrime(EisensteinInt(3, 1), "inert", 7, None, 7)
+        EisensteinPrime(EisensteinInt(3, 1), 5)
 
 
 def test_prime_caches_hit_on_equal_records():
@@ -164,10 +164,7 @@ def test_prime_caches_hit_on_equal_records():
     prime = factor_rational_prime(7)
     assert factor_rational_prime(7) is prime
     assert factor_rational_prime.cache_info().hits == 1
-    twin = EisensteinPrime(
-        EisensteinInt(prime.pi.a, prime.pi.b), prime.kind, prime.p,
-        EisensteinInt(prime.conjugate.a, prime.conjugate.b), prime.abs_norm,
-    )
+    twin = EisensteinPrime(EisensteinInt(prime.pi.a, prime.pi.b), prime.p)
     r = eps_image(prime.pi, prime.p)
     assert eps_image(twin.pi, twin.p) == r and eps_image(prime.pi, prime.p) == r
     assert eps_image.cache_info().hits == 2

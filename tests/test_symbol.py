@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symbalg import fields, linalg, quaternion, symbol
-from symbalg.fields import QEPS, QQ, ParseError, pair_mul, sqrt_field
+from symbalg.fields import QEPS, QQ, QSQRT3, ParseError, pair_mul, sqrt_field
 from symbalg.quaternion import QuaternionAlgebra
 from symbalg.symbol import (
     SymbolAlgebra,
@@ -217,6 +217,35 @@ def test_root_test_comes_after_the_other_checks():
         SymbolAlgebra(QQ, 4, QQ.one(), QQ.one(), QQ.one())
     with pytest.raises(ValueError, match="zeta must live in the base field"):
         SymbolAlgebra(QQ, 3, QEPS.one(), QQ.one(), QQ.one())
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[1, 2, 9], [3, 4, 9], [9, 9, 9]],  # oversize
+        [[1, 2], [3, 4], [9, 9]],  # a row too many
+        [[1, 2, 9], [3, 4]],  # a row too long
+        [[1], [3, 4]],  # a row too short
+        [[1, 2]],  # a row too few
+    ],
+)
+def test_element_refuses_a_grid_of_another_shape(grid):
+    with pytest.raises(ValueError, match="^the grid must be 2 x 2$"):
+        quadratic(2, 3).element(grid)
+
+
+def test_element_refuses_a_coefficient_of_another_field():
+    # sqrt 3 is no element of Q(e): taken as-is it read as e in products
+    alg = cubic()
+    grid = [[QSQRT3.gen(), 0, 0], [0, 0, 0], [0, 0, 0]]
+    with pytest.raises(ValueError, match="^coefficients must live in the base field$"):
+        alg.element(grid)
+    with pytest.raises(ValueError, match="^coefficients must live in the base field$"):
+        quadratic(2, 3).element([[1, QEPS.lift(2)], [0, 0]])
+    # rationals are lifted, and the base field's own elements kept
+    assert alg.element([[QEPS.gen(), Fraction(1, 2), 3], [0] * 3, [0] * 3]).coeffs[0] == (
+        QEPS.gen(), QEPS.lift(Fraction(1, 2)), QEPS.lift(3)
+    )
 
 
 def _dense_model(alg):
