@@ -243,6 +243,21 @@ ARGVS += [
 ]
 
 
+# the integer verbs: an error envelope each for classify and conic-point,
+# a conic point with an even b (its x is a whole multiple of w), and the
+# three verbs near 10^18, where classify answers division and split
+ARGVS += [
+    _argv("quaternion", "conic-point", p=5),
+    _argv("quaternion", "conic-point", p=31),
+    _argv("quaternion", "conic-point", p=1000000000000000009),
+    _argv("quaternion", "classify", p=2),
+    _argv("quaternion", "classify", p=9),
+    _argv("quaternion", "classify", p=1000000000000000003),
+    _argv("quaternion", "classify", p=1000000000000000009),
+    _argv("quaternion", "gauss", p=1000000000000000009),
+]
+
+
 def record(argv) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
