@@ -46,8 +46,9 @@ def _parse_coords(desc, text: str):
     return [parse_element(desc, part) for part in parts]
 
 
-def _point_json(point) -> dict:
-    return {"x": str(point.x), "y": str(point.y), "z": str(point.z)}
+def _half(n: int) -> str:
+    """n/2 written as fields writes the rational: whole when n is even."""
+    return f"{n}/2" if n % 2 else str(n // 2)
 
 
 def _prime_json(prime) -> dict:
@@ -181,10 +182,10 @@ def _search_zero(args):
 def _handle_quaternion(args):
     if args.verb == "search-zero":
         return _search_zero(args)
-    from .fields import parse_element
-    from .quaternion import QuaternionAlgebra, classify_minus1_p, conic_point_sqrt3, gauss_representation
-
     if args.verb in ("mul", "norm"):
+        from .fields import parse_element
+        from .quaternion import QuaternionAlgebra
+
         desc = _field_descriptor(args.field)
         alg = QuaternionAlgebra(desc, parse_element(desc, args.alpha), parse_element(desc, args.beta))
         a = alg.element(*_parse_coords(desc, args.a))
@@ -196,17 +197,21 @@ def _handle_quaternion(args):
             "trace": str(a.trace()),
             "conjugate": [str(c) for c in a.conjugate().coords],
         }, None
+    from .intmath import classify_minus1_p, gauss_representation
+
     if args.verb == "classify":
-        verdict = classify_minus1_p(args.p)
-        out = {"algebra": {"alpha": "-1", "beta": str(args.p)}, "verdict": verdict.kind}
-        if verdict.point is not None:
-            out["point"] = _point_json(verdict.point)
+        point = classify_minus1_p(args.p)
+        out = {"algebra": {"alpha": "-1", "beta": str(args.p)}, "verdict": "split" if point else "division"}
+        if point:
+            x, z = point
+            out["point"] = {"x": str(x), "y": "1", "z": str(z)}
         return out, None
-    if args.verb == "conic-point":
-        point = conic_point_sqrt3(args.p)
-        return {"p": args.p, "point": _point_json(point), "verified": True}, None
-    # gauss
     a, b = gauss_representation(args.p)
+    if args.verb == "conic-point":
+        # (3b*sqrt(3)/2, 1, a/2) is on -x^2 + p*y^2 = z^2 as 4p = a^2 + 27b^2
+        point = {"x": f"0+{_half(3 * b)}*w", "y": "1", "z": _half(a)}
+        return {"p": args.p, "point": point, "verified": True}, None
+    # gauss
     return {"a": a, "b": b}, None
 
 

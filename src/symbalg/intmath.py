@@ -1,6 +1,8 @@
 """Exact integer number theory: primality, square roots modulo a prime,
-Cornacchia's algorithm, Euler's phi, and the isotropic-vector search of
-the quaternion norm form x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2.
+Cornacchia's algorithm and the representations 4p = a^2 + 27b^2 and
+p = x^2 + z^2 built on it, the split/division verdict for H_Q(-1, p),
+Euler's phi, and the isotropic-vector search of the quaternion norm form
+x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2.
 
 Primality is trial division by the first 13 primes followed by the
 Miller-Rabin test to those 13 bases, which is proven exact for every
@@ -10,8 +12,9 @@ Square roots modulo p use Tonelli-Shanks and x^2 + d*y^2 = p uses
 Cornacchia's algorithm (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 1.5.1 and 1.5.2), so these run in time polynomial in log p.
 Only factoring, for euler_phi and _order_dividing, is trial division; it
-stops once the part left is prime, and callers cap its input.  The
-isotropic search works on ints alone, so it loads no fractions.
+stops once the part left is prime, and callers cap its input.  Each
+witness is checked on its identity by code that raises ArithmeticError.
+Everything here works on ints alone, so it loads no fractions.
 """
 
 from __future__ import annotations
@@ -103,6 +106,40 @@ def cornacchia(d: int, p: int) -> tuple[int, int]:
     if rest or y * y != y_square:
         raise ValueError(f"{p} is not of the form x^2 + {d}*y^2")
     return b, y
+
+
+def gauss_representation(p: int) -> tuple[int, int]:
+    """Positive integers (a, b) with 4p = a^2 + 27 b^2, for p = 1 mod 3."""
+    if not is_prime(p) or p % 3 != 1:
+        raise ValueError("p must be a prime congruent to 1 mod 3")
+    # x^2 + 3y^2 = p makes 4p = A^2 + 3B^2 for each (A, B) below, and
+    # exactly one B is divisible by 3 because 3 divides neither x nor p
+    x, y = cornacchia(3, p)
+    pairs = ((2 * x, 2 * y), (x + 3 * y, x - y), (x - 3 * y, x + y))
+    big_a, big_b = next((pair for pair in pairs if pair[1] % 3 == 0), (0, 0))
+    a, b = abs(big_a), abs(big_b) // 3
+    if a * a + 27 * b * b != 4 * p:
+        raise ArithmeticError(f"no representation 4*{p} = a^2 + 27*b^2")
+    return a, b
+
+
+def two_square_decomposition(p: int) -> tuple[int, int]:
+    """(x, z) with x^2 + z^2 = p and 0 < x <= z, for a prime p = 1 mod 4."""
+    if not is_prime(p) or p % 4 != 1:
+        raise ValueError("p must be a prime congruent to 1 mod 4")
+    x, z = sorted(cornacchia(1, p))
+    if x * x + z * z != p:
+        raise ArithmeticError(f"{p} is not a sum of two squares")
+    return x, z
+
+
+def classify_minus1_p(p: int) -> tuple[int, int] | None:
+    """H_Q(-1, p) at an odd prime p: None when p = 3 mod 4 and it is a
+    division algebra, else (x, z) for the point (x, 1, z) on its conic
+    -x^2 + p*y^2 = z^2, checked as x^2 + z^2 = p."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    return None if p % 4 == 3 else two_square_decomposition(p)
 
 
 def _prime_divisors(n: int) -> list[int]:

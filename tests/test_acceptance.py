@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from symbalg.cli import _run
 from symbalg.eisenstein import (
     ONE,
     UNITS,
@@ -25,17 +26,10 @@ from symbalg.eisenstein import (
     splitting_in_kummer,
 )
 from symbalg.fields import QEPS, QQ, QSQRT3, format_element, parse_element
-from symbalg.intmath import primes_below
+from symbalg.intmath import classify_minus1_p, gauss_representation, primes_below
 from symbalg.linalg import determinant
 from symbalg.local import LocalAlgebraSpec, artin_symbol, classify, is_norm, power_spec, report_split_prime_power
-from symbalg.quaternion import (
-    QuaternionAlgebra,
-    classify_minus1_p,
-    conic_point_sqrt3,
-    gauss_representation,
-    norm_form_zero_search,
-    on_conic,
-)
+from symbalg.quaternion import QuaternionAlgebra, norm_form_zero_search
 from symbalg.symbol import SymbolAlgebra, find_zero_divisor, matrix_generators, quaternion_crosscheck
 
 from residue_oracle import Residues, is_associate
@@ -119,11 +113,11 @@ def test_criterion_03_h_minus1_p_consistency():
         for p in (3, 7, 11, 19, 23, 31, 43):
             alg = QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(p))
             assert norm_form_zero_search(alg, 50) is None
-            assert classify_minus1_p(p).kind == "division"
+            assert classify_minus1_p(p) is None
         for p in (5, 13, 17, 29):
-            verdict = classify_minus1_p(p)
-            assert verdict.kind == "split"
-            assert on_conic(QQ.lift(-1), QQ.lift(p), verdict.point)
+            # split: the point (x, 1, z) of -x^2 + p*y^2 = z^2
+            x, z = classify_minus1_p(p)
+            assert -x * x + p == z * z and x
 
 
 def test_criterion_04_gauss_and_conic_sweep():
@@ -133,8 +127,11 @@ def test_criterion_04_gauss_and_conic_sweep():
                 continue
             a, b = gauss_representation(p)
             assert 4 * p == a * a + 27 * b * b and a > 0 and b > 0
-            point = conic_point_sqrt3(p)
-            assert on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), point)
+            # the verb's point (x1*sqrt(3), 1, z) of -x^2 + p*y^2 = z^2
+            point = _run("quaternion", "conic-point", f"--p={p}")["point"]
+            assert point["x"][:2] == "0+" and point["x"][-2:] == "*w" and point["y"] == "1"
+            x1, z = Fraction(point["x"][2:-2]), Fraction(point["z"])
+            assert -3 * x1 * x1 + p == z * z and x1
 
 
 def test_criterion_05_matrix_model_sign_pairs():

@@ -764,6 +764,7 @@ def test_search_bound_cap(capsys):
     ],
 )
 def test_verbs_load_neither_dataclasses_nor_inspect(argv):
+    # under python -S no .pth file in site-packages preloads a module
     code = (
         "import contextlib, io, json, sys\n"
         "from symbalg.cli import main\n"
@@ -771,7 +772,8 @@ def test_verbs_load_neither_dataclasses_nor_inspect(argv):
         "    status = main(sys.argv[1:])\n"
         "print(json.dumps([status, sorted(sys.modules)]))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(symbalg.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env, check=True)
     status, loaded = json.loads(out.stdout)
     assert status == 0
     assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & set(loaded)
@@ -866,8 +868,10 @@ def test_every_verb_line_is_read_from_the_table():
 # parse JSON input
 NOT_FOR_ZE = {"fractions", "decimal", "numbers", "json", "typing", "re"}
 JSON_VERBS = {("symbol", "mul"), ("symbol", "rep")}
-# the isotropic search is integer work
-NOT_FOR_SEARCH = {"fractions", "decimal", "numbers", "symbalg.fields", "symbalg.quaternion"}
+# the isotropic search, Gauss's representation, the conic point and the
+# verdict for H_Q(-1, p) are integer work
+NOT_FOR_INTS = {"fractions", "decimal", "numbers", "re", "symbalg.fields", "symbalg.symbol", "symbalg.quaternion"}
+INT_VERBS = {("quaternion", verb) for verb in ("search-zero", "gauss", "conic-point", "classify")}
 
 
 @pytest.mark.parametrize("argv", EVERY_VERB, ids=lambda argv: " ".join(argv[:3]))
@@ -890,8 +894,8 @@ def test_each_verb_loads_only_what_it_computes_with(argv):
     if args.group in ("eisenstein", "local"):
         assert not NOT_FOR_ZE & set(loaded)
         assert "symbalg.fields" not in loaded
-    if verb == ("quaternion", "search-zero"):
-        assert not NOT_FOR_SEARCH & set(loaded)
+    if verb in INT_VERBS:
+        assert not NOT_FOR_INTS & set(loaded)
     assert ("json" in loaded) == (verb in JSON_VERBS)
 
 

@@ -6,19 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbalg import intmath, quaternion
+from symbalg import intmath
+from symbalg.cli import _run, main
 from symbalg.fields import QEPS, QQ, QSQRT3
-from symbalg.intmath import primes_below
-from symbalg.quaternion import (
-    Quaternion,
-    QuaternionAlgebra,
-    classify_minus1_p,
-    conic_point_sqrt3,
-    gauss_representation,
-    norm_form_zero_search,
-    on_conic,
-    two_square_decomposition,
-)
+from symbalg.intmath import classify_minus1_p, gauss_representation, primes_below, two_square_decomposition
+from symbalg.quaternion import Quaternion, QuaternionAlgebra, norm_form_zero_search
 from symbalg.symbol import SymbolAlgebra, quaternion_crosscheck, verify_relations
 
 
@@ -188,10 +180,24 @@ def test_gauss_matches_oracle_below_1e5():
 def test_gauss_and_conic_point_at_large_scale(p):
     a, b = gauss_representation(p)
     assert 4 * p == a * a + 27 * b * b and a > 0 and b > 0
-    assert on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), conic_point_sqrt3(p))
+    assert _on_sqrt3_conic(p, *_sqrt3_point(p))
 
 
 # ------------------------------------------------------------- conic points
+
+
+def _sqrt3_point(p):
+    """The conic-point verb's point (x1*sqrt(3), y, z) over Q(sqrt 3), read
+    from its text as the Fractions (x1, y, z)."""
+    point = _run("quaternion", "conic-point", f"--p={p}")["point"]
+    x = point["x"]
+    assert x.startswith("0+") and x.endswith("*w"), x
+    return Fraction(x[2:-2]), Fraction(point["y"]), Fraction(point["z"])
+
+
+def _on_sqrt3_conic(p, x1, y, z):
+    """(x1*sqrt(3), y, z) is a nonzero point of -x^2 + p*y^2 = z^2."""
+    return (x1, y, z) != (0, 0, 0) and -3 * x1 * x1 + p * y * y == z * z
 
 
 @pytest.mark.parametrize(
@@ -199,30 +205,25 @@ def test_gauss_and_conic_point_at_large_scale(p):
     [(7, Fraction(3, 2), Fraction(1, 2)), (13, Fraction(3, 2), Fraction(5, 2)), (31, Fraction(3), Fraction(2))],
 )
 def test_conic_point_examples(p, x1, z0):
-    point = conic_point_sqrt3(p)
-    assert point.x == QSQRT3.element(0, x1)
-    assert point.y == QSQRT3.one()
-    assert point.z == QSQRT3.element(z0)
-    assert on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), point)
+    point = _sqrt3_point(p)
+    assert point == (x1, 1, z0)
+    assert _on_sqrt3_conic(p, *point)
 
 
 def test_conic_point_sweep():
     for p in primes_below(500):
         if p % 3 == 1:
-            point = conic_point_sqrt3(p)
-            assert on_conic(QSQRT3.lift(-1), QSQRT3.lift(p), point)
+            assert _on_sqrt3_conic(p, *_sqrt3_point(p)), p
 
 
 # ------------------------------------------------------ split and division
 
 
 def test_classify_examples():
-    assert classify_minus1_p(7).kind == "division"
-    v13 = classify_minus1_p(13)
-    assert v13.kind == "split"
-    assert (v13.point.x, v13.point.y, v13.point.z) == (QQ.element(2), QQ.one(), QQ.element(3))
-    v5 = classify_minus1_p(5)
-    assert (v5.point.x, v5.point.y, v5.point.z) == (QQ.element(1), QQ.one(), QQ.element(2))
+    # None is division; (x, z) is the point (x, 1, z) of -x^2 + p*y^2 = z^2
+    assert classify_minus1_p(7) is None
+    assert classify_minus1_p(13) == (2, 3) and -2 * 2 + 13 == 3 * 3
+    assert classify_minus1_p(5) == (1, 2) and -1 * 1 + 5 == 2 * 2
     with pytest.raises(ValueError):
         classify_minus1_p(2)
     with pytest.raises(ValueError):
@@ -258,9 +259,9 @@ def test_two_square_matches_oracle_below_1e5():
 def test_two_square_and_classify_at_large_scale(p):
     x, z = two_square_decomposition(p)
     assert x * x + z * z == p and 0 < x <= z
-    verdict = classify_minus1_p(p)
-    assert verdict.kind == "split" and on_conic(QQ.lift(-1), QQ.lift(p), verdict.point)
-    assert classify_minus1_p(1000000000000000003).kind == "division"
+    x, z = classify_minus1_p(p)
+    assert -x * x + p == z * z and x
+    assert classify_minus1_p(1000000000000000003) is None
 
 
 def test_search_division_consistency():
@@ -347,12 +348,17 @@ def test_search_finds_nothing_at_bound_200_for_division(beta):
 
 
 def test_certificate_checks_raise(monkeypatch):
-    # the checks must not be asserts, which python -O strips
-    monkeypatch.setattr(quaternion, "on_conic", lambda *args: False)
-    with pytest.raises(ArithmeticError):
-        conic_point_sqrt3(13)
-    with pytest.raises(ArithmeticError):
-        classify_minus1_p(13)
+    # the checks must not be asserts, which python -O strips; (3, 1) gives
+    # gauss_representation no B divisible by 3
+    for wrong in ((1, 1), (3, 1)):
+        monkeypatch.setattr(intmath, "cornacchia", lambda d, p: wrong)
+        with pytest.raises(ArithmeticError):
+            gauss_representation(13)
+        with pytest.raises(ArithmeticError):
+            two_square_decomposition(13)
+        for verb in ("gauss", "conic-point", "classify"):
+            with pytest.raises(ArithmeticError):
+                main(["quaternion", verb, "--p=13"])
 
 
 def zero_divisor_from_isotropic(a):

@@ -15,12 +15,8 @@ from symbalg.eisenstein import (
 )
 from symbalg.fields import QEPS, QQ, FieldDescriptor, FieldElement, Record
 from symbalg.local import ArtinSymbolResult, LocalAlgebraSpec, NormCertificate, Verdict
-from symbalg.quaternion import ConicPoint, Quaternion, QuaternionAlgebra, SplitVerdict
+from symbalg.quaternion import Quaternion, QuaternionAlgebra
 from symbalg.symbol import MatrixRep, SymbolAlgebra, SymbolElement, matrix_generators
-
-
-def _point():
-    return ConicPoint(QQ.lift(2), QQ.one(), QQ.lift(3))
 
 
 def _cubic():
@@ -37,8 +33,6 @@ FACTORIES = {
     SplittingData: lambda: SplittingData(1, 3, 1),
     QuaternionAlgebra: lambda: QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7)),
     Quaternion: lambda: QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7)).element(1, 2, 3, 4),
-    ConicPoint: _point,
-    SplitVerdict: lambda: SplitVerdict("split", _point()),
     SymbolAlgebra: _cubic,
     SymbolElement: lambda: _cubic().x(),
     MatrixRep: lambda: matrix_generators(_cubic()),
@@ -137,7 +131,7 @@ def test_positional_construction():
         lambda: SplittingData(1, 3),  # a field is missing
         lambda: CubicSymbol(1, 2),  # one value too many
         lambda: CubicSymbol(j=1),  # no such field
-        lambda: SplitVerdict("split", kind="split"),  # a field given twice
+        lambda: SplittingData(1, 3, e=1),  # a field given twice
         lambda: EisensteinInt(1, a=2),
         lambda: QuaternionAlgebra(QQ, QQ.lift(-1), QQ.lift(7), None),  # _constants is derived, not given
     ],
@@ -148,8 +142,6 @@ def test_bad_construction_raises_type_error(build):
 
 
 def test_construction_validates():
-    with pytest.raises(ValueError):
-        SplitVerdict("split", None)
     with pytest.raises(ValueError):
         FieldDescriptor(2, 0, -4)  # t^2 - 4 is reducible
     with pytest.raises(ValueError):
