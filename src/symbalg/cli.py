@@ -13,10 +13,6 @@ from types import SimpleNamespace
 
 from .base import ParseError
 
-# Each handler imports the modules its verb needs, so a process pays only
-# for its own verb: the eisenstein and local verbs load neither fields nor
-# json, and the envelope is written here.
-
 # the search bound of demo, and of search-zero without --bound
 DEFAULT_SEARCH_BOUND = 50
 
@@ -37,33 +33,9 @@ def _field_descriptor(spec: str):
     raise ParseError(f"unknown field {spec!r} (use q, qeps or qsqrt:D)")
 
 
-def _parse_coords(desc, text: str):
-    from .fields import parse_element
-
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ParseError("quaternion coordinates must be x0,x1,x2,x3")
-    return [parse_element(desc, part) for part in parts]
-
-
 def _half(n: int) -> str:
     """n/2 written as fields writes the rational: whole when n is even."""
     return f"{n}/2" if n % 2 else str(n // 2)
-
-
-def _prime_json(prime) -> dict:
-    from .eisenstein import format_eisenstein
-
-    out = {
-        "kind": prime.kind,
-        "pi": format_eisenstein(prime.pi),
-        "abs_norm": prime.abs_norm,
-        "p": prime.p,
-        "display": str(prime),
-    }
-    if prime.conjugate is not None:
-        out["conjugate"] = format_eisenstein(prime.conjugate)
-    return out
 
 
 # arrays and objects a JSON argument may nest (an element needs 3); json's
@@ -107,59 +79,140 @@ def _load_json(text: str) -> dict:
         raise ParseError("malformed JSON: not a JSON value") from exc
 
 
-def _symbol_algebra(args):
+def _quaternions(args, *names):
+    """The elements of the quaternion algebra (--alpha, --beta) over
+    --field whose coordinates x0,x1,x2,x3 the options names give, each
+    read in turn."""
+    from .fields import parse_element
+    from .quaternion import QuaternionAlgebra
+
+    desc = _field_descriptor(args.field)
+    alg = QuaternionAlgebra(desc, parse_element(desc, args.alpha), parse_element(desc, args.beta))
+    for name in names:
+        parts = getattr(args, name).split(",")
+        if len(parts) != 4:
+            raise ParseError("quaternion coordinates must be x0,x1,x2,x3")
+        yield alg.element(*(parse_element(desc, part) for part in parts))
+
+
+def _symbol_algebra(alpha: str, beta: str, field: str = "qeps", n: int = 3, zeta: str | None = None):
     from .fields import QEPS, parse_element
     from .symbol import SymbolAlgebra
 
-    desc = _field_descriptor(args.field)
-    if args.zeta is not None:
-        zeta = parse_element(desc, args.zeta)
-    elif args.n == 2:
+    desc = _field_descriptor(field)
+    if zeta is not None:
+        zeta = parse_element(desc, zeta)
+    elif n == 2:
         zeta = desc.lift(-1)
-    elif args.n == 3 and desc == QEPS:
+    elif n == 3 and desc == QEPS:
         zeta = desc.gen()
     else:
         raise ParseError("provide --zeta for this field/degree combination")
-    return SymbolAlgebra(
-        desc, args.n, zeta, parse_element(desc, args.alpha), parse_element(desc, args.beta)
-    )
+    return SymbolAlgebra(desc, n, zeta, parse_element(desc, alpha), parse_element(desc, beta))
 
 
-# ---------------------------------------------------------------- handlers
+def _local_spec(args):
+    from .eisenstein import factor_rational_prime, parse_eisenstein, parse_eisenstein_fraction
+    from .local import LocalAlgebraSpec
 
-# _read_argv gives a handler only the verbs of its group in _VERBS, so each
-# handler answers its last verb without testing for it.
+    num, den = parse_eisenstein_fraction(args.beta)
+    return LocalAlgebraSpec(parse_eisenstein(args.alpha), num, den, factor_rational_prime(args.p))
 
 
-def _handle_eisenstein(args):
-    from .eisenstein import (
-        cubic_residue_symbol,
-        cyclotomic_splitting,
-        factor_rational_prime,
-        parse_eisenstein,
-        parse_eisenstein_fraction,
-        splitting_in_kummer,
-        valuation,
-    )
+# ------------------------------------------------------------------- verbs
 
-    if args.verb == "factor":
-        return _prime_json(factor_rational_prime(args.p)), None
-    if args.verb == "symbol":
-        prime = factor_rational_prime(args.p)
-        value = cubic_residue_symbol(parse_eisenstein(args.alpha), prime)
-        return {"symbol": str(value), "prime": str(prime)}, None
-    if args.verb == "valuation":
-        prime = factor_rational_prime(args.p)
-        num, den = parse_eisenstein_fraction(args.x)
-        return {"valuation": valuation(num, prime, den), "prime": str(prime)}, None
-    if args.verb == "splitting":
-        prime = factor_rational_prime(args.p)
-        steps = []
-        data = splitting_in_kummer(parse_eisenstein(args.alpha), prime, steps)
-        return {"efg": [data.e, data.f, data.g], "prime": str(prime)}, steps
-    # cyclotomic
+# A compute takes the namespace _read_argv gives and returns (result, steps),
+# steps None where the verb traces nothing.  It imports only what its verb
+# needs: the eisenstein and local verbs load neither fields nor json.
+
+
+def _factor(args):
+    from .eisenstein import factor_rational_prime, format_eisenstein
+
+    prime = factor_rational_prime(args.p)
+    out = {
+        "kind": prime.kind,
+        "pi": format_eisenstein(prime.pi),
+        "abs_norm": prime.abs_norm,
+        "p": prime.p,
+        "display": str(prime),
+    }
+    if prime.conjugate is not None:
+        out["conjugate"] = format_eisenstein(prime.conjugate)
+    return out, None
+
+
+def _cubic_symbol(args):
+    from .eisenstein import cubic_residue_symbol, factor_rational_prime, parse_eisenstein
+
+    prime = factor_rational_prime(args.p)
+    value = cubic_residue_symbol(parse_eisenstein(args.alpha), prime)
+    return {"symbol": str(value), "prime": str(prime)}, None
+
+
+def _valuation(args):
+    from .eisenstein import factor_rational_prime, parse_eisenstein_fraction, valuation
+
+    prime = factor_rational_prime(args.p)
+    num, den = parse_eisenstein_fraction(args.x)
+    return {"valuation": valuation(num, prime, den), "prime": str(prime)}, None
+
+
+def _splitting(args):
+    from .eisenstein import factor_rational_prime, parse_eisenstein, splitting_in_kummer
+
+    prime = factor_rational_prime(args.p)
+    steps = []
+    data = splitting_in_kummer(parse_eisenstein(args.alpha), prime, steps)
+    return {"efg": [data.e, data.f, data.g], "prime": str(prime)}, steps
+
+
+def _cyclotomic(args):
+    from .eisenstein import cyclotomic_splitting
+
     f, r = cyclotomic_splitting(args.p, args.l)
     return {"f": f, "r": r}, None
+
+
+def _quaternion_mul(args):
+    a, b = _quaternions(args, "a", "b")
+    return {"product": [str(c) for c in (a * b).coords]}, None
+
+
+def _quaternion_norm(args):
+    (a,) = _quaternions(args, "a")
+    return {
+        "norm": str(a.norm()),
+        "trace": str(a.trace()),
+        "conjugate": [str(c) for c in a.conjugate().coords],
+    }, None
+
+
+def _classify_minus1(args):
+    from .intmath import classify_minus1_p
+
+    point = classify_minus1_p(args.p)
+    out = {"algebra": {"alpha": "-1", "beta": str(args.p)}, "verdict": "split" if point else "division"}
+    if point:
+        x, z = point
+        out["point"] = {"x": str(x), "y": "1", "z": str(z)}
+    return out, None
+
+
+def _conic_point(args):
+    from .intmath import gauss_representation
+
+    a, b = gauss_representation(args.p)
+    # (3b*sqrt(3)/2, 1, a/2) is on -x^2 + p*y^2 = z^2 as 4p = a^2 + 27b^2
+    point = {"x": f"0+{_half(3 * b)}*w", "y": "1", "z": _half(a)}
+    return {"p": args.p, "point": point, "verified": True}, None
+
+
+def _gauss(args):
+    from .intmath import gauss_representation
+
+    a, b = gauss_representation(args.p)
+    return {"a": a, "b": b}, None
 
 
 def _search_zero(args):
@@ -179,135 +232,82 @@ def _search_zero(args):
     return {"bound": args.bound, "witness": None if witness is None else [str(x) for x in witness]}, steps
 
 
-def _handle_quaternion(args):
-    if args.verb == "search-zero":
-        return _search_zero(args)
-    if args.verb in ("mul", "norm"):
-        from .fields import parse_element
-        from .quaternion import QuaternionAlgebra
+def _symbol_mul(args):
+    from .symbol import element_from_json, element_to_json
 
-        desc = _field_descriptor(args.field)
-        alg = QuaternionAlgebra(desc, parse_element(desc, args.alpha), parse_element(desc, args.beta))
-        a = alg.element(*_parse_coords(desc, args.a))
-        if args.verb == "mul":
-            b = alg.element(*_parse_coords(desc, args.b))
-            return {"product": [str(c) for c in (a * b).coords]}, None
-        return {
-            "norm": str(a.norm()),
-            "trace": str(a.trace()),
-            "conjugate": [str(c) for c in a.conjugate().coords],
-        }, None
-    from .intmath import classify_minus1_p, gauss_representation
-
-    if args.verb == "classify":
-        point = classify_minus1_p(args.p)
-        out = {"algebra": {"alpha": "-1", "beta": str(args.p)}, "verdict": "split" if point else "division"}
-        if point:
-            x, z = point
-            out["point"] = {"x": str(x), "y": "1", "z": str(z)}
-        return out, None
-    a, b = gauss_representation(args.p)
-    if args.verb == "conic-point":
-        # (3b*sqrt(3)/2, 1, a/2) is on -x^2 + p*y^2 = z^2 as 4p = a^2 + 27b^2
-        point = {"x": f"0+{_half(3 * b)}*w", "y": "1", "z": _half(a)}
-        return {"p": args.p, "point": point, "verified": True}, None
-    # gauss
-    return {"a": a, "b": b}, None
+    alg = _symbol_algebra(args.alpha, args.beta, args.field, args.n, args.zeta)
+    u = element_from_json(alg, _load_json(args.u))
+    v = element_from_json(alg, _load_json(args.v))
+    return {"product": element_to_json(u * v)}, None
 
 
-def _handle_symbol(args):
-    from . import symbol as symbol_mod
+def _relations(args):
+    from .symbol import verify_relations
+
+    alg = _symbol_algebra(args.alpha, args.beta, args.field, args.n, args.zeta)
+    return {"holds": verify_relations(alg)}, None
+
+
+def _rep(args):
+    from .symbol import element_from_json, matrix_generators
+
+    alg = _symbol_algebra(args.alpha, args.beta)
+    rep = matrix_generators(alg)
+    matrix = rep.apply(element_from_json(alg, _load_json(args.element)))
+    return {"matrix": [[str(entry) for entry in row] for row in matrix]}, None
+
+
+def _zero_divisor(args):
+    from .symbol import element_to_json, find_zero_divisor
+
+    u, v = find_zero_divisor(_symbol_algebra(args.alpha, args.beta))  # it raises unless u*v = 0
+    return {"u": element_to_json(u), "v": element_to_json(v), "product_zero": True}, None
+
+
+def _crosscheck(args):
     from .fields import QQ, parse_rational
+    from .symbol import SymbolAlgebra, quaternion_crosscheck
 
-    if args.verb == "mul":
-        alg = _symbol_algebra(args)
-        u = symbol_mod.element_from_json(alg, _load_json(args.u))
-        v = symbol_mod.element_from_json(alg, _load_json(args.v))
-        return {"product": symbol_mod.element_to_json(u * v)}, None
-    if args.verb == "relations":
-        alg = _symbol_algebra(args)
-        return {"holds": symbol_mod.verify_relations(alg)}, None
-    if args.verb == "rep":
-        alg = _cubic_eps_algebra(args.alpha, args.beta)
-        rep = symbol_mod.matrix_generators(alg)
-        element = symbol_mod.element_from_json(alg, _load_json(args.element))
-        matrix = rep.apply(element)
-        return {"matrix": [[str(entry) for entry in row] for row in matrix]}, None
-    if args.verb == "zero-divisor":
-        alg = _cubic_eps_algebra(args.alpha, args.beta)
-        u, v = symbol_mod.find_zero_divisor(alg)  # it raises unless u*v = 0
-        return {"u": symbol_mod.element_to_json(u), "v": symbol_mod.element_to_json(v), "product_zero": True}, None
-    # crosscheck
-    alg = symbol_mod.SymbolAlgebra(
-        QQ, 2, QQ.lift(-1), QQ.lift(parse_rational(args.alpha)), QQ.lift(parse_rational(args.beta))
-    )
-    return {"n": 2, "agrees": symbol_mod.quaternion_crosscheck(alg)}, None
+    alpha, beta = QQ.lift(parse_rational(args.alpha)), QQ.lift(parse_rational(args.beta))
+    return {"n": 2, "agrees": quaternion_crosscheck(SymbolAlgebra(QQ, 2, QQ.lift(-1), alpha, beta))}, None
 
 
-def _cubic_eps_algebra(alpha_text: str, beta_text: str):
-    from .fields import QEPS, parse_element
-    from .symbol import SymbolAlgebra
+def _local_classify(args):
+    from .local import classify_report
 
-    return SymbolAlgebra(
-        QEPS,
-        3,
-        QEPS.gen(),
-        parse_element(QEPS, alpha_text),
-        parse_element(QEPS, beta_text),
-    )
-
-
-def _local_spec(args):
-    from .eisenstein import factor_rational_prime, parse_eisenstein, parse_eisenstein_fraction
-    from .local import LocalAlgebraSpec
-
-    num, den = parse_eisenstein_fraction(args.beta)
-    return LocalAlgebraSpec(parse_eisenstein(args.alpha), num, den, factor_rational_prime(args.p))
+    report = classify_report(_local_spec(args))
+    trace = [
+        {"step": "cubic_symbol", "value": report["symbol"]},
+        {"step": "valuation", "value": report["m"]},
+        {"step": "residual_degree", "value": report["f"]},
+    ]
+    return report, trace
 
 
-def _handle_local(args):
-    from . import local as local_mod
+def _artin(args):
+    from .local import artin_symbol
+
+    result = artin_symbol(_local_spec(args))
+    return {"f": result.f, "exponent": result.exponent, "identity": result.exponent == 0}, None
+
+
+def _prop32(args):
+    from .local import report_inert_prime_power
+
+    return report_inert_prime_power(args.alpha, args.p, args.l), None
+
+
+def _prop33(args):
     from .eisenstein import parse_eisenstein
+    from .local import report_split_prime_power
 
-    if args.verb == "classify":
-        spec = _local_spec(args)
-        report = local_mod.classify_report(spec)
-        trace = [
-            {"step": "cubic_symbol", "value": report["symbol"]},
-            {"step": "valuation", "value": report["m"]},
-            {"step": "residual_degree", "value": report["f"]},
-        ]
-        return report, trace
-    if args.verb == "artin":
-        spec = _local_spec(args)
-        result = local_mod.artin_symbol(spec)
-        return {"f": result.f, "exponent": result.exponent, "identity": result.exponent == 0}, None
-    if args.verb == "prop32":
-        return local_mod.report_inert_prime_power(args.alpha, args.p, args.l), None
-    # prop33
-    return local_mod.report_split_prime_power(parse_eisenstein(args.alpha), args.p, args.l), None
-
-
-def _run(*argv) -> dict:
-    """The result of the verb argv names, as its handler gives it."""
-    args = _read_argv(argv)
-    return _HANDLERS[args.group](args)[0]
+    return report_split_prime_power(parse_eisenstein(args.alpha), args.p, args.l), None
 
 
 def demo_report() -> dict:
     """Fixed composition of the headline computations, fully deterministic:
-    the results of four verbs, each with its inputs, and a local sweep."""
-    from . import local as local_mod
-    from .eisenstein import EisensteinInt
-
-    sweep_part = []
-    for p in (5, 7, 11, 13):
-        for l in (1, 2):
-            spec = local_mod.power_spec(EisensteinInt(2), p, l)
-            report = local_mod.classify_report(spec)
-            report.update({"p": p, "l": l, "alpha": "2"})
-            sweep_part.append(report)
-
+    the results of five verbs, each with its inputs, the last a local sweep
+    over beta = p^(3l)."""
     search = _run("quaternion", "search-zero", "--alpha=-1", "--beta=7")
     return {
         "h_minus1_7": {"alpha": "-1", "beta": "7", **search, "division_consistent": search["witness"] is None},
@@ -320,47 +320,67 @@ def demo_report() -> dict:
             for alpha in ("-1", "1")
             for beta in ("-1", "1")
         ],
-        "local_sweep": sweep_part,
+        "local_sweep": [
+            {
+                **_run("local", "classify", "--alpha=2", f"--beta={p ** (3 * l)}", f"--p={p}"),
+                "p": p,
+                "l": l,
+                "alpha": "2",
+            }
+            for p in (5, 7, 11, 13)
+            for l in (1, 2)
+        ],
     }
 
 
-# ------------------------------------------------------------------ parser
-
-# {group: {verb: argument specs}}; every option is "--<name>".  A spec is
-# "name" for a required string, "name:int" for a required int, and
+# {group: {verb: (argument specs, compute)}}; every option is "--<name>".
+# A spec is "name" for a required string, "name:int" for a required int, and
 # "name=default" or "name:int=default" for an optional one, where an empty
-# default means None.  A group with no verbs (demo) takes no arguments.
+# default means None.  demo is a group with no verbs: its one row's key is None.
 _VERBS = {
     "eisenstein": {
-        "factor": ("p:int",),
-        "symbol": ("alpha", "p:int"),
-        "valuation": ("x", "p:int"),
-        "splitting": ("alpha", "p:int"),
-        "cyclotomic": ("p:int", "l:int"),
+        "factor": (("p:int",), _factor),
+        "symbol": (("alpha", "p:int"), _cubic_symbol),
+        "valuation": (("x", "p:int"), _valuation),
+        "splitting": (("alpha", "p:int"), _splitting),
+        "cyclotomic": (("p:int", "l:int"), _cyclotomic),
     },
     "quaternion": {
-        "mul": ("field=q", "alpha", "beta", "a", "b"),
-        "norm": ("field=q", "alpha", "beta", "a"),
-        "classify": ("p:int",),
-        "conic-point": ("p:int",),
-        "gauss": ("p:int",),
-        "search-zero": ("alpha", "beta", f"bound:int={DEFAULT_SEARCH_BOUND}"),
+        "mul": (("field=q", "alpha", "beta", "a", "b"), _quaternion_mul),
+        "norm": (("field=q", "alpha", "beta", "a"), _quaternion_norm),
+        "classify": (("p:int",), _classify_minus1),
+        "conic-point": (("p:int",), _conic_point),
+        "gauss": (("p:int",), _gauss),
+        "search-zero": (("alpha", "beta", f"bound:int={DEFAULT_SEARCH_BOUND}"), _search_zero),
     },
     "symbol": {
-        "mul": ("field=qeps", "n:int=3", "zeta=", "alpha", "beta", "u", "v"),
-        "relations": ("field=qeps", "n:int=3", "zeta=", "alpha", "beta"),
-        "rep": ("alpha", "beta", "element"),
-        "zero-divisor": ("alpha", "beta"),
-        "crosscheck": ("alpha", "beta"),
+        "mul": (("field=qeps", "n:int=3", "zeta=", "alpha", "beta", "u", "v"), _symbol_mul),
+        "relations": (("field=qeps", "n:int=3", "zeta=", "alpha", "beta"), _relations),
+        "rep": (("alpha", "beta", "element"), _rep),
+        "zero-divisor": (("alpha", "beta"), _zero_divisor),
+        "crosscheck": (("alpha", "beta"), _crosscheck),
     },
     "local": {
-        "classify": ("alpha", "beta", "p:int"),
-        "artin": ("alpha", "beta", "p:int"),
-        "prop32": ("alpha:int", "p:int", "l:int=1"),
-        "prop33": ("alpha", "p:int", "l:int=1"),
+        "classify": (("alpha", "beta", "p:int"), _local_classify),
+        "artin": (("alpha", "beta", "p:int"), _artin),
+        "prop32": (("alpha:int", "p:int", "l:int=1"), _prop32),
+        "prop33": (("alpha", "p:int", "l:int=1"), _prop33),
     },
-    "demo": {},
+    "demo": {None: ((), lambda args: (demo_report(), None))},
 }
+
+
+def _compute(args):
+    """(result, steps) of the verb args names, by the compute of its row."""
+    return _VERBS[args.group][getattr(args, "verb", None)][1](args)
+
+
+def _run(*argv) -> dict:
+    """The result of the verb argv names, as its compute gives it."""
+    return _compute(_read_argv(argv))[0]
+
+
+# ------------------------------------------------------------------ parser
 
 
 def _option_specs(specs):
@@ -414,11 +434,12 @@ def _read_argv(argv) -> SimpleNamespace | str:
             if word not in choices:
                 quoted = ", ".join(map(repr, choices))
                 raise ParseError(f"argument {dest}: invalid choice: {word!r} (choose from {quoted})")
-            args[dest], prog, table = word, f"{prog} {word}", choices[word]
-            if dest == "group" and table:  # a group with verbs
-                options, choices, dest = {}, table, "verb"
-            else:  # a verb, or demo
-                options = {name: spec for name, *spec in _option_specs(table)}
+            args[dest], prog, row = word, f"{prog} {word}", choices[word]
+            if dest == "group" and None not in row:  # a group with verbs
+                options, choices, dest = {}, row, "verb"
+            else:  # a verb, or demo, whose one row has no verb
+                specs, _ = row[None] if dest == "group" else row
+                options = {name: spec for name, *spec in _option_specs(specs)}
                 choices = dest = None
         elif option is None or option[0] is None:  # a value word or an unknown option
             strays.append(word)
@@ -459,14 +480,6 @@ def _usage(prog, options, choices) -> str:
     if choices:
         words.append("{" + ",".join(choices) + "} ...")
     return " ".join(words)
-
-
-_HANDLERS = {
-    "eisenstein": _handle_eisenstein,
-    "quaternion": _handle_quaternion,
-    "symbol": _handle_symbol,
-    "local": _handle_local,
-}
 
 
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -522,40 +535,25 @@ def _json_text(value, indent: str | None, depth: int = 0) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent * depth + brackets[1]
 
 
-def _emit(envelope: dict, pretty: bool):
-    print(_json_text(envelope, "  " if pretty else None))
-
-
-def _error(code: str, key: str, exc: Exception, pretty: bool) -> None:
-    _emit({"status": "error", "result": {"code": code, key: str(exc)}}, pretty)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    args = SimpleNamespace(pretty=False)  # a command line the reader refuses is written compact
     try:
         args = _read_argv(argv)
+        if isinstance(args, str):  # -h or --help
+            print(args)
+            return 0
+        result, trace = _compute(args)
     except ParseError as exc:
-        _error("parse_error", "detail", exc, False)
-        return 2
-    if isinstance(args, str):  # -h or --help
-        print(args)
-        return 0
-    try:
-        if args.group == "demo":
-            result, trace = demo_report(), None
-        else:
-            result, trace = _HANDLERS[args.group](args)
-    except ParseError as exc:
-        _error("parse_error", "detail", exc, args.pretty)
-        return 2
+        code, envelope = 2, {"status": "error", "result": {"code": "parse_error", "detail": str(exc)}}
     except (ValueError, ZeroDivisionError) as exc:
-        _error("domain_error", "precondition", exc, args.pretty)
-        return 1
-    envelope = {"status": "ok", "result": result}
-    if args.trace and trace is not None:
-        envelope["trace"] = trace
-    _emit(envelope, args.pretty)
-    return 0
+        code, envelope = 1, {"status": "error", "result": {"code": "domain_error", "precondition": str(exc)}}
+    else:
+        code, envelope = 0, {"status": "ok", "result": result}
+        if args.trace and trace is not None:
+            envelope["trace"] = trace
+    print(_json_text(envelope, "  " if args.pretty else None))
+    return code
 
 
 if __name__ == "__main__":

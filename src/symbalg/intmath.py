@@ -123,23 +123,18 @@ def gauss_representation(p: int) -> tuple[int, int]:
     return a, b
 
 
-def two_square_decomposition(p: int) -> tuple[int, int]:
-    """(x, z) with x^2 + z^2 = p and 0 < x <= z, for a prime p = 1 mod 4."""
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError("p must be a prime congruent to 1 mod 4")
+def classify_minus1_p(p: int) -> tuple[int, int] | None:
+    """H_Q(-1, p) at an odd prime p: None when p = 3 mod 4 and it is a
+    division algebra, else (x, z) with 0 < x <= z for the point (x, 1, z)
+    on its conic -x^2 + p*y^2 = z^2, checked as x^2 + z^2 = p."""
+    if not is_prime(p) or p == 2:
+        raise ValueError("p must be an odd prime")
+    if p % 4 == 3:
+        return None
     x, z = sorted(cornacchia(1, p))
     if x * x + z * z != p:
         raise ArithmeticError(f"{p} is not a sum of two squares")
     return x, z
-
-
-def classify_minus1_p(p: int) -> tuple[int, int] | None:
-    """H_Q(-1, p) at an odd prime p: None when p = 3 mod 4 and it is a
-    division algebra, else (x, z) for the point (x, 1, z) on its conic
-    -x^2 + p*y^2 = z^2, checked as x^2 + z^2 = p."""
-    if not is_prime(p) or p == 2:
-        raise ValueError("p must be an odd prime")
-    return None if p % 4 == 3 else two_square_decomposition(p)
 
 
 def _prime_divisors(n: int) -> list[int]:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import symbalg
 from symbalg import eisenstein
-from symbalg.cli import _VERBS, MAX_JSON_DEPTH, _json_text, _option_specs, _read_argv, main
+from symbalg.cli import _VERBS, MAX_JSON_DEPTH, _json_text, _option_specs, _read_argv, _run, demo_report, main
 from symbalg.eisenstein import EisensteinInt, factor_rational_prime, format_eisenstein
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MAX_SEARCH_BOUND, MILLER_RABIN_LIMIT
@@ -285,7 +285,7 @@ GRAMMAR_VERBS = [
 @given(verb=st.sampled_from(GRAMMAR_VERBS), data=st.data())
 def test_argv_grammar_fuzz(verb, data):
     argv = [word for word in verb if word]
-    for spec in _VERBS[verb[0]].get(verb[1], ()):
+    for spec in _VERBS[verb[0]][verb[1]][0]:
         head, optional, _ = spec.partition("=")
         name = head.partition(":")[0]
         if not optional or data.draw(st.booleans(), label=f"give {name}"):
@@ -397,7 +397,7 @@ def test_help_exits_zero_with_usage(argv):
 # one valid value per option; --zeta is the primitive cube root of unity
 VALUES = {"alpha": "-1", "beta": "1", "a": "1,0,0,0", "b": "0,1,0,0", "x": "343", "zeta": "0+1*w",
           "field": "qeps", "u": "{}", "v": "{}", "element": "{}"}
-VERB_PAIRS = [(group, verb) for group, verbs in _VERBS.items() for verb in verbs or [None]]
+VERB_PAIRS = [(group, verb) for group, verbs in _VERBS.items() for verb in verbs]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -436,10 +436,10 @@ def build_parser():
     top = ap.add_subparsers(dest="group", required=True)
     for group, verbs in _VERBS.items():
         group_parser = top.add_parser(group)
-        if not verbs:
+        if None in verbs:  # demo, a group with no verbs
             continue
         sub = group_parser.add_subparsers(dest="verb", required=True)
-        for verb, specs in verbs.items():
+        for verb, (specs, _) in verbs.items():
             verb_parser = sub.add_parser(verb)
             for name, kind, required, default in _option_specs(specs):
                 value = {"required": True} if required else {"default": default}
@@ -501,7 +501,7 @@ def _decision(result):
 # help on every form of a well-formed line and on each kind of malformed one
 @pytest.mark.parametrize("group,verb", VERB_PAIRS)
 def test_selected_parser_matches_whole_tree(group, verb):
-    specs = _VERBS[group].get(verb, ())
+    specs = _VERBS[group][verb][0]
     words = [group] if verb is None else [group, verb]
     for with_optional in (False, True):
         options = _options(specs, with_optional)
@@ -579,7 +579,7 @@ def grammar_argv(draw):
     group, verb = draw(st.sampled_from(VERB_PAIRS))
     argv = draw(st.lists(st.sampled_from(["--pretty", "--trace"]), max_size=3))
     argv += [group] if verb is None else [group, verb]
-    specs = _spec_names(_VERBS[group].get(verb, ()))
+    specs = _spec_names(_VERBS[group][verb][0])
     names = [name for name, _, optional in specs if not optional or draw(st.booleans())]
     for name in draw(st.permutations(names)):
         value = draw(st.one_of(st.integers(-20, 20).map(str), st.sampled_from(list(VALUES.values())), ODD_VALUES))
@@ -662,6 +662,11 @@ def test_demo_envelope_has_no_floats(capsys):
     scan(env)
 
 
+def test_run_serves_demo():
+    # demo is a row of the verb table like any verb, so _run reaches it
+    assert _run("demo") == demo_report()
+
+
 def test_demo_golden_byte_identical():
     out = subprocess.run([sys.executable, "-m", "symbalg", "demo"], capture_output=True, check=True)
     assert out.stdout == (DATA / "demo.json").read_bytes()
@@ -670,6 +675,17 @@ def test_demo_golden_byte_identical():
 def _golden_records():
     # written by tests/data/make_argv_golden.py; regenerate only as a reviewed change
     return [json.loads(line) for line in (DATA / "argv_golden.jsonl").read_text().splitlines()]
+
+
+def test_every_verb_has_a_golden_record():
+    """a row of the verb table comes with at least one exit-0 golden
+    command line; demo's golden output is demo.json"""
+    golden = {("demo", None)}
+    for record in _golden_records():
+        if record["exit"] == 0:
+            args = _read_argv(record["argv"])
+            golden.add((args.group, getattr(args, "verb", None)))
+    assert set(VERB_PAIRS) <= golden, sorted(set(VERB_PAIRS) - golden)
 
 
 def test_argv_golden_records(capsys):
@@ -860,7 +876,7 @@ EVERY_VERB = [
 
 def test_every_verb_line_is_read_from_the_table():
     assert {(a.group, getattr(a, "verb", None)) for a in map(_read_argv, EVERY_VERB)} == {
-        (group, verb) for group, verbs in _VERBS.items() for verb in verbs or [None]
+        (group, verb) for group, verbs in _VERBS.items() for verb in verbs
     }
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from symbalg import intmath
 from symbalg.cli import _run, main
 from symbalg.fields import QEPS, QQ, QSQRT3
-from symbalg.intmath import classify_minus1_p, gauss_representation, primes_below, two_square_decomposition
+from symbalg.intmath import classify_minus1_p, gauss_representation, primes_below
 from symbalg.quaternion import Quaternion, QuaternionAlgebra, norm_form_zero_search
 from symbalg.symbol import SymbolAlgebra, quaternion_crosscheck, verify_relations
 
@@ -231,12 +231,25 @@ def test_classify_examples():
 
 
 def test_two_square_decomposition():
+    # the split point of classify_minus1_p is the decomposition p = x^2 + z^2
     for p in (5, 13, 17, 29, 97):
-        x, z = two_square_decomposition(p)
+        x, z = classify_minus1_p(p)
         assert x * x + z * z == p
-    for p in (2, 3, 7, 25, 65):
+    for p in (3, 7):
+        assert classify_minus1_p(p) is None
+    for p in (2, 25, 65):
         with pytest.raises(ValueError):
-            two_square_decomposition(p)
+            classify_minus1_p(p)
+
+
+def test_classify_tests_primality_once(monkeypatch):
+    calls = []
+    is_prime = intmath.is_prime
+    monkeypatch.setattr(intmath, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for p in (5, 7, 13, 1000000000000000009, 1000000000000000003):
+        calls.clear()
+        classify_minus1_p(p)
+        assert calls == [p], p
 
 
 def _two_square_oracle(p):
@@ -252,14 +265,13 @@ def _two_square_oracle(p):
 def test_two_square_matches_oracle_below_1e5():
     for p in primes_below(10**5):
         if p % 4 == 1:
-            assert _two_square_oracle(p) == [two_square_decomposition(p)], p
+            assert _two_square_oracle(p) == [classify_minus1_p(p)], p
 
 
 @pytest.mark.parametrize("p", [1000000000000000009, 1000000000000000177, 3317044064679887385961813])
 def test_two_square_and_classify_at_large_scale(p):
-    x, z = two_square_decomposition(p)
-    assert x * x + z * z == p and 0 < x <= z
     x, z = classify_minus1_p(p)
+    assert x * x + z * z == p and 0 < x <= z
     assert -x * x + p == z * z and x
     assert classify_minus1_p(1000000000000000003) is None
 
@@ -355,7 +367,7 @@ def test_certificate_checks_raise(monkeypatch):
         with pytest.raises(ArithmeticError):
             gauss_representation(13)
         with pytest.raises(ArithmeticError):
-            two_square_decomposition(13)
+            classify_minus1_p(13)
         for verb in ("gauss", "conic-point", "classify"):
             with pytest.raises(ArithmeticError):
                 main(["quaternion", verb, "--p=13"])
