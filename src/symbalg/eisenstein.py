@@ -13,8 +13,8 @@ from functools import lru_cache
 from .base import ParseError, Record, read_element
 from .intmath import _order_dividing, cornacchia, euler_phi, is_prime
 
-# entries kept by the factor_rational_prime and eps_image caches: every
-# fresh prime would otherwise stay in memory for the life of the process
+# entries kept by the factor_rational_prime cache: every fresh prime would
+# otherwise stay in memory for the life of the process
 PRIME_CACHE_SIZE = 128
 # largest l cyclotomic_splitting accepts: factoring l and phi(l) is trial
 # division up to the square root of their largest composite part
@@ -35,13 +35,6 @@ class EisensteinInt(Record):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def _coerce(self, other):
-        if isinstance(other, EisensteinInt):
-            return other
-        if isinstance(other, int):
-            return EisensteinInt(other)
-        return None
-
     def norm(self) -> int:
         return self.a * self.a - self.a * self.b + self.b * self.b
 
@@ -53,23 +46,19 @@ class EisensteinInt(Record):
         return self.a == 0 and self.b == 0
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, EisensteinInt):
             return NotImplemented
-        return EisensteinInt(self.a - o.a, self.b - o.b)
+        return EisensteinInt(self.a - other.a, self.b - other.b)
 
     def __neg__(self):
         return EisensteinInt(-self.a, -self.b)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, EisensteinInt):
             return NotImplemented
         # (a + b e)(c + d e) = ac - bd + (ad + bc - bd) e
-        a, b, c, d = self.a, self.b, o.a, o.b
+        a, b, c, d = self.a, self.b, other.a, other.b
         return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -90,15 +79,14 @@ class EisensteinInt(Record):
         The quotient rounds the exact quotient in Q(e) to nearest integers
         coefficientwise, which keeps norm(r) <= 3/4 * norm(other).
         """
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, EisensteinInt):
             return NotImplemented
-        if o.is_zero():
+        if other.is_zero():
             raise ZeroDivisionError("division by zero in Z[e]")
-        n = o.norm()
-        t = self * o.conjugate()
+        n = other.norm()
+        t = self * other.conjugate()
         q = EisensteinInt(_round_div(t.a, n), _round_div(t.b, n))
-        return q, self - q * o
+        return q, self - q * other
 
 
 ONE = EisensteinInt(1)
@@ -121,14 +109,23 @@ def canonical_associate(z: EisensteinInt) -> EisensteinInt:
 class EisensteinPrime(Record):
     """The prime pi of Z[e] above the rational prime p: split with N(pi) = p
     when p = 1 mod 3, inert with pi = p when p = 2 mod 3, ramified with
-    N(pi) = 3 at p = 3; kind, abs_norm and conjugate are read off pi and p."""
+    N(pi) = 3 at p = 3; kind, abs_norm and conjugate are read off pi and p.
+    At a split p it keeps _r = -a/b mod p, the image of e in Z[e]/pi = F_p
+    for pi = a + b*e, a root of t^2 + t + 1 mod p; elsewhere _r is None."""
 
-    __slots__ = ("pi", "p")
+    __slots__ = ("pi", "p", "_r")
 
     def __post_init__(self):
         p, pi = self.p, self.pi
-        if p % 3 == 0 and p != 3 or pi.norm() != self.abs_norm or p % 3 == 2 and pi != EisensteinInt(p):
+        refused = p % 3 == 0 and p != 3 or pi.norm() != self.abs_norm or p % 3 == 2 and pi != EisensteinInt(p)
+        r = None
+        if p % 3 == 1 and not refused:
+            # b is invertible mod p, else p would divide pi and norm(pi) = p^2
+            r = -pi.a * pow(pi.b, p - 2, p) % p
+            refused = (r * r + r + 1) % p
+        if refused:
             raise ValueError(f"{format_eisenstein(pi)} is not a prime above {p}")
+        object.__setattr__(self, "_r", r)
 
     @property
     def kind(self) -> str:
@@ -141,9 +138,6 @@ class EisensteinPrime(Record):
     @property
     def conjugate(self) -> EisensteinInt | None:
         return self.pi.conjugate() if self.p % 3 == 1 else None
-
-    def divides(self, z: EisensteinInt) -> bool:
-        return divmod(z, self.pi)[1].is_zero()
 
     def __str__(self):
         return format_prime(self)
@@ -177,29 +171,10 @@ def factor_rational_prime(p: int) -> EisensteinPrime:
     return EisensteinPrime(pi, p)
 
 
-@lru_cache(maxsize=PRIME_CACHE_SIZE)
-def eps_image(pi: EisensteinInt, p: int) -> int:
-    """The image r = -a/b mod p of e in Z[e]/pi = F_p, for pi = a + b*e
-    above a split p; r is a root of t^2 + t + 1 mod p."""
-    # b is invertible mod p, else p would divide pi and norm(pi) = p^2
-    r = -pi.a * pow(pi.b, p - 2, p) % p
-    if (r * r + r + 1) % p:
-        raise ValueError(f"{format_eisenstein(pi)} is not a prime above {p}")
-    return r
-
-
 class CubicSymbol(Record):
     """Value of the cubic residue character: zero or e^k, k in {0, 1, 2}."""
 
     __slots__ = ("k",)  # None encodes the divisible (zero) case
-
-    @classmethod
-    def zero(cls) -> "CubicSymbol":
-        return cls(None)
-
-    @classmethod
-    def root(cls, k: int) -> "CubicSymbol":
-        return cls(k % 3)
 
     @property
     def is_zero(self) -> bool:
@@ -215,8 +190,8 @@ class CubicSymbol(Record):
 
 def cubic_residue_symbol(alpha: EisensteinInt, prime: EisensteinPrime) -> CubicSymbol:
     """alpha^((N(pi) - 1)/3) mod pi, identified as a power of the cube root:
-    in F_p through the image of e at a split prime, and in F_p[e] on int
-    pairs at an inert one.
+    in F_p through the image of e the prime keeps at a split p, and in
+    F_p[e] on int pairs at an inert one.
 
     Undefined at the ramified prime, where (N(pi) - 1)/3 is not integral.
     """
@@ -224,15 +199,15 @@ def cubic_residue_symbol(alpha: EisensteinInt, prime: EisensteinPrime) -> CubicS
         raise ValueError("cubic residue symbol is undefined at the ramified prime")
     p, k = prime.p, (prime.abs_norm - 1) // 3
     if prime.kind == "split":
-        r = eps_image(prime.pi, p)
+        r = prime._r
         x = (alpha.a + alpha.b * r) % p
         if not x:
-            return CubicSymbol.zero()
+            return CubicSymbol(None)
         value, roots = pow(x, k, p), (1, r, r * r % p)
     else:
         x0, x1 = alpha.a % p, alpha.b % p
         if not (x0 or x1):
-            return CubicSymbol.zero()
+            return CubicSymbol(None)
         # square and multiply in F_p[e], where e^2 = -1 - e
         v0, v1 = 1, 0
         while k:
@@ -243,7 +218,7 @@ def cubic_residue_symbol(alpha: EisensteinInt, prime: EisensteinPrime) -> CubicS
         value, roots = (v0, v1), ((1, 0), (0, 1), (p - 1, p - 1))
     if value not in roots:
         raise ArithmeticError("character value is not a cube root of unity")
-    return CubicSymbol.root(roots.index(value))
+    return CubicSymbol(roots.index(value))
 
 
 def valuation(num: EisensteinInt, prime: EisensteinPrime, den: EisensteinInt = ONE) -> int:

@@ -19,7 +19,6 @@ from .eisenstein import (
     EisensteinInt,
     cubic_residue_symbol,
     factor_rational_prime,
-    splitting_in_kummer,
     valuation,
 )
 from .base import Record
@@ -31,9 +30,11 @@ MAX_POWER_L = 100
 
 
 class LocalAlgebraSpec(Record):
-    """(alpha, beta / K_pi, e) with beta given as an exact fraction."""
+    """(alpha, beta / K_pi, e) with beta given as an exact fraction.  It keeps
+    _symbol, the cubic residue symbol of alpha at pi, which it evaluates
+    once as its check that pi does not divide alpha."""
 
-    __slots__ = ("alpha", "beta_num", "beta_den", "prime")
+    __slots__ = ("alpha", "beta_num", "beta_den", "prime", "_symbol")
 
     def __post_init__(self):
         if self.prime.kind not in ("split", "inert"):
@@ -42,8 +43,10 @@ class LocalAlgebraSpec(Record):
             raise ValueError("the underlying rational prime must exceed 3")
         if self.beta_num.is_zero() or self.beta_den.is_zero():
             raise ValueError("beta must be a nonzero fraction")
-        if self.prime.divides(self.alpha):
+        symbol = cubic_residue_symbol(self.alpha, self.prime)
+        if symbol.is_zero:
             raise ValueError("pi divides alpha: the cube-root extension ramifies")
+        object.__setattr__(self, "_symbol", symbol)
 
 
 class NormCertificate(Record):
@@ -60,8 +63,9 @@ class Verdict(Record):
 
 
 def is_norm(spec: LocalAlgebraSpec) -> NormCertificate:
-    # the spec has pi prime to alpha, so the extension is unramified of degree f
-    f = splitting_in_kummer(spec.alpha, spec.prime).f
+    # the spec has pi prime to alpha, so the extension is unramified: it
+    # splits completely (f = 1) when the symbol is 1, else stays prime (f = 3)
+    f = 1 if spec._symbol.is_trivial else 3
     m = valuation(spec.beta_num, spec.prime, spec.beta_den)
     return NormCertificate(f, m, m % f == 0)
 
@@ -79,7 +83,6 @@ def classify(spec: LocalAlgebraSpec) -> Verdict:
 def classify_report(spec: LocalAlgebraSpec) -> dict:
     """JSON-ready report for a spec; the honest symbol value is included
     so inert primes with non-rational alpha stay visible."""
-    symbol = cubic_residue_symbol(spec.alpha, spec.prime)
     verdict = classify(spec)
     artin = artin_symbol(spec)
     f = verdict.certificate.f
@@ -90,7 +93,7 @@ def classify_report(spec: LocalAlgebraSpec) -> dict:
         "artin_exponent": artin.exponent,
         "efg": [1, f, 3 // f],
         "case": "general",
-        "symbol": str(symbol),
+        "symbol": str(spec._symbol),
     }
 
 

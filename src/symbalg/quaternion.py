@@ -16,23 +16,6 @@ from .intmath import check_search_bound, isotropic_vector
 from .symbol import SymbolAlgebra, SymbolElement
 
 
-class QuaternionAlgebra(SymbolAlgebra):
-    """The symbol algebra (alpha, beta / K, zeta = -1) of degree 2."""
-
-    __slots__ = ()
-
-    def __init__(self, desc, alpha, beta):
-        super().__init__(desc, 2, desc.lift(-1), alpha, beta)
-
-    def element(self, x0, x1, x2, x3) -> "Quaternion":
-        return Quaternion(self, self._lifted(((x0, x2), (x1, x3))))
-
-    def monomial(self, i: int, j: int) -> "Quaternion":
-        coords = [0, 0, 0, 0]
-        coords[i + 2 * j] = 1
-        return self.element(*coords)
-
-
 class Quaternion(SymbolElement):
     """x0 + x1*e1 + x2*e2 + x3*e3, stored as the grid ((x0, x2), (x1, x3)) of
     the coefficients of ((1, y), (x, xy))."""
@@ -63,6 +46,19 @@ class Quaternion(SymbolElement):
                 term = pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w)
                 total = add(total, pair_mul(term, scale, u, w) if scale else term)
         return alg.desc.zero() if total is None else FieldElement(alg.desc, *total)
+
+
+class QuaternionAlgebra(SymbolAlgebra):
+    """The symbol algebra (alpha, beta / K, zeta = -1) of degree 2."""
+
+    __slots__ = ()
+    element_type = Quaternion
+
+    def __init__(self, desc, alpha, beta):
+        super().__init__(desc, 2, desc.lift(-1), alpha, beta)
+
+    def element(self, x0, x1, x2, x3) -> "Quaternion":
+        return Quaternion(self, self._lifted(((x0, x2), (x1, x3))))
 
 
 def norm_form_zero_search(alg: QuaternionAlgebra, bound: int) -> Quaternion | None:

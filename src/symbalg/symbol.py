@@ -27,58 +27,6 @@ from .fields import (
 )
 
 
-class SymbolAlgebra(Record):
-    __slots__ = ("desc", "n", "zeta", "alpha", "beta", "_constants")
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("degree must be at least 2")
-        if self.n > 3:
-            raise ValueError("degrees above 3 are not supported")
-        for name, value in (("zeta", self.zeta), ("alpha", self.alpha), ("beta", self.beta)):
-            if value.desc != self.desc:
-                raise ValueError(f"{name} must live in the base field")
-        if self.alpha.is_zero() or self.beta.is_zero():
-            raise ValueError("alpha and beta must be nonzero")
-        # zeta is a root of the n-th cyclotomic polynomial: z = -1, or z^2 + z + 1 = 0
-        z0, z1 = self.zeta.c0, self.zeta.c1
-        if self.n == 2:
-            primitive = z0 == -1 and z1 == 0
-        else:
-            s0, s1 = pair_mul((z0, z1), (z0, z1), self.desc.u, self.desc.w)
-            primitive = s0 + z0 + 1 == 0 and s1 + z1 == 0
-        if not primitive:
-            raise ValueError("zeta must be a primitive n-th root of unity")
-        object.__setattr__(self, "_constants", symbol_constants(self.n, self.zeta, self.alpha, self.beta))
-
-    def element(self, grid) -> "SymbolElement":
-        return SymbolElement(self, self._lifted(grid))
-
-    def _lifted(self, grid):
-        """The n x n grid as rows of base-field elements, ints and Fractions lifted."""
-        n, desc = self.n, self.desc
-        if len(grid) != n or any(len(row) != n for row in grid):
-            raise ValueError(f"the grid must be {n} x {n}")
-        rows = tuple(tuple(v if isinstance(v, FieldElement) else desc.lift(v) for v in row) for row in grid)
-        if any(v.desc != desc for row in rows for v in row):
-            raise ValueError("coefficients must live in the base field")
-        return rows
-
-    def one(self) -> "SymbolElement":
-        return self.monomial(0, 0)
-
-    def monomial(self, i: int, j: int) -> "SymbolElement":
-        grid = [[0] * self.n for _ in range(self.n)]
-        grid[i][j] = 1
-        return self.element(grid)
-
-    def x(self) -> "SymbolElement":
-        return self.monomial(1, 0)
-
-    def y(self) -> "SymbolElement":
-        return self.monomial(0, 1)
-
-
 class SymbolElement(Record):
     __slots__ = ("algebra", "coeffs")  # n x n grid, coeffs[i][j] multiplies x^i y^j
 
@@ -114,6 +62,59 @@ class SymbolElement(Record):
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for row in self.coeffs for c in row)
+
+
+class SymbolAlgebra(Record):
+    __slots__ = ("desc", "n", "zeta", "alpha", "beta", "_constants")
+    element_type = SymbolElement  # what element and monomial build
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("degree must be at least 2")
+        if self.n > 3:
+            raise ValueError("degrees above 3 are not supported")
+        for name, value in (("zeta", self.zeta), ("alpha", self.alpha), ("beta", self.beta)):
+            if value.desc != self.desc:
+                raise ValueError(f"{name} must live in the base field")
+        if self.alpha.is_zero() or self.beta.is_zero():
+            raise ValueError("alpha and beta must be nonzero")
+        # zeta is a root of the n-th cyclotomic polynomial: z = -1, or z^2 + z + 1 = 0
+        z0, z1 = self.zeta.c0, self.zeta.c1
+        if self.n == 2:
+            primitive = z0 == -1 and z1 == 0
+        else:
+            s0, s1 = pair_mul((z0, z1), (z0, z1), self.desc.u, self.desc.w)
+            primitive = s0 + z0 + 1 == 0 and s1 + z1 == 0
+        if not primitive:
+            raise ValueError("zeta must be a primitive n-th root of unity")
+        object.__setattr__(self, "_constants", symbol_constants(self.n, self.zeta, self.alpha, self.beta))
+
+    def element(self, grid) -> "SymbolElement":
+        return self.element_type(self, self._lifted(grid))
+
+    def _lifted(self, grid):
+        """The n x n grid as rows of base-field elements, ints and Fractions lifted."""
+        n, desc = self.n, self.desc
+        if len(grid) != n or any(len(row) != n for row in grid):
+            raise ValueError(f"the grid must be {n} x {n}")
+        rows = tuple(tuple(v if isinstance(v, FieldElement) else desc.lift(v) for v in row) for row in grid)
+        if any(v.desc != desc for row in rows for v in row):
+            raise ValueError("coefficients must live in the base field")
+        return rows
+
+    def one(self) -> "SymbolElement":
+        return self.monomial(0, 0)
+
+    def monomial(self, i: int, j: int) -> "SymbolElement":
+        grid = [[0] * self.n for _ in range(self.n)]
+        grid[i][j] = 1
+        return self.element_type(self, self._lifted(grid))
+
+    def x(self) -> "SymbolElement":
+        return self.monomial(1, 0)
+
+    def y(self) -> "SymbolElement":
+        return self.monomial(0, 1)
 
 
 def verify_relations(alg: SymbolAlgebra) -> bool:

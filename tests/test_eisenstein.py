@@ -17,7 +17,6 @@ from symbalg.eisenstein import (
     canonical_associate,
     cubic_residue_symbol,
     cyclotomic_splitting,
-    eps_image,
     factor_rational_prime,
     format_eisenstein,
     format_prime,
@@ -219,13 +218,11 @@ def test_factor_large_inert_prime_and_refusal():
 
 
 def test_prime_caches_are_bounded():
-    for cached in (factor_rational_prime, eps_image):
-        assert cached.cache_info().maxsize == PRIME_CACHE_SIZE
+    assert factor_rational_prime.cache_info().maxsize == PRIME_CACHE_SIZE
     for p in primes_below(4000):
         if p > 3:
             cubic_residue_symbol(EPS, factor_rational_prime(p))
     assert factor_rational_prime.cache_info().currsize == PRIME_CACHE_SIZE
-    assert eps_image.cache_info().currsize == PRIME_CACHE_SIZE
 
 
 def test_conjugate_prime_is_the_other_orbit():
@@ -276,12 +273,15 @@ def test_reduce_split():
     pr = factor_rational_prime(7)
     field = Residues.of(pr)
     # e - 4 = (3 + e)(e - 1), and no other r in 0..6 has 3 + e | e - r
-    assert field.r == 4 == eps_image(pr.pi, 7)
+    assert field.r == 4
     assert (4 * 4 + 4 + 1) % 7 == 0
     assert field.reduce((7, 0)) == 0 and field.reduce((3, 1)) == 0
+    # the symbol reads e as the oracle's r: pi divides e - r and no other e - s
     for prime in _all_primes_with_norm_upto(200):
         if prime.kind == "split":
-            assert eps_image(prime.pi, prime.p) == Residues.of(prime).r, prime
+            r = Residues.of(prime).r
+            zeros = [s for s in range(prime.p) if cubic_residue_symbol(EisensteinInt(-s, 1), prime).is_zero]
+            assert zeros == [r], prime
 
 
 def test_reduce_inert():
@@ -289,7 +289,7 @@ def test_reduce_inert():
     field = Residues.of(factor_rational_prime(5))
     assert field.r is None and field.reduce((0, 1)) == (0, 1)
     # e^((25 - 1)/3) = e^8 = e^2, since e^3 = 1
-    assert cubic_residue_symbol(EPS, factor_rational_prime(5)) == CubicSymbol.root(2)
+    assert cubic_residue_symbol(EPS, factor_rational_prime(5)) == CubicSymbol(2)
     assert field.symbol((0, 1)) == 2
 
 
@@ -308,7 +308,7 @@ def test_symbol_two_at_split_seven():
     # cubes in F_7 are {0, 1, 6}; 2 is not one, so the symbol is nontrivial
     assert Residues.of(pr).cubes() == {0, 1, 6}
     symbol = cubic_residue_symbol(EisensteinInt(2), pr)
-    assert symbol == CubicSymbol.root(1)
+    assert symbol == CubicSymbol(1)
     # 2^2 = 4 is the image of e itself
     assert pow(2, 2, 7) == Residues.of(pr).r
 
@@ -316,7 +316,7 @@ def test_symbol_two_at_split_seven():
 def test_symbol_two_at_inert_five():
     pr = factor_rational_prime(5)
     symbol = cubic_residue_symbol(EisensteinInt(2), pr)
-    assert symbol == CubicSymbol.root(0)
+    assert symbol == CubicSymbol(0)
     # oracle: some x in F_25 cubes to 2
     assert (2, 0) in Residues.of(pr).cubes()
     assert pow(2, 8, 5) == 1
@@ -324,8 +324,8 @@ def test_symbol_two_at_inert_five():
 
 def test_symbol_zero_case():
     pr = factor_rational_prime(7)
-    assert cubic_residue_symbol(EisensteinInt(7), pr) == CubicSymbol.zero()
-    assert cubic_residue_symbol(pr.pi, pr) == CubicSymbol.zero()
+    assert cubic_residue_symbol(EisensteinInt(7), pr) == CubicSymbol(None)
+    assert cubic_residue_symbol(pr.pi, pr) == CubicSymbol(None)
 
 
 def test_symbol_rejects_ramified():
@@ -556,12 +556,14 @@ def test_a_prime_refuses_pi_not_above_p():
 
 
 def test_residue_field_validation():
-    assert eps_image(EisensteinInt(3, 1), 7) == 4
+    # -3/1 = 4 mod 7 is the image of e at 3 + e: it divides e - 4 and no other e - s
+    prime = EisensteinPrime(EisensteinInt(3, 1), 7)
+    assert [s for s in range(7) if cubic_residue_symbol(EisensteinInt(-s, 1), prime).is_zero] == [4]
     # -1/1 = 6 mod 7 and 6^2 + 6 + 1 = 43 is not 0 mod 7: 1 + e lies above no 7
     with pytest.raises(ValueError, match="not a prime above 7"):
-        eps_image(EisensteinInt(1, 1), 7)
+        EisensteinPrime(EisensteinInt(1, 1), 7)
     with pytest.raises(ValueError):
-        eps_image(EisensteinInt(7), 7)
+        EisensteinPrime(EisensteinInt(7), 7)
 
 
 def test_is_prime_helper():

@@ -1,4 +1,7 @@
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +10,6 @@ from symbalg.eisenstein import (
     ONE,
     UNITS,
     EisensteinInt,
-    EisensteinPrime,
     SplittingData,
     cubic_residue_symbol,
     factor_rational_prime,
@@ -26,8 +28,9 @@ from symbalg.local import (
     report_split_prime_power,
 )
 
-from residue_oracle import Residues
+from residue_oracle import Residues, divides
 
+ROOT = Path(__file__).resolve().parent.parent
 PI7 = factor_rational_prime(7)
 PI5 = factor_rational_prime(5)
 
@@ -54,20 +57,30 @@ def test_residual_degree_is_read_off_the_kummer_splitting():
 
 
 def test_classify_report_takes_its_spec_as_checked(monkeypatch):
-    """A built spec has pi prime to alpha, so classify_report tests no
-    divisibility, and it evaluates at most 3 cubic symbols."""
-    divides, symbols = [], []
-    real_divides = EisensteinPrime.divides
-    monkeypatch.setattr(EisensteinPrime, "divides", lambda self, z: divides.append(z) or real_divides(self, z))
+    """A spec checks that pi does not divide alpha by evaluating the cubic
+    symbol of alpha, with no Z[e] division, and keeps it: the spec and its
+    classify_report evaluate exactly one cubic symbol between them."""
+    divisions, symbols = [], []
+    real_divmod = EisensteinInt.__divmod__
+    monkeypatch.setattr(EisensteinInt, "__divmod__", lambda z, w: divisions.append((z, w)) or real_divmod(z, w))
     for module in (local, eisenstein):
         real = module.cubic_residue_symbol
         monkeypatch.setattr(module, "cubic_residue_symbol", lambda *args, real=real: symbols.append(args) or real(*args))
-    for spec in (spec_for(2, 7**4), spec_for(3, 1, 7), spec_for(2, 5, p=5), power_spec(EisensteinInt(5, -3), 13, 2)):
-        divides.clear()
+    builds = (
+        lambda: spec_for(2, 7**4),
+        lambda: spec_for(3, 1, 7),
+        lambda: spec_for(2, 5, p=5),
+        lambda: spec_for(EisensteinInt(1, 4), 5**3, p=5),
+        lambda: power_spec(EisensteinInt(5, -3), 13, 2),
+    )
+    for build in builds:
+        divisions.clear()
         symbols.clear()
-        classify_report(spec)
-        assert divides == []
-        assert len(symbols) <= 3
+        spec = build()
+        assert divisions == []
+        report = classify_report(spec)
+        assert len(symbols) == 1
+        assert report["symbol"] == str(cubic_residue_symbol(spec.alpha, spec.prime))
 
 
 def test_is_norm_examples():
@@ -170,7 +183,8 @@ def test_split_power_report_labels_the_case_from_its_own_symbol(monkeypatch):
         monkeypatch.setattr(module, "cubic_residue_symbol", lambda *args, real=real: calls.append(args) or real(*args))
     for p in (7, 13, 19, 31):
         for alpha in (EisensteinInt(2), EisensteinInt(3, 1), EisensteinInt(5, -2)):
-            if factor_rational_prime(p).divides(alpha):
+            pi = factor_rational_prime(p).pi
+            if divides((pi.a, pi.b), (alpha.a, alpha.b)):
                 continue
             calls.clear()
             expected = classify_report(power_spec(alpha, p, 2))
@@ -242,7 +256,7 @@ def test_unit_scaling_never_changes_the_verdict():
         p = rng.choice([5, 7, 11, 13, 19, 23])
         prime = factor_rational_prime(p)
         alpha = EisensteinInt(rng.randint(2, 20))
-        if prime.divides(alpha):
+        if alpha.a % p == 0:  # pi | alpha exactly when p | alpha, for rational alpha
             continue
         m = rng.randint(0, 5)
         base = prime.pi ** m
@@ -265,7 +279,7 @@ def test_division_only_when_f_three_and_m_not_divisible():
     for p in (7, 13):
         prime = factor_rational_prime(p)
         for alpha in (2, 3, 4, 5, 6, 8):
-            if alpha % p == 0 or prime.divides(EisensteinInt(alpha)):
+            if alpha % p == 0:
                 continue
             f = splitting_in_kummer(EisensteinInt(alpha), prime).f
             for m in range(0, 6):
@@ -290,3 +304,20 @@ def test_power_spec_caps_l():
         assert report(MAX_POWER_L)["m"] == 3 * MAX_POWER_L
         with pytest.raises(ValueError, match="l must be in"):
             report(MAX_POWER_L + 1)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda report: {**report, "verdict": "division"},  # every beta = p^(3l) divides too
+        lambda report: {**report, "f": 3},  # a split beta = pi^m with f = 3
+    ],
+)
+def test_local_sweep_exits_1_when_a_claim_fails(monkeypatch, capsys, wrong):
+    real = local.classify_report
+    monkeypatch.setattr(local, "classify_report", lambda spec: wrong(real(spec)))
+    monkeypatch.setattr(sys, "argv", ["local_sweep.py", "--pmax", "20", "--ls", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(ROOT / "scripts" / "local_sweep.py"), run_name="__main__")
+    assert exit_info.value.code == 1
+    assert "FAILED" in capsys.readouterr().out
