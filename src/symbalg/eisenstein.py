@@ -106,26 +106,27 @@ def canonical_associate(z: EisensteinInt) -> EisensteinInt:
     return next(t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a)
 
 
+class NotPrimeError(ValueError):
+    """factor_rational_prime was given a p that is not prime."""
+
+
 class EisensteinPrime(Record):
     """The prime pi of Z[e] above the rational prime p: split with N(pi) = p
     when p = 1 mod 3, inert with pi = p when p = 2 mod 3, ramified with
     N(pi) = 3 at p = 3; kind, abs_norm and conjugate are read off pi and p.
     At a split p it keeps _r = -a/b mod p, the image of e in Z[e]/pi = F_p
-    for pi = a + b*e, a root of t^2 + t + 1 mod p; elsewhere _r is None."""
+    for pi = a + b*e, a root of t^2 + t + 1 mod p; elsewhere _r is None.
+    A p that is not prime is refused, unless p_is_prime says it was tested."""
 
     __slots__ = ("pi", "p", "_r")
 
-    def __post_init__(self):
-        p, pi = self.p, self.pi
-        refused = p % 3 == 0 and p != 3 or pi.norm() != self.abs_norm or p % 3 == 2 and pi != EisensteinInt(p)
-        r = None
-        if p % 3 == 1 and not refused:
-            # b is invertible mod p, else p would divide pi and norm(pi) = p^2
-            r = -pi.a * pow(pi.b, p - 2, p) % p
-            refused = (r * r + r + 1) % p
-        if refused:
+    def __init__(self, pi: EisensteinInt, p: int, p_is_prime: bool = False):
+        super().__init__(pi, p)
+        if not (p_is_prime or is_prime(p)) or pi.norm() != self.abs_norm or p % 3 == 2 and pi != EisensteinInt(p):
             raise ValueError(f"{format_eisenstein(pi)} is not a prime above {p}")
-        object.__setattr__(self, "_r", r)
+        # at a split p, b is prime to p (else p | pi and N(pi) = p^2), and
+        # r^2 + r + 1 = N(pi)/b^2 = 0 mod p
+        object.__setattr__(self, "_r", -pi.a * pow(pi.b, -1, p) % p if p % 3 == 1 else None)
 
     @property
     def kind(self) -> str:
@@ -143,32 +144,25 @@ class EisensteinPrime(Record):
         return format_prime(self)
 
 
-def _norm_equation(p: int) -> EisensteinInt:
-    # x^2 + 3y^2 = p gives (x + y) + 2y*e, whose norm is
-    # (x + y)^2 - 2y(x + y) + 4y^2 = x^2 + 3y^2
-    x, y = cornacchia(3, p)
-    z = EisensteinInt(x + y, 2 * y)
-    if z.norm() != p:
-        raise ArithmeticError(f"no Eisenstein element of norm {p}")
-    return z
-
-
 @lru_cache(maxsize=PRIME_CACHE_SIZE)
 def factor_rational_prime(p: int) -> EisensteinPrime:
-    """Classify the rational prime p in Z[e]."""
+    """Classify the rational prime p in Z[e], testing p once, before Cornacchia."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise NotPrimeError(f"{p} is not prime")
     if p == 3:
-        return EisensteinPrime(EisensteinInt(1, -1), 3)
+        return EisensteinPrime(EisensteinInt(1, -1), 3, p_is_prime=True)
     if p % 3 == 2:
-        return EisensteinPrime(EisensteinInt(p), p)
-    z = _norm_equation(p)
+        return EisensteinPrime(EisensteinInt(p), p, p_is_prime=True)
+    # x^2 + 3y^2 = p gives (x + y) + 2y*e, whose norm (x + y)^2 - 2y(x + y) + 4y^2
+    # is x^2 + 3y^2, as EisensteinPrime checks
+    x, y = cornacchia(3, p)
+    z = EisensteinInt(x + y, 2 * y)
     # the two prime orbits above p both contain a window representative;
     # the lexicographically smaller one is the canonical pi
     c1 = canonical_associate(z)
     c2 = canonical_associate(z.conjugate())
     pi = min(c1, c2, key=lambda t: (t.a, t.b))
-    return EisensteinPrime(pi, p)
+    return EisensteinPrime(pi, p, p_is_prime=True)
 
 
 class CubicSymbol(Record):

@@ -17,12 +17,12 @@ import math
 from .eisenstein import (
     ONE,
     EisensteinInt,
+    NotPrimeError,
     cubic_residue_symbol,
     factor_rational_prime,
     valuation,
 )
 from .base import Record
-from .intmath import is_prime
 
 # largest l power_spec accepts: beta = p^(3l) has 3l*log(p) digits and the
 # valuation divides it 3l times, so the time grows about as l^3
@@ -106,6 +106,16 @@ def power_spec(alpha: EisensteinInt, p: int, l: int) -> LocalAlgebraSpec:
     return LocalAlgebraSpec(alpha, EisensteinInt(p) ** (3 * l), ONE, prime)
 
 
+def _is_prime_once(p: int) -> bool:
+    """Whether p is prime: factor_rational_prime tests a fresh p once and
+    caches its prime for the report's spec."""
+    try:
+        factor_rational_prime(p)
+    except NotPrimeError:
+        return False
+    return True
+
+
 def report_inert_prime_power(alpha: int, p: int, l: int) -> dict:
     """Report for rational alpha at an inert prime with beta = p^(3l).
 
@@ -113,7 +123,7 @@ def report_inert_prime_power(alpha: int, p: int, l: int) -> dict:
     trivial cubic symbol at an inert prime), so beta is a norm and the
     Artin exponent vanishes.
     """
-    if not is_prime(p) or p % 3 != 2 or p <= 3:
+    if not _is_prime_once(p) or p % 3 != 2 or p <= 3:
         raise ValueError("p must be a prime congruent to 2 mod 3 and exceed 3")
     if math.gcd(alpha, p) != 1:
         raise ValueError("alpha must be coprime to p")
@@ -131,7 +141,7 @@ def report_split_prime_power(alpha: EisensteinInt, p: int, l: int) -> dict:
     beta = p^(3l); the report's residual degree, read off its cubic symbol,
     selects the inert-extension case (f = 3) or the totally split one
     (f = 1), and both classify split."""
-    if not is_prime(p) or p % 3 != 1:
+    if not _is_prime_once(p) or p % 3 != 1:
         raise ValueError("p must be a prime congruent to 1 mod 3")
     report = classify_report(power_spec(alpha, p, l))
     report["case"] = "3.3-2" if report["f"] == 1 else "3.3-1"

@@ -6,8 +6,8 @@ coefficient grids over the basis x^i y^j, row i the coefficients of P_i in
 sum_i x^i P_i(y).  The relations give P(y) x^k = x^k P(zeta^k y), and so
 the product, which ``fields.symbol_product`` computes on constants each
 algebra builds once.  Degree 3 over the cube-root field carries an explicit
-3 x 3 matrix model, computed on monomial matrices of coefficient pairs,
-that turns non-division claims into concrete zero divisors.
+3 x 3 matrix model, monomial matrices read off the same twists, that turns
+non-division claims into concrete zero divisors.
 """
 
 from __future__ import annotations
@@ -132,10 +132,10 @@ def verify_relations(alg: SymbolAlgebra) -> bool:
     )
 
 
-def _sign_unit(value: FieldElement) -> Fraction:
-    """The rational cube root of alpha when alpha is 1 or -1."""
+def _sign_unit(value: FieldElement) -> int:
+    """The int cube root of alpha when alpha is 1 or -1."""
     if value.c1 == 0 and abs(value.c0) == 1:
-        return value.c0
+        return int(value.c0)
     raise ValueError("only alpha, beta in {-1, 1} admit the diagonal matrix model")
 
 
@@ -159,7 +159,7 @@ class MatrixRep(Record):
                 cp = (c.c0, c.c1)
                 for r, e in enumerate(diag):
                     s = (r + j) % 3
-                    out[r][s] = pair_add(out[r][s], pair_mul(e, cp, u, w))
+                    out[r][s] = pair_add(out[r][s], pair_mul(cp, e, u, w))
         zero = desc.zero()
         return [[zero if entry is None else FieldElement(desc, *entry) for entry in row] for row in out]
 
@@ -174,28 +174,23 @@ def _monomial_mul(a, b, u, w):
 
 
 def matrix_generators(alg: SymbolAlgebra) -> MatrixRep:
+    """X^i Y^j is the monomial matrix of shift j with c^i*c'^j*zeta^(r*i) in
+    row r: the algebra's twist by zeta^(r*i) of the int pair (c^i*c'^j, 0)."""
     if alg.n != 3:
         raise ValueError("the matrix model is built for degree 3")
-    u, w = alg.desc.u, alg.desc.w
-    zero, z = Fraction(0), (alg.zeta.c0, alg.zeta.c1)
+    u, w, twists, _ = alg._constants
     c, c2 = _sign_unit(alg.alpha), _sign_unit(alg.beta)
-
-    def mul(a, b):
-        return _monomial_mul(a, b, u, w)
-
-    cz = (c * z[0], c * z[1])
-    x_mat = (0, ((c, zero), cz, pair_mul(cz, z, u, w)))
-    y_mat = (1, ((c2, zero),) * 3)  # c' times the cyclic P
-    ident = (0, ((Fraction(1), zero),) * 3)
-    x_pows = [ident, x_mat, mul(x_mat, x_mat)]
-    y_pows = [ident, y_mat, mul(y_mat, y_mat)]
+    twist = lambda e, p: twists[e](p) if e else p
+    images = tuple(tuple((j, tuple(twist(r * i % 3, (c**i * c2**j, 0)) for r in range(3))) for j in range(3))
+                   for i in range(3))
+    x_mat, y_mat, z = images[1][0], images[0][1], twist(1, (1, 0))
     if not (
-        mul(x_pows[2], x_mat) == (0, ((alg.alpha.c0, alg.alpha.c1),) * 3)
-        and mul(y_pows[2], y_mat) == (0, ((alg.beta.c0, alg.beta.c1),) * 3)
-        and mul(y_mat, x_mat) == mul((0, (z, z, z)), mul(x_mat, y_mat))
+        z == (alg.zeta.c0, alg.zeta.c1)
+        and _monomial_mul(images[2][0], x_mat, u, w) == (0, ((alg.alpha.c0, alg.alpha.c1),) * 3)
+        and _monomial_mul(images[0][2], y_mat, u, w) == (0, ((alg.beta.c0, alg.beta.c1),) * 3)
+        and _monomial_mul(y_mat, x_mat, u, w) == _monomial_mul((0, (z, z, z)), images[1][1], u, w)
     ):
         raise ArithmeticError("matrix model violates the defining relations")
-    images = tuple(tuple(mul(xi, yj) for yj in y_pows) for xi in x_pows)
     return MatrixRep(alg, images)
 
 

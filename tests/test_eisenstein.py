@@ -25,7 +25,7 @@ from symbalg.eisenstein import (
     splitting_in_kummer,
     valuation,
 )
-from symbalg import intmath
+from symbalg import eisenstein, intmath
 from symbalg.fields import QEPS, pair_conj_norm
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
@@ -549,10 +549,31 @@ def test_a_prime_refuses_pi_not_above_p():
         # ramified p = 3 and N(pi) != 3
         (EisensteinInt(3), 3),
         (EisensteinInt(1), 3),
+        # p not prime, though pi passes the tests a prime p needs: 35 = 2
+        # mod 3, 1729 = 7*13*19 a Carmichael number of norm N(-40 + 3e),
+        # the unit 1 above 1, and a negative p
+        (EisensteinInt(35), 35),
+        (EisensteinInt(-40, 3), 1729),
+        (EisensteinInt(1), 1),
+        (EisensteinInt(-2), -2),
     ]
     for pi, p in refused:
         with pytest.raises(ValueError, match=f"is not a prime above {p}$"):
             EisensteinPrime(pi, p)
+
+
+def test_factor_tests_primality_once(monkeypatch):
+    calls = []
+    is_prime = eisenstein.is_prime
+    monkeypatch.setattr(eisenstein, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    factor_rational_prime.cache_clear()
+    for p in (3, 5, 7, 13, 1000000000000000003, 1000000000000000009):
+        calls.clear()
+        factor_rational_prime(p)
+        assert calls == [p], p
+        calls.clear()
+        factor_rational_prime(p)  # a cache hit tests nothing
+        assert calls == [], p
 
 
 def test_residue_field_validation():

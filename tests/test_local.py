@@ -15,7 +15,7 @@ from symbalg.eisenstein import (
     factor_rational_prime,
     splitting_in_kummer,
 )
-from symbalg.intmath import primes_below
+from symbalg.intmath import MILLER_RABIN_LIMIT, primes_below
 from symbalg.local import (
     MAX_POWER_L,
     LocalAlgebraSpec,
@@ -146,6 +146,34 @@ def test_inert_power_report_rejects_bad_input():
         report_inert_prime_power(5, 5, 1)  # alpha not coprime
     with pytest.raises(ValueError):
         report_inert_prime_power(2, 3, 1)
+
+
+def test_prime_power_reports_refuse_in_their_own_words():
+    inert, split = "p must be a prime congruent to 2 mod 3 and exceed 3", "p must be a prime congruent to 1 mod 3"
+    for p in (35, 7, 3, 2, 1, 0, -5):
+        with pytest.raises(ValueError, match=f"^{inert}$"):
+            report_inert_prime_power(2, p, 1)
+    for p in (91, 5, 3, 1, 0, -2):
+        with pytest.raises(ValueError, match=f"^{split}$"):
+            report_split_prime_power(EisensteinInt(2), p, 1)
+    # past the proven Miller-Rabin range, is_prime's own refusal
+    with pytest.raises(ValueError, match="not decided"):
+        report_inert_prime_power(2, MILLER_RABIN_LIMIT + 10, 1)
+
+
+def test_prime_power_reports_test_primality_once(monkeypatch):
+    calls = []
+    for module in (local, eisenstein):  # every is_prime a report could reach
+        real = getattr(module, "is_prime", eisenstein.is_prime)
+        monkeypatch.setattr(module, "is_prime", lambda n, real=real: calls.append(n) or real(n), raising=False)
+    for report, alpha, p in ((report_inert_prime_power, 2, 5), (report_split_prime_power, EisensteinInt(2), 7)):
+        factor_rational_prime.cache_clear()
+        calls.clear()
+        report(alpha, p, 1)
+        assert calls == [p], p
+        calls.clear()
+        report(alpha, p, 1)  # the prime is cached
+        assert calls == [], p
 
 
 def test_rational_alpha_always_trivial_at_inert_primes():

@@ -269,6 +269,16 @@ def test_matrix_generators_equal_dense_construction(alpha, beta, zeta):
     assert [[rep.apply(alg.monomial(i, j)) for j in range(3)] for i in range(3)] == _dense_model(alg)
 
 
+@pytest.mark.parametrize("zeta", [QEPS.gen(), QEPS.gen() * QEPS.gen()], ids=["w", "w^2"])
+@pytest.mark.parametrize("alpha,beta", [(-1, 1), (1, 1), (-1, -1), (1, -1)])
+def test_matrix_model_images_are_int_pairs_over_qeps(alpha, beta, zeta):
+    # every entry of X^i Y^j is a unit of Z[e], so no Fraction is needed
+    rep = matrix_generators(SymbolAlgebra(QEPS, 3, zeta, QEPS.lift(alpha), QEPS.lift(beta)))
+    entries = [pair for row in rep.images for _, diag in row for pair in diag]
+    assert len(entries) == 27
+    assert all(type(a) is int and type(b) is int for a, b in entries), entries
+
+
 def test_matrix_model_relation_check_raises(monkeypatch):
     exact = symbol._monomial_mul
 
