@@ -43,11 +43,14 @@ def main():
     division = Counter()
     for p in primes:
         prime = factor_rational_prime(p)
+        pi_powers = [ONE]  # pi^m at index m
+        for _ in range(5):
+            pi_powers.append(pi_powers[-1] * prime.pi)
         for alpha in args.alphas:
             if alpha % p == 0:
                 continue
             for m in (1, 2, 4, 5):
-                report = classify_report(LocalAlgebraSpec(EisensteinInt(alpha), prime.pi**m, ONE, prime))
+                report = classify_report(LocalAlgebraSpec(EisensteinInt(alpha), pi_powers[m], ONE, prime))
                 division[report["verdict"]] += 1
                 if (report["verdict"] == "division") != (report["f"] == 3):
                     failed.append(f"alpha={alpha} beta=pi^{m} at p={p}: {report['verdict']} with f={report['f']}")

@@ -1,5 +1,13 @@
-"""What every layer shares: the ``Record`` base, ``ParseError`` and the
-reader of the element grammar.
+"""What every layer shares: the ``Record`` base, ``ParseError``, the
+arithmetic and the writer of coefficient pairs, and the reader of the
+element grammar.
+
+A pair (c0, c1) is c0 + c1*t in Q[t]/(t^2 + u*t + w), or in Z[t] for int
+coefficients: ``pair_mul`` is the one product of pairs, over the rationals
+of ``fields``, the integers of ``linalg`` and Z[e] (u = w = 1).  Nothing
+does arithmetic on a zero known in advance: ``pair_mul`` multiplies by no
+zero t-part, and the running sums ``pair_add`` and ``pair_sub`` take a
+first term as it is and add no zero t-part.
 
 An element is a sum of terms ``k``, ``k*w``, ``w``, ``+w`` and ``-w``,
 where ``k`` is a signed integer ``p`` or fraction ``p/q`` and ``w`` is the
@@ -59,6 +67,56 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+
+def pair_mul(x, y, u, w):
+    """(x0 + x1*t)(y0 + y1*t) as a pair, where t^2 = -u*t - w.  Nothing is
+    multiplied by a zero t-part: two factors without one cost one product.
+    u = 0 (Q(sqrt d)), u = 1 and w = 1 (Q(e)) cost no product."""
+    x0, x1 = x
+    y0, y1 = y
+    if not x1:
+        return (x0 * y0, x0 * y1) if y1 else (x0 * y0, x1)
+    if not y1:
+        return x0 * y0, x1 * y0
+    h = x1 * y1
+    c1 = x0 * y1 + x1 * y0
+    return x0 * y0 - (h if w == 1 else h * w), (c1 - (h if u == 1 else h * u)) if u else c1
+
+
+def pair_add(acc, term):
+    """acc + term for a running sum of pairs, where None is the empty sum:
+    the first term is taken as it is, and a zero t-part is never added."""
+    if acc is None:
+        return term
+    a1, t1 = acc[1], term[1]
+    return acc[0] + term[0], (a1 + t1 if a1 else t1) if t1 else a1
+
+
+def pair_sub(acc, term):
+    """acc - term for a running sum of pairs, as ``pair_add``."""
+    t0, t1 = term
+    if acc is None:
+        return -t0, -t1 if t1 else t1
+    a1 = acc[1]
+    return acc[0] - t0, (a1 - t1 if a1 else -t1) if t1 else a1
+
+
+def pair_conj_norm(y, u, w):
+    """The conjugate of the pair y under t -> -u - t, and its norm y*conj(y)."""
+    y0, y1 = y
+    return (y0 - u * y1, -y1), y0 * y0 - u * y0 * y1 + w * y1 * y1
+
+
+def format_pair(c0, c1) -> str:
+    """c0 + c1*w as text: "c0" when c1 is zero, else "c0+c1*w" or "c0-|c1|*w"."""
+    try:
+        if c1 == 0:
+            return str(c0)
+        sign = "+" if c1 > 0 else "-"
+        return f"{c0}{sign}{abs(c1)}*w"
+    except ValueError as exc:  # the interpreter's int-to-text limit, worded per version
+        raise ValueError("a coefficient has too many digits to write") from exc
 
 
 def _reduced(num: int, den: int):

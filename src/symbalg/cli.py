@@ -127,18 +127,18 @@ def _local_spec(args):
 
 
 def _factor(args):
-    from .eisenstein import factor_rational_prime, format_eisenstein
+    from .eisenstein import factor_rational_prime
 
     prime = factor_rational_prime(args.p)
     out = {
         "kind": prime.kind,
-        "pi": format_eisenstein(prime.pi),
+        "pi": str(prime.pi),
         "abs_norm": prime.abs_norm,
         "p": prime.p,
         "display": str(prime),
     }
     if prime.conjugate is not None:
-        out["conjugate"] = format_eisenstein(prime.conjugate)
+        out["conjugate"] = str(prime.conjugate)
     return out, None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .base import ParseError, Record, read_element
+from .base import ParseError, Record, format_pair, pair_conj_norm, pair_mul, read_element
 from .intmath import _order_dividing, cornacchia, euler_phi, is_prime
 
 # entries kept by the factor_rational_prime cache: every fresh prime would
@@ -27,7 +27,9 @@ def _round_div(num: int, den: int) -> int:
 
 
 class EisensteinInt(Record):
-    """a + b*e with integer a, b."""
+    """a + b*e with integer a, b: the pair (a, b) of Z[t], t^2 + t + 1 = 0,
+    so that its product, conjugate and norm are the pair functions of
+    ``base`` at u = w = 1."""
 
     __slots__ = ("a", "b")
 
@@ -36,11 +38,11 @@ class EisensteinInt(Record):
         object.__setattr__(self, "b", b)
 
     def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        return pair_conj_norm((self.a, self.b), 1, 1)[1]
 
     def conjugate(self) -> "EisensteinInt":
         # e -> e^2 = -1 - e
-        return EisensteinInt(self.a - self.b, -self.b)
+        return EisensteinInt(*pair_conj_norm((self.a, self.b), 1, 1)[0])
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -56,37 +58,27 @@ class EisensteinInt(Record):
     def __mul__(self, other):
         if not isinstance(other, EisensteinInt):
             return NotImplemented
-        # (a + b e)(c + d e) = ac - bd + (ad + bc - bd) e
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        result = EisensteinInt(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:  # no square past the last bit
-                base = base * base
-        return result
+        return EisensteinInt(*pair_mul((self.a, self.b), (other.a, other.b), 1, 1))
 
     def __divmod__(self, other):
         """q, r with self = q*other + r and norm(r) < norm(other).
 
-        The quotient rounds the exact quotient in Q(e) to nearest integers
-        coefficientwise, which keeps norm(r) <= 3/4 * norm(other).
+        The quotient rounds the exact quotient self*conj(other)/N(other) in
+        Q(e) to nearest integers coefficientwise, which keeps
+        norm(r) <= 3/4 * norm(other).  The conjugate and the norm of other
+        stay int pairs: it builds the records q, q*other and r only.
         """
         if not isinstance(other, EisensteinInt):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Z[e]")
-        n = other.norm()
-        t = self * other.conjugate()
-        q = EisensteinInt(_round_div(t.a, n), _round_div(t.b, n))
+        conj, n = pair_conj_norm((other.a, other.b), 1, 1)
+        t0, t1 = pair_mul((self.a, self.b), conj, 1, 1)
+        q = EisensteinInt(_round_div(t0, n), _round_div(t1, n))
         return q, self - q * other
+
+    def __str__(self):
+        return format_pair(self.a, self.b)
 
 
 ONE = EisensteinInt(1)
@@ -123,7 +115,7 @@ class EisensteinPrime(Record):
     def __init__(self, pi: EisensteinInt, p: int, p_is_prime: bool = False):
         super().__init__(pi, p)
         if not (p_is_prime or is_prime(p)) or pi.norm() != self.abs_norm or p % 3 == 2 and pi != EisensteinInt(p):
-            raise ValueError(f"{format_eisenstein(pi)} is not a prime above {p}")
+            raise ValueError(f"{pi} is not a prime above {p}")
         # at a split p, b is prime to p (else p | pi and N(pi) = p^2), and
         # r^2 + r + 1 = N(pi)/b^2 = 0 mod p
         object.__setattr__(self, "_r", -pi.a * pow(pi.b, -1, p) % p if p % 3 == 1 else None)
@@ -282,15 +274,8 @@ def cyclotomic_splitting(p: int, l: int) -> tuple[int, int]:
     return f, phi // f
 
 
-def format_eisenstein(z: EisensteinInt) -> str:
-    if z.b == 0:
-        return str(z.a)
-    sign = "+" if z.b > 0 else "-"
-    return f"{z.a}{sign}{abs(z.b)}*w"
-
-
 def format_prime(prime: EisensteinPrime) -> str:
-    return f"{prime.kind}({format_eisenstein(prime.pi)} | N={prime.abs_norm})"
+    return f"{prime.kind}({prime.pi} | N={prime.abs_norm})"
 
 
 def parse_eisenstein(text: str) -> EisensteinInt:

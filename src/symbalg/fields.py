@@ -5,16 +5,14 @@ The cube-root-of-unity field uses minimal polynomial coefficients
 (u, w) = (1, 1); square-root fields Q(sqrt d) use (0, -d).  The text
 grammar prints the quadratic generator as ``w``, e.g. ``3+1*w``.
 
-``pair_mul`` is the one product of coefficient pairs (a0, a1) = a0 + a1*t,
-over the rationals or over the integers of ``linalg``.  ``symbol_product``
-is the one product of the algebras built on the field: the symbol algebra
-of degree n, of which the quaternion algebra is the case n = 2, zeta = -1.
-It twists each left coefficient by powers of zeta, with no product when
-zeta is -1 or a root of unity of Q(e), and multiplies by alpha and beta
-once per output bin, on the ``symbol_constants`` each algebra builds once.
-Nothing does ``Fraction`` work on a zero known in advance: ``pair_mul``
-multiplies by no zero t-part, and the running sums ``pair_add`` and
-``pair_sub`` take a first term as it is and add no zero t-part.
+Coefficient pairs (a0, a1) = a0 + a1*t multiply by ``base.pair_mul``, the
+one product of pairs, which the field, the algebras, ``linalg`` and Z[e]
+share.  ``symbol_product`` is the one product of the algebras built on the
+field: the symbol algebra of degree n, of which the quaternion algebra is
+the case n = 2, zeta = -1.  It twists each left coefficient by powers of
+zeta, with no product when zeta is -1 or a root of unity of Q(e), and
+multiplies by alpha and beta once per output bin, on the
+``symbol_constants`` each algebra builds once.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .base import ParseError, Record, read_element, read_rational
+from .base import ParseError, Record, format_pair, pair_add, pair_conj_norm, pair_mul, read_element, read_rational
 
 
 def parse_rational(text: str) -> Fraction:
@@ -94,46 +92,6 @@ def sqrt_field(d: int) -> FieldDescriptor:
 QSQRT3 = sqrt_field(3)
 
 
-def pair_mul(x, y, u, w):
-    """(x0 + x1*t)(y0 + y1*t) as a pair, where t^2 = -u*t - w, over Q or the
-    integers of ``linalg``.  Nothing is multiplied by a zero t-part: two
-    factors without one cost one product.  u = 0 (Q(sqrt d)), u = 1 and
-    w = 1 (Q(e)) cost no product."""
-    x0, x1 = x
-    y0, y1 = y
-    if not x1:
-        return (x0 * y0, x0 * y1) if y1 else (x0 * y0, x1)
-    if not y1:
-        return x0 * y0, x1 * y0
-    h = x1 * y1
-    c1 = x0 * y1 + x1 * y0
-    return x0 * y0 - (h if w == 1 else h * w), (c1 - (h if u == 1 else h * u)) if u else c1
-
-
-def pair_add(acc, term):
-    """acc + term for a running sum of pairs, where None is the empty sum:
-    the first term is taken as it is, and a zero t-part is never added."""
-    if acc is None:
-        return term
-    a1, t1 = acc[1], term[1]
-    return acc[0] + term[0], (a1 + t1 if a1 else t1) if t1 else a1
-
-
-def pair_sub(acc, term):
-    """acc - term for a running sum of pairs, as ``pair_add``."""
-    t0, t1 = term
-    if acc is None:
-        return -t0, -t1 if t1 else t1
-    a1 = acc[1]
-    return acc[0] - t0, (a1 - t1 if a1 else -t1) if t1 else a1
-
-
-def pair_conj_norm(y, u, w):
-    """The conjugate of the pair y under t -> -u - t, and its norm y*conj(y)."""
-    y0, y1 = y
-    return (y0 - u * y1, -y1), y0 * y0 - u * y0 * y1 + w * y1 * y1
-
-
 class FieldElement(Record):
     """c0 + c1*t over the descriptor's field; immutable, exact."""
 
@@ -198,17 +156,7 @@ class FieldElement(Record):
         return FieldElement(self.desc, c0 / n, c1 / n)
 
     def __str__(self):
-        return format_element(self)
-
-
-def format_element(e: FieldElement) -> str:
-    try:
-        if e.c1 == 0:
-            return str(e.c0)
-        sign = "+" if e.c1 > 0 else "-"
-        return f"{e.c0}{sign}{abs(e.c1)}*w"
-    except ValueError as exc:  # the interpreter's int-to-text limit, worded per version
-        raise ValueError("a coefficient has too many digits to write") from exc
+        return format_pair(self.c0, self.c1)
 
 
 def parse_element(desc: FieldDescriptor, text: str) -> FieldElement:

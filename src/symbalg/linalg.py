@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .fields import FieldElement, pair_conj_norm, pair_mul
+from .base import pair_conj_norm, pair_mul
+from .fields import FieldElement
 
 Matrix = list[list[FieldElement]]
 

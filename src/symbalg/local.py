@@ -103,7 +103,7 @@ def power_spec(alpha: EisensteinInt, p: int, l: int) -> LocalAlgebraSpec:
     if not 1 <= l <= MAX_POWER_L:
         raise ValueError(f"l must be in 1..{MAX_POWER_L}")
     prime = factor_rational_prime(p)
-    return LocalAlgebraSpec(alpha, EisensteinInt(p) ** (3 * l), ONE, prime)
+    return LocalAlgebraSpec(alpha, EisensteinInt(p ** (3 * l)), ONE, prime)
 
 
 def _is_prime_once(p: int) -> bool:

@@ -11,7 +11,8 @@ Q(sqrt 3) are integer identities, and live in intmath.
 
 from __future__ import annotations
 
-from .fields import QQ, FieldElement, pair_add, pair_mul, pair_sub
+from .base import pair_add, pair_mul, pair_sub
+from .fields import QQ, FieldElement
 from .intmath import check_search_bound, isotropic_vector
 from .symbol import SymbolAlgebra, SymbolElement
 

@@ -14,17 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import (
-    FieldElement,
-    ParseError,
-    Record,
-    format_element,
-    pair_add,
-    pair_mul,
-    parse_element,
-    symbol_constants,
-    symbol_product,
-)
+from .base import ParseError, Record, pair_add, pair_mul
+from .fields import FieldElement, parse_element, symbol_constants, symbol_product
 
 
 class SymbolElement(Record):
@@ -262,7 +253,7 @@ def quaternion_crosscheck(alg: SymbolAlgebra) -> bool:
 def element_to_json(element: SymbolElement) -> dict:
     return {
         "n": element.algebra.n,
-        "coeffs": [[format_element(c) for c in row] for row in element.coeffs],
+        "coeffs": [[str(c) for c in row] for row in element.coeffs],
     }
 
 

@@ -15,6 +15,14 @@ def pair_mul(x, y):
     return a * c - b * d, a * d + b * c - b * d
 
 
+def power(z, k):
+    """z^k for a pair z and k >= 0, by k multiplications."""
+    value = (1, 0)
+    for _ in range(k):
+        value = pair_mul(value, z)
+    return value
+
+
 def is_associate(x, y):
     """x = y * u for one of the six units u of Z[e], for x and y given as
     anything with the coordinates .a and .b of a + b*e."""

@@ -21,18 +21,17 @@ from symbalg.eisenstein import (
     canonical_associate,
     cubic_residue_symbol,
     factor_rational_prime,
-    format_eisenstein,
     parse_eisenstein,
     splitting_in_kummer,
 )
-from symbalg.fields import QEPS, QQ, QSQRT3, format_element, parse_element
+from symbalg.fields import QEPS, QQ, QSQRT3, parse_element
 from symbalg.intmath import classify_minus1_p, gauss_representation, primes_below
 from symbalg.linalg import determinant
 from symbalg.local import LocalAlgebraSpec, artin_symbol, classify, is_norm, power_spec, report_split_prime_power
 from symbalg.quaternion import QuaternionAlgebra, norm_form_zero_search
 from symbalg.symbol import SymbolAlgebra, find_zero_divisor, matrix_generators, quaternion_crosscheck
 
-from residue_oracle import Residues, divides, is_associate
+from residue_oracle import Residues, divides, is_associate, power
 
 
 def identity(desc, n):
@@ -258,10 +257,11 @@ def test_criterion_09_division_witness_and_triangle():
                 continue
             m = rng.randint(-6, 6)
             unit = rng.choice(UNITS)
+            pi_power = EisensteinInt(*power((prime.pi.a, prime.pi.b), abs(m)))
             if m >= 0:
-                spec = LocalAlgebraSpec(alpha, prime.pi ** m * unit, ONE, prime)
+                spec = LocalAlgebraSpec(alpha, pi_power * unit, ONE, prime)
             else:
-                spec = LocalAlgebraSpec(alpha, unit, prime.pi ** (-m), prime)
+                spec = LocalAlgebraSpec(alpha, unit, pi_power, prime)
             cert = is_norm(spec)
             assert cert.m == m
             triangle(spec)
@@ -284,7 +284,7 @@ def test_criterion_10_cli_golden_and_round_trip():
         for _ in range(100):
             desc = rng.choice([QQ, QEPS, QSQRT3])
             e = _random_field_element(rng, desc)
-            assert parse_element(desc, format_element(e)) == e
+            assert parse_element(desc, str(e)) == e
         for _ in range(100):
             z = EisensteinInt(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-            assert parse_eisenstein(format_eisenstein(z)) == z
+            assert parse_eisenstein(str(z)) == z

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 import symbalg
 from symbalg import eisenstein
 from symbalg.cli import _VERBS, MAX_JSON_DEPTH, _json_text, _option_specs, _read_argv, _run, demo_report, main
-from symbalg.eisenstein import EisensteinInt, factor_rational_prime, format_eisenstein
+from symbalg.eisenstein import EisensteinInt, factor_rational_prime
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MAX_SEARCH_BOUND, MILLER_RABIN_LIMIT
+
+from residue_oracle import power
 
 DATA = Path(__file__).parent / "data"
 INT_GRID = json.dumps({"n": 3, "coeffs": [[1, 2, 3], [3, 4, 5], [1, 1, 1]]})
@@ -923,8 +925,8 @@ def test_splitting_trace_justifies_the_efg(capsys, alpha, v):
     too, trivial exactly when f = 1; alpha prime to pi traces its own
     symbol."""
     pi = factor_rational_prime(7).pi
-    z = EisensteinInt(alpha) * pi**v
-    code, env = run_cli(capsys, "--trace", "eisenstein", "splitting", f"--alpha={format_eisenstein(z)}", "--p=7")
+    z = EisensteinInt(alpha) * EisensteinInt(*power((pi.a, pi.b), v))
+    code, env = run_cli(capsys, "--trace", "eisenstein", "splitting", f"--alpha={z}", "--p=7")
     assert code == 0
     steps = {step["step"]: step["value"] for step in env["trace"]}
     efg = env["result"]["efg"]

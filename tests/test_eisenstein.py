@@ -18,7 +18,6 @@ from symbalg.eisenstein import (
     cubic_residue_symbol,
     cyclotomic_splitting,
     factor_rational_prime,
-    format_eisenstein,
     format_prime,
     parse_eisenstein,
     parse_eisenstein_fraction,
@@ -26,12 +25,14 @@ from symbalg.eisenstein import (
     valuation,
 )
 from symbalg import eisenstein, intmath
-from symbalg.fields import QEPS, pair_conj_norm
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
-from residue_oracle import Residues, is_associate, pair_mul
+from residue_oracle import Residues, is_associate, pair_mul, power
 
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
+# coordinates from small to 10^24, where the products and quotients are multi-digit ints
+coordinates = st.one_of(st.integers(-100, 100), st.integers(-(10**24), 10**24))
+large_eisenstein_ints = st.builds(EisensteinInt, coordinates, coordinates)
 
 
 def _conjugate_prime(prime):
@@ -50,13 +51,18 @@ def test_norm_examples():
         assert u.norm() == 1
 
 
-def test_norm_agrees_with_field_norm():
-    z = EisensteinInt(17, -12)
-    assert z.norm() == pair_conj_norm((z.a, z.b), QEPS.u, QEPS.w)[1]
+@given(z=large_eisenstein_ints)
+def test_norm_agrees_with_field_norm(z):
+    # N(z) = z*conj(z), expanded by the oracle's own product
+    n, zero = pair_mul((z.a, z.b), (z.a - z.b, -z.b))
+    assert zero == 0 and z.norm() == n
+    assert z.conjugate() == EisensteinInt(z.a - z.b, -z.b)
+    assert EisensteinInt(17, -12).norm() == 17 * 17 + 17 * 12 + 12 * 12
 
 
-@given(x=eisenstein_ints, y=eisenstein_ints)
+@given(x=large_eisenstein_ints, y=large_eisenstein_ints)
 def test_norm_multiplicative(x, y):
+    assert x * y == EisensteinInt(*pair_mul((x.a, x.b), (y.a, y.b)))
     assert (x * y).norm() == x.norm() * y.norm()
 
 
@@ -72,27 +78,20 @@ def test_divrem_examples():
     q, r = divmod(EisensteinInt(5), EisensteinInt(2))
     assert q in (EisensteinInt(2), EisensteinInt(3))
     assert r.norm() < 4
-    assert q * EisensteinInt(2) == EisensteinInt(5) - r
+    assert (2 * q.a + r.a, 2 * q.b + r.b) == (5, 0)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 300, 511, 512])
-def test_power_multiplies_popcount_plus_bit_length_minus_one_times(monkeypatch, k):
-    """Square and multiply squares only while bits of k remain, so that
-    pi ** k takes popcount(k) + bit_length(k) - 1 products (none for k = 0)."""
-    pi = factor_rational_prime(7).pi
-    expected = ONE
-    for _ in range(k):
-        expected = expected * pi
-    exact = EisensteinInt.__mul__
-    calls = []
-
-    def counting(self, other):
-        calls.append(1)
-        return exact(self, other)
-
-    monkeypatch.setattr(EisensteinInt, "__mul__", counting)
-    assert pi ** k == expected
-    assert len(calls) == (bin(k).count("1") + k.bit_length() - 1 if k else 0)
+def test_valuation_of_pi_power(k):
+    """The rounding division strips pi exactly k times from the oracle's
+    pi^k, whose coordinates have about 216 digits at k = 512, from
+    pi^k * conj(pi), and from 7^k = pi^k * conj(pi)^k."""
+    prime = factor_rational_prime(7)
+    pi, conj = (prime.pi.a, prime.pi.b), (prime.conjugate.a, prime.conjugate.b)
+    z = EisensteinInt(*power(pi, k))
+    assert valuation(z, prime) == k
+    assert valuation(EisensteinInt(*pair_mul(power(pi, k), conj)), prime) == k
+    assert valuation(EisensteinInt(7**k), prime) == k
 
 
 def test_division_by_zero():
@@ -100,13 +99,15 @@ def test_division_by_zero():
         divmod(ONE, EisensteinInt(0))
 
 
-@given(x=eisenstein_ints, y=eisenstein_ints)
+@given(x=large_eisenstein_ints, y=large_eisenstein_ints)
 def test_euclidean_property(x, y):
     if y.is_zero():
         return
     q, r = divmod(x, y)
-    assert q * y == x - r
-    assert r.norm() < y.norm()
+    qy = pair_mul((q.a, q.b), (y.a, y.b))
+    assert (qy[0] + r.a, qy[1] + r.b) == (x.a, x.b)
+    # the documented bound of the rounding quotient: N(r) <= 3/4 * N(y)
+    assert 4 * r.norm() <= 3 * y.norm()
 
 
 # --------------------------------------------------- prime classification
@@ -149,7 +150,7 @@ def test_factor_ramified_three():
     assert pr.abs_norm == 3
     # 3 = -e^2 * (1 - e)^2
     eps_sq = EPS * EPS
-    assert -eps_sq * EisensteinInt(1, -1) ** 2 == EisensteinInt(3)
+    assert -eps_sq * EisensteinInt(*power((1, -1), 2)) == EisensteinInt(3)
 
 
 def test_factor_rejects_composites():
@@ -389,7 +390,7 @@ def test_valuation_examples():
 @given(m=st.integers(0, 6), unit_index=st.integers(0, 5))
 def test_valuation_reads_off_exponents(m, unit_index):
     pr = factor_rational_prime(13)
-    z = pr.pi ** m * UNITS[unit_index]
+    z = EisensteinInt(*power((pr.pi.a, pr.pi.b), m)) * UNITS[unit_index]
     assert valuation(z, pr) == m
 
 
@@ -439,7 +440,7 @@ def test_splitting_matches_cube_count_oracle(prime):
     for k in range(5):
         for a in range(-3, 4):
             for b in range(-3, 4):
-                alpha = prime.pi ** k * EisensteinInt(a, b)
+                alpha = EisensteinInt(*pair_mul(power(field.pi, k), (a, b)))
                 if alpha.is_zero():
                     continue
                 data = splitting_in_kummer(alpha, prime)
@@ -508,7 +509,7 @@ def test_cyclotomic_splitting_invariants(p, l):
 def test_parse_and_format():
     assert parse_eisenstein("3+1*w") == EisensteinInt(3, 1)
     assert parse_eisenstein("-7") == EisensteinInt(-7)
-    assert format_eisenstein(EisensteinInt(1, -1)) == "1-1*w"
+    assert str(EisensteinInt(1, -1)) == "1-1*w"
     assert format_prime(factor_rational_prime(7)) == "split(3+1*w | N=7)"
     with pytest.raises(ParseError):
         parse_eisenstein("1/2")
@@ -522,7 +523,7 @@ def test_parse_and_format():
 
 @given(z=eisenstein_ints)
 def test_eisenstein_round_trip(z):
-    assert parse_eisenstein(format_eisenstein(z)) == z
+    assert parse_eisenstein(str(z)) == z
 
 
 def test_a_prime_is_pi_and_p():

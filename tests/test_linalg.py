@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbalg import linalg
-from symbalg.fields import QEPS, QQ, QSQRT3, FieldDescriptor, pair_conj_norm, sqrt_field
+from symbalg.base import pair_conj_norm
+from symbalg.fields import QEPS, QQ, QSQRT3, FieldDescriptor, sqrt_field
 from symbalg.symbol import SymbolAlgebra, left_regular_matrix
 
 # the last field, t^2 + 3t + 1, has u outside {0, 1}: pair_mul multiplies by u and w

@@ -28,7 +28,7 @@ from symbalg.local import (
     report_split_prime_power,
 )
 
-from residue_oracle import Residues, divides
+from residue_oracle import Residues, divides, power
 
 ROOT = Path(__file__).resolve().parent.parent
 PI7 = factor_rational_prime(7)
@@ -268,8 +268,8 @@ def test_consistency_triangle_on_grid():
             if alpha % p == 0:
                 continue
             for m in range(-3, 4):
-                num = prime.pi ** m if m >= 0 else ONE
-                den = ONE if m >= 0 else prime.pi ** (-m)
+                pi_power = EisensteinInt(*power((prime.pi.a, prime.pi.b), abs(m)))
+                num, den = (pi_power, ONE) if m >= 0 else (ONE, pi_power)
                 spec = LocalAlgebraSpec(EisensteinInt(alpha), num, den, prime)
                 cert = is_norm(spec)
                 assert cert.m == m
@@ -287,7 +287,7 @@ def test_unit_scaling_never_changes_the_verdict():
         if alpha.a % p == 0:  # pi | alpha exactly when p | alpha, for rational alpha
             continue
         m = rng.randint(0, 5)
-        base = prime.pi ** m
+        base = EisensteinInt(*power((prime.pi.a, prime.pi.b), m))
         base_verdict = classify(LocalAlgebraSpec(alpha, base, ONE, prime)).outcome
         for u in UNITS:
             scaled = classify(LocalAlgebraSpec(alpha, base * u, ONE, prime)).outcome
@@ -298,8 +298,9 @@ def test_beta_times_pi_cubed_is_invariant():
     for p in (7, 13, 19):
         prime = factor_rational_prime(p)
         for m in range(0, 4):
-            spec = LocalAlgebraSpec(EisensteinInt(2), prime.pi ** m, ONE, prime)
-            shifted = LocalAlgebraSpec(EisensteinInt(2), prime.pi ** (m + 3), ONE, prime)
+            pi = prime.pi.a, prime.pi.b
+            spec = LocalAlgebraSpec(EisensteinInt(2), EisensteinInt(*power(pi, m)), ONE, prime)
+            shifted = LocalAlgebraSpec(EisensteinInt(2), EisensteinInt(*power(pi, m + 3)), ONE, prime)
             assert classify(spec).outcome == classify(shifted).outcome
 
 
@@ -311,7 +312,8 @@ def test_division_only_when_f_three_and_m_not_divisible():
                 continue
             f = splitting_in_kummer(EisensteinInt(alpha), prime).f
             for m in range(0, 6):
-                spec = LocalAlgebraSpec(EisensteinInt(alpha), prime.pi ** m, ONE, prime)
+                beta = EisensteinInt(*power((prime.pi.a, prime.pi.b), m))
+                spec = LocalAlgebraSpec(EisensteinInt(alpha), beta, ONE, prime)
                 verdict = classify(spec)
                 if verdict.outcome == "division":
                     assert f == 3 and m % 3 != 0
@@ -323,7 +325,7 @@ def test_power_spec_requires_positive_l():
 
 
 def test_power_spec_caps_l():
-    assert power_spec(EisensteinInt(2), 7, MAX_POWER_L).beta_num == EisensteinInt(7) ** (3 * MAX_POWER_L)
+    assert power_spec(EisensteinInt(2), 7, MAX_POWER_L).beta_num == EisensteinInt(*power((7, 0), 3 * MAX_POWER_L))
     reports = (
         lambda l: report_inert_prime_power(2, 5, l),
         lambda l: report_split_prime_power(EisensteinInt(2), 7, l),

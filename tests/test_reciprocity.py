@@ -35,6 +35,8 @@ from symbalg.eisenstein import (
 from symbalg.intmath import is_prime, primes_below
 from symbalg.local import LocalAlgebraSpec, NormCertificate, is_norm
 
+from residue_oracle import power
+
 # the primes drawn have at most 82 bits: 2^81 is about 2.4e24, and the
 # first prime past it lies far below MILLER_RABIN_LIMIT, about 3.3e24
 MAX_BITS = 81
@@ -131,10 +133,11 @@ def test_unit_supplement_and_multiplicativity(data, p):
 def test_valuation_and_local_certificate(data, p, k):
     alpha, u, den = (data.draw(_prime_to(p)) for _ in range(3))
     for prime in _primes_above(p):
-        beta = prime.pi ** k * u
+        pi_power = EisensteinInt(*power((prime.pi.a, prime.pi.b), k))
+        beta = pi_power * u
         assert split_valuation(beta, prime.pi) == (k, u)
         assert valuation(beta, prime, den) == k
         f = 1 if _k(alpha, prime) == 0 else 3
         assert is_norm(LocalAlgebraSpec(alpha, beta, den, prime)) == NormCertificate(f, k, k % f == 0)
-        efg = splitting_in_kummer(prime.pi ** k * alpha, prime)
+        efg = splitting_in_kummer(pi_power * alpha, prime)
         assert (efg.e, efg.f, efg.g) == ((3, 1, 1) if k % 3 else (1, f, 3 // f))

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from symbalg import fields, linalg, quaternion, symbol
-from symbalg.fields import QEPS, QQ, QSQRT3, ParseError, pair_mul, sqrt_field
+from symbalg.base import pair_mul
+from symbalg.fields import QEPS, QQ, QSQRT3, ParseError, sqrt_field
 from symbalg.quaternion import QuaternionAlgebra
 from symbalg.symbol import (
     SymbolAlgebra,
