@@ -105,7 +105,8 @@ def pair_sub(acc, term):
 def pair_conj_norm(y, u, w):
     """The conjugate of the pair y under t -> -u - t, and its norm y*conj(y)."""
     y0, y1 = y
-    return (y0 - u * y1, -y1), y0 * y0 - u * y0 * y1 + w * y1 * y1
+    c0 = y0 - u * y1
+    return (c0, -y1), y0 * c0 + w * y1 * y1
 
 
 def format_pair(c0, c1) -> str:

@@ -482,25 +482,12 @@ def _usage(prog, options, choices) -> str:
     return " ".join(words)
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(char: str) -> str:
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code > 0xFFFF:  # a surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return f"\\u{code:04x}"
-
-
 def _json_string(text: str) -> str:
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    return '"' + "".join(map(_escape, text)) + '"'
+    import json
+
+    return json.dumps(text)
 
 
 def _json_text(value, indent: str | None, depth: int = 0) -> str:
@@ -555,6 +542,3 @@ def main(argv=None) -> int:
     print(_json_text(envelope, "  " if args.pretty else None))
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

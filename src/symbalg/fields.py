@@ -134,10 +134,6 @@ class FieldElement(Record):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.c0 == 0 and self.c1 == 0:
-            return self
-        if o.c0 == 0 and o.c1 == 0:
-            return o
         return FieldElement(self.desc, *pair_mul((self.c0, self.c1), (o.c0, o.c1), self.desc.u, self.desc.w))
 
     __rmul__ = __mul__
@@ -148,10 +144,8 @@ class FieldElement(Record):
     def inv(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.desc.degree == 1:
-            return FieldElement(self.desc, 1 / self.c0)
         # norm is nonzero for nonzero elements because the minimal polynomial
-        # is irreducible over Q
+        # is irreducible over Q; in Q (u = w = 0) it is c0^2, and the conjugate c0
         (c0, c1), n = pair_conj_norm((self.c0, self.c1), self.desc.u, self.desc.w)
         return FieldElement(self.desc, c0 / n, c1 / n)
 

@@ -141,16 +141,17 @@ class MatrixRep(Record):
         if element.algebra != self.algebra:
             raise ValueError("element belongs to a different algebra")
         desc = self.algebra.desc
-        u, w = desc.u, desc.w
+        twists = self.algebra._constants[2]
         out = [[None] * 3 for _ in range(3)]
-        for coeff_row, image_row in zip(element.coeffs, self.images):
+        for i, (coeff_row, image_row) in enumerate(zip(element.coeffs, self.images)):
             for c, (j, diag) in zip(coeff_row, image_row):
                 if c.is_zero():
                     continue
-                cp = (c.c0, c.c1)
-                for r, e in enumerate(diag):
-                    s = (r + j) % 3
-                    out[r][s] = pair_add(out[r][s], pair_mul(cp, e, u, w))
+                # row r of X^i Y^j is the sign c^i*c'^j, its diag[0], twisted by zeta^(r*i)
+                cp = (c.c0, c.c1) if diag[0][0] == 1 else (-c.c0, -c.c1)
+                for r in range(3):
+                    e, s = r * i % 3, (r + j) % 3
+                    out[r][s] = pair_add(out[r][s], twists[e](cp) if e else cp)
         zero = desc.zero()
         return [[zero if entry is None else FieldElement(desc, *entry) for entry in row] for row in out]
 

@@ -257,6 +257,24 @@ ARGVS += [
     _argv("quaternion", "gauss", p=1000000000000000009),
 ]
 
+# text that the envelope escapes, echoed by a parse error: a non-ASCII
+# character, one outside the BMP (a surrogate pair), a double quote, and a
+# control character, which repr writes as "\x01", so that its backslash is escaped
+ARGVS += [
+    _argv("eisenstein", "factor", p="7é"),
+    _argv("eisenstein", "factor", p="7\U0001f600"),
+    _argv("eisenstein", "symbol", alpha='1"', p=7),
+    _argv("eisenstein", "symbol", alpha="1\x01", p=7),
+]
+
+# Z[e] at the ramified prime 1 - w, where the cubic symbol is undefined,
+# and the symbol zero at an inert prime
+ARGVS += [
+    _argv("eisenstein", "factor", p=3),
+    _argv("eisenstein", "symbol", alpha="2", p=3),
+    _argv("eisenstein", "symbol", alpha="5", p=5),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()

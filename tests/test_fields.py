@@ -59,6 +59,9 @@ def test_inv_examples():
     eps = QEPS.gen()
     assert eps.inv() == QEPS.element(-1, -1)
     assert QQ.element(2).inv() == QQ.element(Fraction(1, 2))
+    # 40-digit numerator and denominator: Q inverts by the conjugate and norm of Q(t) at u = w = 0
+    big = Fraction(1234567890123456789012345678901234567891, -9876543210987654321098765432109876543211)
+    assert QQ.element(big).inv() == QQ.element(1 / big)
     one_minus_eps = QEPS.element(1, -1)
     expected = _solve_inverse_2x2(one_minus_eps)
     assert expected == QEPS.element(Fraction(2, 3), Fraction(1, 3))
@@ -135,6 +138,10 @@ def test_sqrt_field_cap():
 
 @pytest.mark.parametrize("desc", DESCRIPTORS)
 def test_field_axioms_random(desc):
+    # zero times x and x times zero, where x has a nonzero t-part outside Q
+    x = desc.element(Fraction(-7, 3), Fraction(5, 2) if desc.degree == 2 else 0)
+    assert desc.zero() * x == x * desc.zero() == desc.zero() == desc.zero() * desc.zero()
+
     @settings(max_examples=60, deadline=None)
     @given(a=elements(desc), b=elements(desc), c=elements(desc))
     def inner(a, b, c):

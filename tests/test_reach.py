@@ -30,7 +30,6 @@ NEVER_CALLED = {
     "base.Record.__hash__": "equal records must hash equal: a class that defines __eq__ without it is unhashable",
     "base.Record.__repr__": "what pytest shows of a record in a failed assertion",
     "base.Record.__setattr__": "refuses assignment and deletion, so a record stays immutable",
-    "cli._escape": "writes the characters JSON escapes, which no replayed output holds",
     "cli._usage": "the usage line that -h and --help print",
     "quaternion.norm_form_zero_search": "the search on an algebra, which the traced cli probe times",
 }
