@@ -40,11 +40,17 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-class FieldDescriptor(Record):
-    """Q (degree 1) or the quadratic field Q[t]/(t^2 + u*t + w) (degree 2),
-    for ints u and w: every quadratic field has such a generator t."""
+def _exact(c) -> Fraction:
+    if isinstance(c, int):  # and nothing else: a float is never a coefficient
+        return Fraction(c)
+    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
 
-    __slots__ = ("degree", "u", "w")
+
+class FieldDescriptor(Record):
+    """Q (degree 1) or the quadratic field Q[t]/(t^2 + u*t + w) (degree 2), for
+    ints u and w, as every quadratic field has such a t; it keeps one shared zero and one."""
+
+    __slots__ = ("degree", "u", "w", "_zero", "_one")
 
     def __post_init__(self):
         if self.degree not in (1, 2):
@@ -54,19 +60,21 @@ class FieldDescriptor(Record):
         disc = self.u * self.u - 4 * self.w
         if self.degree == 2 and disc >= 0 and math.isqrt(disc) ** 2 == disc:
             raise ValueError("t^2 + u*t + w must be irreducible over Q")
+        object.__setattr__(self, "_zero", FieldElement(self, 0))
+        object.__setattr__(self, "_one", FieldElement(self, 1))
 
     def element(self, c0, c1=0) -> "FieldElement":
-        return FieldElement(self, Fraction(c0), Fraction(c1))
+        return FieldElement(self, c0, c1)
 
     def zero(self) -> "FieldElement":
-        return self.element(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return self._one
 
     def lift(self, q) -> "FieldElement":
         """Canonical embedding of a rational; the only cross-field coercion."""
-        return self.element(Fraction(q))
+        return FieldElement(self, q)
 
     def gen(self) -> "FieldElement":
         if self.degree == 1:
@@ -74,33 +82,15 @@ class FieldDescriptor(Record):
         return self.element(0, 1)
 
 
-QQ = FieldDescriptor(1, 0, 0)
-QEPS = FieldDescriptor(2, 1, 1)
-# largest |d| sqrt_field accepts; its squarefree test divides up to sqrt|d|
-MAX_SQRT_FIELD_D = 10**12
-
-
-def sqrt_field(d: int) -> FieldDescriptor:
-    """Q(sqrt d) for squarefree d != 0, 1 with |d| <= MAX_SQRT_FIELD_D."""
-    if abs(d) > MAX_SQRT_FIELD_D:
-        raise ValueError(f"|d| must be at most {MAX_SQRT_FIELD_D}")
-    if d in (0, 1) or not _squarefree(d):
-        raise ValueError("d must be squarefree and different from 0 and 1")
-    return FieldDescriptor(2, 0, -d)
-
-
-QSQRT3 = sqrt_field(3)
-
-
 class FieldElement(Record):
-    """c0 + c1*t over the descriptor's field; immutable, exact."""
+    """c0 + c1*t over the descriptor's field; immutable, exact, from int or Fraction c0 and c1."""
 
     __slots__ = ("desc", "c0", "c1")
 
     def __init__(self, desc: FieldDescriptor, c0, c1=Fraction(0)):
         object.__setattr__(self, "desc", desc)
-        object.__setattr__(self, "c0", c0 if isinstance(c0, Fraction) else Fraction(c0))
-        object.__setattr__(self, "c1", c1 if isinstance(c1, Fraction) else Fraction(c1))
+        object.__setattr__(self, "c0", c0 if isinstance(c0, Fraction) else _exact(c0))
+        object.__setattr__(self, "c1", c1 if isinstance(c1, Fraction) else _exact(c1))
         if desc.degree == 1 and self.c1 != 0:
             raise ValueError("rational field element cannot carry a generator part")
 
@@ -151,6 +141,24 @@ class FieldElement(Record):
 
     def __str__(self):
         return format_pair(self.c0, self.c1)
+
+
+QQ = FieldDescriptor(1, 0, 0)
+QEPS = FieldDescriptor(2, 1, 1)
+# largest |d| sqrt_field accepts; its squarefree test divides up to sqrt|d|
+MAX_SQRT_FIELD_D = 10**12
+
+
+def sqrt_field(d: int) -> FieldDescriptor:
+    """Q(sqrt d) for squarefree d != 0, 1 with |d| <= MAX_SQRT_FIELD_D."""
+    if abs(d) > MAX_SQRT_FIELD_D:
+        raise ValueError(f"|d| must be at most {MAX_SQRT_FIELD_D}")
+    if d in (0, 1) or not _squarefree(d):
+        raise ValueError("d must be squarefree and different from 0 and 1")
+    return FieldDescriptor(2, 0, -d)
+
+
+QSQRT3 = sqrt_field(3)
 
 
 def parse_element(desc: FieldDescriptor, text: str) -> FieldElement:

@@ -97,9 +97,12 @@ class SymbolAlgebra(Record):
         return self.monomial(0, 0)
 
     def monomial(self, i: int, j: int) -> "SymbolElement":
-        grid = [[0] * self.n for _ in range(self.n)]
-        grid[i][j] = 1
-        return self.element_type(self, self._lifted(grid))
+        """x^i y^j for 0 <= i, j < n, on the field's shared zero and one."""
+        n, zero, one = self.n, self.desc.zero(), self.desc.one()
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"monomial exponents must lie in 0..{n - 1}")
+        grid = tuple(tuple(one if (r, s) == (i, j) else zero for s in range(n)) for r in range(n))
+        return self.element_type(self, grid)
 
     def x(self) -> "SymbolElement":
         return self.monomial(1, 0)
@@ -152,8 +155,7 @@ class MatrixRep(Record):
                 for r in range(3):
                     e, s = r * i % 3, (r + j) % 3
                     out[r][s] = pair_add(out[r][s], twists[e](cp) if e else cp)
-        zero = desc.zero()
-        return [[zero if entry is None else FieldElement(desc, *entry) for entry in row] for row in out]
+        return [[desc.zero() if entry is None else FieldElement(desc, *entry) for entry in row] for row in out]
 
 
 def _monomial_mul(a, b, u, w):
@@ -198,10 +200,10 @@ def find_zero_divisor(alg: SymbolAlgebra) -> tuple[SymbolElement, SymbolElement]
         raise ValueError("the matrix model is built for degree 3")
     c = _sign_unit(alg.alpha)
     _sign_unit(alg.beta)  # the model needs it, though u and v have no y
-    third = alg.desc.lift(Fraction(1, 3))
+    third, zero = alg.desc.lift(Fraction(1, 3)), alg.desc.zero()
     z = alg.zeta
-    u = alg.element([[third, 0, 0], [third * c, 0, 0], [third, 0, 0]])
-    v = alg.element([[third, 0, 0], [third * z * z * c, 0, 0], [third * z, 0, 0]])
+    u = alg.element([[third, zero, zero], [third * c, zero, zero], [third, zero, zero]])
+    v = alg.element([[third, zero, zero], [third * z * z * c, zero, zero], [third * z, zero, zero]])
     if u.is_zero() or v.is_zero() or not (u * v).is_zero():
         raise ArithmeticError("pulled-back matrix units are not a zero-divisor pair")
     return u, v

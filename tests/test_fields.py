@@ -11,6 +11,7 @@ from symbalg.fields import (
     QQ,
     QSQRT3,
     FieldDescriptor,
+    FieldElement,
     ParseError,
     parse_element,
     parse_rational,
@@ -91,6 +92,41 @@ def test_descriptor_mismatch_is_an_error():
 def test_lift_is_the_explicit_embedding():
     assert QEPS.lift(Fraction(3, 4)) == QEPS.element(Fraction(3, 4), 0)
     assert QEPS.one() * 2 == QEPS.element(2)
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS)
+def test_a_field_keeps_one_zero_and_one(desc):
+    assert desc.zero() is desc.zero() and desc.one() is desc.one()
+    assert desc.zero() == desc.element(0, 0) and desc.one() == desc.element(1, 0)
+    assert desc.lift(0) == desc.zero() and desc.lift(1) == desc.one()
+
+
+def test_coefficients_are_ints_or_fractions():
+    for bad in (0.1, 0.25, 1.0, "1/3", None):
+        for make in (
+            lambda: QQ.element(bad),
+            lambda: QEPS.element(1, bad),
+            lambda: QEPS.element(bad, 1),
+            lambda: QSQRT3.lift(bad),
+            lambda: FieldElement(QEPS, bad, 1),
+            lambda: FieldElement(QEPS, 1, bad),
+        ):
+            with pytest.raises(TypeError, match="must be an int or a Fraction"):
+                make()
+    # ints become Fractions once, and Fractions are kept as they are
+    third = Fraction(1, 3)
+    x = FieldElement(QEPS, 2, third)
+    assert type(x.c0) is Fraction and x.c0 == 2 and x.c1 is third
+
+
+def test_sqrt_3_is_one_field():
+    again = sqrt_field(3)
+    assert again == QSQRT3 and hash(again) == hash(QSQRT3)
+    assert again.zero() == QSQRT3.zero() and again.one() == QSQRT3.one()
+    # each accepts the other's elements, and sqrt 3 squares to 3 across them
+    assert again.gen() * QSQRT3.gen() == QSQRT3.lift(3) == again.lift(3)
+    assert QSQRT3.gen() + again.one() == again.element(1, 1)
+    assert again.one() - QSQRT3.one() == QSQRT3.zero()
 
 
 def test_reducible_min_poly_rejected():

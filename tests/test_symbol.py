@@ -249,6 +249,57 @@ def test_element_refuses_a_coefficient_of_another_field():
     )
 
 
+def test_element_refuses_a_float_coefficient():
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        quadratic(2, 3).element([[0.5, 0], [0, 0]])
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        QuaternionAlgebra(QQ, QQ.lift(2), QQ.lift(3)).element(1, 0, 0.25, 0)
+
+
+# (field, n, zeta as (c0, c1)): n = 3 needs a cube root of unity, which Q lacks
+MONOMIAL_ALGEBRAS = [
+    (QQ, 2, (-1, 0)),
+    (QEPS, 2, (-1, 0)),
+    (QSQRT_M3, 2, (-1, 0)),
+    (QEPS, 3, (0, 1)),
+    (QSQRT_M3, 3, (Fraction(-1, 2), Fraction(1, 2))),
+]
+
+
+@pytest.mark.parametrize("desc,n,zeta", MONOMIAL_ALGEBRAS, ids=["q-2", "qeps-2", "qsqrt-3-2", "qeps-3", "qsqrt-3-3"])
+def test_monomials_are_the_lifted_unit_grids(desc, n, zeta):
+    alg = SymbolAlgebra(desc, n, desc.element(*zeta), desc.lift(2), desc.lift(7))
+    zero, one = desc.zero(), desc.one()
+    for i in range(n):
+        for j in range(n):
+            monomial = alg.monomial(i, j)
+            assert monomial == alg.element([[int((r, s) == (i, j)) for s in range(n)] for r in range(n)])
+            # built from the field's own zero and one, not from new ones
+            assert all(c is (one if (r, s) == (i, j) else zero)
+                       for r, row in enumerate(monomial.coeffs) for s, c in enumerate(row))
+    assert alg.one() == alg.monomial(0, 0) and alg.one().coeffs[0][0] is one
+    assert all(c is zero for c in alg.one().flat()[1:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_monomial_refuses_exponents_outside_the_degree(n):
+    alg = quadratic(2, 3) if n == 2 else cubic()
+    for i, j in ((0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1)):
+        assert alg.monomial(i, j).coeffs[i][j] == alg.desc.one()
+    for i, j in ((-1, 0), (0, -1), (n, 0), (0, n), (-1, n), (n, n)):
+        with pytest.raises(ValueError, match=f"^monomial exponents must lie in 0..{n - 1}$"):
+            alg.monomial(i, j)
+
+
+def test_zero_outputs_are_the_shared_zero():
+    alg, zero = cubic(-1, 1), QEPS.zero()
+    assert all(c is zero for c in (alg.x() * alg.y()).flat() if c != QEPS.one())
+    assert all(c is zero for row in matrix_generators(alg).apply(alg.x()) for c in row if c.is_zero())
+    assert all(c is zero for row in find_zero_divisor(alg)[0].coeffs for c in row[1:])
+    quat = QuaternionAlgebra(QQ, QQ.lift(2), QQ.lift(3))
+    assert quat.element(0, 0, 0, 0).norm() is QQ.zero()
+
+
 def _dense_model(alg):
     """The images X^i Y^j of the model as dense 3 x 3 products of
     X = c*diag(1, zeta, zeta^2) and Y = c'*P."""
