@@ -52,9 +52,6 @@ class EisensteinInt(Record):
             return NotImplemented
         return EisensteinInt(self.a - other.a, self.b - other.b)
 
-    def __neg__(self):
-        return EisensteinInt(-self.a, -self.b)
-
     def __mul__(self, other):
         if not isinstance(other, EisensteinInt):
             return NotImplemented
@@ -83,19 +80,6 @@ class EisensteinInt(Record):
 
 ONE = EisensteinInt(1)
 EPS = EisensteinInt(0, 1)
-# the six units: +-1, +-e, +-e^2
-UNITS = (ONE, -ONE, EPS, -EPS, EisensteinInt(-1, -1), EisensteinInt(1, 1))
-
-
-def canonical_associate(z: EisensteinInt) -> EisensteinInt:
-    """The associate with a > 0 and 0 <= b < a.
-
-    That window is a fundamental domain for multiplication by the six
-    units, so exactly one associate of a nonzero z lies in it.
-    """
-    if z.is_zero():
-        raise ValueError("zero has no canonical associate")
-    return next(t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a)
 
 
 class NotPrimeError(ValueError):
@@ -148,13 +132,18 @@ def factor_rational_prime(p: int) -> EisensteinPrime:
     # x^2 + 3y^2 = p gives (x + y) + 2y*e, whose norm (x + y)^2 - 2y(x + y) + 4y^2
     # is x^2 + 3y^2, as EisensteinPrime checks
     x, y = cornacchia(3, p)
-    z = EisensteinInt(x + y, 2 * y)
-    # the two prime orbits above p both contain a window representative;
-    # the lexicographically smaller one is the canonical pi
-    c1 = canonical_associate(z)
-    c2 = canonical_associate(z.conjugate())
-    pi = min(c1, c2, key=lambda t: (t.a, t.b))
-    return EisensteinPrime(pi, p, p_is_prime=True)
+    # the window a > 0, 0 <= b < a holds exactly one associate of each of
+    # (x + y) + 2y*e and its conjugate (x - y) - 2y*e, and the smaller pair
+    # is the canonical pi; (a, b) -> (b, b - a) is the product by the unit
+    # -e, whose six powers are the units
+    window = []
+    for a, b in ((x + y, 2 * y), (x - y, -2 * y)):
+        for _ in range(6):
+            a, b = b, b - a
+            if 0 <= b < a:
+                window.append((a, b))
+                break
+    return EisensteinPrime(EisensteinInt(*min(window)), p, p_is_prime=True)
 
 
 class CubicSymbol(Record):

@@ -5,12 +5,16 @@ Euler's phi, and the isotropic-vector search of the quaternion norm form
 x0^2 - a*x1^2 - b*x2^2 + a*b*x3^2.
 
 Primality is trial division by the first 13 primes followed by the
-Miller-Rabin test to those 13 bases, which is proven exact for every
-n < MILLER_RABIN_LIMIT (Sorenson and Webster, Math. Comp. 86 (2017)); past
-that limit is_prime refuses instead of returning a probable answer.
-Square roots modulo p use Tonelli-Shanks and x^2 + d*y^2 = p uses
-Cornacchia's algorithm (Cohen, A Course in Computational Algebraic Number
-Theory, Alg. 1.5.1 and 1.5.2), so these run in time polynomial in log p.
+Miller-Rabin test to the first t of them, for the least t with n < psi_t,
+where psi_t is the least strong pseudoprime to the first t prime bases
+(OEIS A014233; Jaeschke, Math. Comp. 61 (1993); Sorenson and Webster,
+Math. Comp. 86 (2017)): four bases run near 10^8, and all 13 only from
+psi_12 on.  Past psi_13 = MILLER_RABIN_LIMIT is_prime refuses instead of
+returning a probable answer.  Square roots modulo p take the one power
+a^((p+1)/4) when p = 3 mod 4 and Tonelli-Shanks otherwise, and
+x^2 + d*y^2 = p uses Cornacchia's algorithm (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 1.5.1 and 1.5.2), so these
+run in time polynomial in log p.
 Only factoring, for euler_phi and _order_dividing, is trial division; it
 stops once the part left is prime, and callers cap its input.  Each
 witness is checked on its identity by code that raises ArithmeticError.
@@ -20,18 +24,26 @@ Everything here works on ints alone, so it loads no fractions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# the least strong pseudoprime to all 13 bases
-MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+# psi_t, the least strong pseudoprime to the first t bases (OEIS A014233);
+# the last, to all 13, is the limit
+_MR_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3_317_044_064_679_887_385_961_981,
+)
+MILLER_RABIN_LIMIT = _MR_PSI[-1]
 # largest coordinate bound isotropic_vector accepts; time grows as bound^2
 # and memory as the number of distinct right-hand values
 MAX_SEARCH_BOUND = 500
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality of n.  Raises ValueError when n >= MILLER_RABIN_LIMIT
-    and none of the 13 bases divides n, where the test is not proven."""
+    """Exact primality of n, by the first t bases for the least t with
+    n < psi_t.  Raises ValueError when n >= MILLER_RABIN_LIMIT and none of the 13 bases
+    divides n, where the test is not proven."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -46,7 +58,7 @@ def is_prime(n: int) -> bool:
         )
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -64,8 +76,9 @@ def primes_below(bound: int) -> list[int]:
 
 
 def sqrt_mod(a: int, p: int) -> int:
-    """x in [0, p) with x^2 = a mod p, for an odd prime p (Tonelli-Shanks).
-    Raises ValueError when a is not a square mod p."""
+    """x in [0, p) with x^2 = a mod p, for an odd prime p: a^((p+1)/4) when
+    p = 3 mod 4, Tonelli-Shanks otherwise.  Raises ValueError when a is not
+    a square mod p."""
     if p < 3 or p % 2 == 0:
         raise ValueError("sqrt_mod needs an odd prime modulus")
     a %= p
@@ -74,6 +87,9 @@ def sqrt_mod(a: int, p: int) -> int:
     half = (p - 1) // 2
     if pow(a, half, p) != 1:
         raise ValueError(f"{a} is not a square modulo {p}")
+    if p % 4 == 3:
+        # its square is a * a^((p-1)/2) = a, by the check above
+        return pow(a, (p + 1) // 4, p)
     m = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> m
     z = next((z for z in range(2, p) if pow(z, half, p) == p - 1), None)

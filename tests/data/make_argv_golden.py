@@ -275,6 +275,18 @@ ARGVS += [
     _argv("eisenstein", "symbol", alpha="5", p=5),
 ]
 
+# primality and square roots by the class of p: the strong pseudoprimes
+# psi_4 and psi_12 of OEIS A014233 refused as not prime, a split p = 3 mod 4
+# (one power for the square root) and p = 1 mod 4 (Tonelli-Shanks) near
+# 10^18, and a prime just below MILLER_RABIN_LIMIT, where all 13 bases run
+ARGVS += [
+    _argv("eisenstein", "factor", p=3215031751),
+    _argv("eisenstein", "factor", p=318665857834031151167461),
+    _argv("eisenstein", "factor", p=1000000000000000003),
+    _argv("eisenstein", "factor", p=1000000000000000009),
+    _argv("quaternion", "gauss", p=3317044064679887385961813),
+]
+
 
 def record(argv) -> dict:
     out = io.StringIO()

@@ -15,10 +15,8 @@ from fractions import Fraction
 from symbalg.cli import _run
 from symbalg.eisenstein import (
     ONE,
-    UNITS,
     EisensteinInt,
     EisensteinPrime,
-    canonical_associate,
     cubic_residue_symbol,
     factor_rational_prime,
     parse_eisenstein,
@@ -32,6 +30,17 @@ from symbalg.quaternion import QuaternionAlgebra, norm_form_zero_search
 from symbalg.symbol import SymbolAlgebra, find_zero_divisor, matrix_generators, quaternion_crosscheck
 
 from residue_oracle import Residues, divides, is_associate, power
+
+# +-1, +-e, +-e^2 as (a, b) for a + b*e, with e^2 = -1 - e
+UNITS = [EisensteinInt(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))]
+
+
+def canonical_associate(z):
+    """The associate of z with a > 0 and 0 <= b < a, found among all six."""
+    if z.is_zero():
+        raise ValueError("zero has no canonical associate")
+    (t,) = [t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a]
+    return t
 
 
 def identity(desc, n):

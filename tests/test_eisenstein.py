@@ -9,12 +9,10 @@ from symbalg.eisenstein import (
     MAX_CYCLOTOMIC_L,
     PRIME_CACHE_SIZE,
     ONE,
-    UNITS,
     CubicSymbol,
     EisensteinInt,
     EisensteinPrime,
     ParseError,
-    canonical_associate,
     cubic_residue_symbol,
     cyclotomic_splitting,
     factor_rational_prime,
@@ -33,6 +31,16 @@ eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-
 # coordinates from small to 10^24, where the products and quotients are multi-digit ints
 coordinates = st.one_of(st.integers(-100, 100), st.integers(-(10**24), 10**24))
 large_eisenstein_ints = st.builds(EisensteinInt, coordinates, coordinates)
+# +-1, +-e, +-e^2 as (a, b) for a + b*e, with e^2 = -1 - e
+UNITS = [EisensteinInt(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))]
+
+
+def canonical_associate(z):
+    """The associate of z with a > 0 and 0 <= b < a, found among all six."""
+    if z.is_zero():
+        raise ValueError("zero has no canonical associate")
+    (t,) = [t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a]
+    return t
 
 
 def _conjugate_prime(prime):
@@ -150,7 +158,7 @@ def test_factor_ramified_three():
     assert pr.abs_norm == 3
     # 3 = -e^2 * (1 - e)^2
     eps_sq = EPS * EPS
-    assert -eps_sq * EisensteinInt(*power((1, -1), 2)) == EisensteinInt(3)
+    assert EisensteinInt(-1) * eps_sq * EisensteinInt(*power((1, -1), 2)) == EisensteinInt(3)
 
 
 def test_factor_rejects_composites():
@@ -265,6 +273,32 @@ def test_canonical_associate_is_orbit_constant(z):
     rep = reps.pop()
     assert is_associate(rep, z)
     assert rep.a > 0 and 0 <= rep.b < rep.a
+
+
+# split primes near 10^4, 10^8, 10^12, 10^18 and just below MILLER_RABIN_LIMIT,
+# p = 1 mod 4 (Tonelli-Shanks) and then p = 3 mod 4 (one power) at each scale
+SPLIT_PRIMES = [
+    10009,
+    10039,
+    100000081,
+    100000039,
+    1000000000177,
+    1000000000039,
+    1000000000000000009,
+    1000000000000000003,
+    3317044064679887385961813,
+    3317044064679887385961783,
+]
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_factor_picks_the_least_window_associate(p):
+    assert p % 3 == 1
+    pi = factor_rational_prime(p).pi
+    # the elements of norm p are the associates of pi and of its conjugate
+    assert pi.norm() == p
+    least = min((canonical_associate(z) for z in (pi, pi.conjugate())), key=lambda t: (t.a, t.b))
+    assert pi == least
 
 
 # ------------------------------------------------------------- residue maps

@@ -48,6 +48,52 @@ HARD_COMPOSITES = [
     1000000000000000003 * 1000003,
 ]
 
+# psi_t of OEIS A014233 for t = 1..13, the least strong pseudoprime to the
+# first t prime bases (Jaeschke, Math. Comp. 61 (1993); Sorenson and
+# Webster, Math. Comp. 86 (2017)), with its prime factors
+PSI = [
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+    (3317044064679887385961981, (1287836182261, 2575672364521)),
+]
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    """Oracle: odd n > a passes the strong test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _thirteen_base_prime(n):
+    """Oracle: trial division by the 13 bases, then the strong test to all
+    of them, which is exact below psi_13."""
+    if n < 2:
+        return False
+    for q in PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    return all(_strong_probable_prime(n, a) for a in PRIME_BASES)
+
 
 def _sieve(bound):
     """Oracle: Eratosthenes below bound."""
@@ -83,6 +129,26 @@ def test_refuses_at_the_miller_rabin_limit():
     # a factor among the bases still decides n past the limit
     assert not is_prime(MILLER_RABIN_LIMIT + 1)
     assert not is_prime(10**30)
+
+
+@pytest.mark.parametrize("t", range(1, 14))
+def test_psi_t_is_a_strong_pseudoprime_to_the_first_t_bases(t):
+    psi, factors = PSI[t - 1]
+    assert math.prod(factors) == psi and len(factors) >= 2 and min(factors) > 1
+    assert all(_strong_probable_prime(psi, a) for a in PRIME_BASES[:t])
+    if t < 13:
+        assert not is_prime(psi)
+    else:
+        assert psi == MILLER_RABIN_LIMIT
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(psi)
+
+
+@pytest.mark.parametrize("t", range(1, 13))
+def test_is_prime_agrees_with_thirteen_bases_around_psi_t(t):
+    psi = PSI[t - 1][0]
+    for n in range(psi - 1000, psi + 1001):
+        assert is_prime(n) == _thirteen_base_prime(n), n
 
 
 def test_agrees_with_sympy_at_large_scale():

@@ -8,7 +8,6 @@ import pytest
 from symbalg import eisenstein, local
 from symbalg.eisenstein import (
     ONE,
-    UNITS,
     EisensteinInt,
     SplittingData,
     cubic_residue_symbol,
@@ -29,6 +28,9 @@ from symbalg.local import (
 )
 
 from residue_oracle import Residues, divides, power
+
+# +-1, +-e, +-e^2 as (a, b) for a + b*e, with e^2 = -1 - e
+UNITS = [EisensteinInt(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))]
 
 ROOT = Path(__file__).resolve().parent.parent
 PI7 = factor_rational_prime(7)
