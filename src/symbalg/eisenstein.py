@@ -117,7 +117,7 @@ class EisensteinPrime(Record):
         return self.pi.conjugate() if self.p % 3 == 1 else None
 
     def __str__(self):
-        return format_prime(self)
+        return f"{self.kind}({self.pi} | N={self.abs_norm})"
 
 
 @lru_cache(maxsize=PRIME_CACHE_SIZE)
@@ -261,10 +261,6 @@ def cyclotomic_splitting(p: int, l: int) -> tuple[int, int]:
     phi = euler_phi(l)
     f = _order_dividing(p, l, phi)
     return f, phi // f
-
-
-def format_prime(prime: EisensteinPrime) -> str:
-    return f"{prime.kind}({prime.pi} | N={prime.abs_norm})"
 
 
 def parse_eisenstein(text: str) -> EisensteinInt:

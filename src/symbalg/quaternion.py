@@ -37,15 +37,17 @@ class Quaternion(SymbolElement):
 
     def norm(self) -> FieldElement:
         """x0^2 - alpha*x1^2 - beta*x2^2 + alpha*beta*x3^2: each nonzero c of
-        x^a y^b adds (-1)^(a+b) c^2 times the scale alpha^a beta^b at flat
-        index a*2 + b; no known zero is multiplied or added."""
+        x^a y^b adds (-1)^(a+b) c^2 times the scale alpha^a beta^b at index
+        a*2 + b; no known zero is multiplied or added."""
         alg = self.algebra
         u, w, _, scales = alg._constants
         total = None
-        for x, scale, add in zip(self.flat(), scales, (pair_add, pair_sub, pair_sub, pair_add)):
-            if x.c0 or x.c1:
-                term = pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w)
-                total = add(total, pair_mul(term, scale, u, w) if scale else term)
+        for a, row in enumerate(self.coeffs):
+            for b, x in enumerate(row):
+                if x.c0 or x.c1:
+                    term = pair_mul((x.c0, x.c1), (x.c0, x.c1), u, w)
+                    scale = scales[a * 2 + b]
+                    total = (pair_sub if a != b else pair_add)(total, pair_mul(term, scale, u, w) if scale else term)
         return alg.desc.zero() if total is None else FieldElement(alg.desc, *total)
 
 

@@ -4,8 +4,10 @@ Generated by x, y with x^n = alpha, y^n = beta and y*x = zeta*x*y, for a
 primitive n-th root of unity zeta in the base field.  Elements are n x n
 coefficient grids over the basis x^i y^j, row i the coefficients of P_i in
 sum_i x^i P_i(y).  The relations give P(y) x^k = x^k P(zeta^k y), and so
-the product, which ``fields.symbol_product`` computes on constants each
-algebra builds once.  Degree 3 over the cube-root field carries an explicit
+the product ``symbol_product``, which takes and returns these grids, on the
+``symbol_constants`` each algebra builds once.  It is the one product of
+the algebras built on a field; the quaternion algebra is the case n = 2,
+zeta = -1.  Degree 3 over the cube-root field carries an explicit
 3 x 3 matrix model, monomial matrices read off the same twists, that turns
 non-division claims into concrete zero divisors.
 """
@@ -15,7 +17,63 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .base import ParseError, Record, pair_add, pair_mul
-from .fields import FieldElement, parse_element, symbol_constants, symbol_product
+from .fields import FieldElement, parse_element
+
+
+def symbol_constants(n: int, zeta: FieldElement, alpha: FieldElement, beta: FieldElement):
+    """What every product in the symbol algebra of degree n reads, built once
+    per algebra: u and w; the twists p -> p*zeta^e at index e < n (None at 0),
+    without a product when zeta is -1 or t or t^2 in Q(e); and the scales
+    beta, alpha, alpha*beta at index a*2 + b for a, b in {0, 1} (None at 0)."""
+    u, w = zeta.desc.u, zeta.desc.w
+    z = (zeta.c0, zeta.c1)
+    if z == (-1, 0):
+        twists = (None, lambda p: (-p[0], -p[1] if p[1] else p[1]))
+    elif (u, w) == (1, 1):  # zeta is t or t^2 = -1 - t: additions, none of a zero part
+        times_t = lambda p: (-p[1], p[0] - p[1] if p[0] else -p[1]) if p[1] else (p[1], p[0])
+        times_t2 = lambda p: (p[1] - p[0] if p[1] else -p[0], -p[0]) if p[0] else (p[1], p[0])
+        twists = (None, times_t, times_t2) if z == (0, 1) else (None, times_t2, times_t)
+    else:  # a cube root of unity on another generator, as (-1 + t)/2 in Q(sqrt -3)
+        z2 = pair_mul(z, z, u, w)
+        twists = (None, lambda p: pair_mul(p, z, u, w), lambda p: pair_mul(p, z2, u, w))
+    a, b = (alpha.c0, alpha.c1), (beta.c0, beta.c1)
+    return u, w, twists, (None, b, a, pair_mul(a, b, u, w))
+
+
+def symbol_product(constants, left, right):
+    """The product in the symbol algebra of degree n with x^n = alpha,
+    y^n = beta, y*x = zeta*x*y, on its ``symbol_constants``, of n x n grids
+    whose row i holds P_i in u = sum_i x^i P_i(y).  P(y) x^k = x^k P(zeta^k y),
+    so each nonzero left coefficient of x^i y^j is twisted by zeta^(j*k) once
+    per k; the term products are summed into unreduced bins [i+k][j+l], and
+    each bin of y-degree n or more is folded n lower by one product with
+    beta, then each of x-degree n or more by one with alpha.  The grid it
+    returns holds the field's shared zero where no term landed."""
+    u, w, twists, scales = constants
+    n = len(twists)
+    m = 2 * n - 1
+    # the nonzero (l, coefficient) of each Q_k
+    rights = [[(l, (y.c0, y.c1)) for l, y in enumerate(row) if y.c0 or y.c1] for row in right]
+    bins = [None] * (m * m)  # bin [I][J] at I*m + J
+    for i, row in enumerate(left):
+        for j, x in enumerate(row):
+            if not (x.c0 or x.c1):
+                continue
+            for k, terms in enumerate(rights):
+                p = twists[j * k % n]((x.c0, x.c1)) if j * k % n and terms else (x.c0, x.c1)
+                at = (i + k) * m + j
+                for l, y in terms:
+                    bins[at + l] = pair_add(bins[at + l], pair_mul(p, y, u, w))
+    # top down, each bin has all its terms before it is folded
+    for r in range(m * m - 1, n - 1, -1):
+        big_i, big_j = divmod(r, m)
+        if bins[r] is not None and (big_i >= n or big_j >= n):
+            to, scale = (r - n, scales[1]) if big_j >= n else (r - n * m, scales[2])
+            bins[to] = pair_add(bins[to], pair_mul(bins[r], scale, u, w))
+    desc = left[0][0].desc
+    zero = desc.zero()
+    return tuple(tuple(zero if pair is None else FieldElement(desc, *pair) for pair in bins[i * m:i * m + n])
+                 for i in range(n))
 
 
 class SymbolElement(Record):
@@ -42,14 +100,7 @@ class SymbolElement(Record):
 
     def __mul__(self, other: "SymbolElement") -> "SymbolElement":
         self._check(other)
-        alg = self.algebra
-        n = alg.n
-        flat = symbol_product(alg._constants, self.flat(), other.flat())
-        return type(self)(alg, tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n)))
-
-    def flat(self) -> list[FieldElement]:
-        """The coefficients in (i, j)-lexicographic order of x^i y^j."""
-        return [c for row in self.coeffs for c in row]
+        return type(self)(self.algebra, symbol_product(self.algebra._constants, self.coeffs, other.coeffs))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for row in self.coeffs for c in row)
@@ -219,16 +270,16 @@ def left_regular_matrix(u: SymbolElement):
     n, desc = alg.n, alg.desc
     pu, pw, twists, scales = alg._constants
     matrix = [[desc.zero()] * (n * n) for _ in range(n * n)]
-    for index, c in enumerate(u.flat()):
-        if c.is_zero():
-            continue
-        i, j = divmod(index, n)
-        for k in range(n):
-            p = twists[j * k % n]((c.c0, c.c1)) if j * k % n else (c.c0, c.c1)
-            for l in range(n):
-                s = scales[(i + k >= n) * 2 + (j + l >= n)]
-                entry = pair_mul(p, s, pu, pw) if s else p
-                matrix[(i + k) % n * n + (j + l) % n][k * n + l] = FieldElement(desc, *entry)
+    for i, row in enumerate(u.coeffs):
+        for j, c in enumerate(row):
+            if c.is_zero():
+                continue
+            for k in range(n):
+                p = twists[j * k % n]((c.c0, c.c1)) if j * k % n else (c.c0, c.c1)
+                for l in range(n):
+                    s = scales[(i + k >= n) * 2 + (j + l >= n)]
+                    entry = pair_mul(p, s, pu, pw) if s else p
+                    matrix[(i + k) % n * n + (j + l) % n][k * n + l] = FieldElement(desc, *entry)
     return matrix
 
 

@@ -16,7 +16,6 @@ from symbalg.eisenstein import (
     cubic_residue_symbol,
     cyclotomic_splitting,
     factor_rational_prime,
-    format_prime,
     parse_eisenstein,
     parse_eisenstein_fraction,
     splitting_in_kummer,
@@ -544,7 +543,7 @@ def test_parse_and_format():
     assert parse_eisenstein("3+1*w") == EisensteinInt(3, 1)
     assert parse_eisenstein("-7") == EisensteinInt(-7)
     assert str(EisensteinInt(1, -1)) == "1-1*w"
-    assert format_prime(factor_rational_prime(7)) == "split(3+1*w | N=7)"
+    assert str(factor_rational_prime(7)) == "split(3+1*w | N=7)"
     with pytest.raises(ParseError):
         parse_eisenstein("1/2")
     num, den = parse_eisenstein_fraction("3+1*w/2-1*w")
