@@ -5,11 +5,19 @@ Every beta = p^(3l) must come out split; the script also scans beta = pi^m
 for m not divisible by 3 to show where division algebras actually live:
 exactly where the cubic symbol of alpha is primitive (f = 3).  It reads f
 and the verdict from classify_report, and exits 1 when either claim fails.
+
+    python scripts/local_sweep.py [--pmax N] [--alphas A ...] [--ls L ...]
+
+It imports symbalg from the src directory of its checkout, so it needs
+neither an install nor PYTHONPATH.
 """
 
 import argparse
 import sys
 from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from symbalg.eisenstein import ONE, EisensteinInt, factor_rational_prime
 from symbalg.intmath import primes_below

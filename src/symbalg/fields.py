@@ -16,23 +16,12 @@ import math
 from fractions import Fraction
 
 from .base import ParseError, Record, format_pair, pair_conj_norm, pair_mul, read_element, read_rational
+from .intmath import _prime_divisors
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" (only integer numerator/denominator forms)."""
     return Fraction(*read_rational(text))
-
-
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-        d += 1
-    return True
 
 
 def _exact(c) -> Fraction:
@@ -140,7 +129,7 @@ class FieldElement(Record):
 
 QQ = FieldDescriptor(1, 0, 0)
 QEPS = FieldDescriptor(2, 1, 1)
-# largest |d| sqrt_field accepts; its squarefree test divides up to sqrt|d|
+# largest |d| sqrt_field accepts; its squarefree test factors |d| by trial division up to sqrt|d|
 MAX_SQRT_FIELD_D = 10**12
 
 
@@ -148,7 +137,7 @@ def sqrt_field(d: int) -> FieldDescriptor:
     """Q(sqrt d) for squarefree d != 0, 1 with |d| <= MAX_SQRT_FIELD_D."""
     if abs(d) > MAX_SQRT_FIELD_D:
         raise ValueError(f"|d| must be at most {MAX_SQRT_FIELD_D}")
-    if d in (0, 1) or not _squarefree(d):
+    if d in (0, 1) or math.prod(_prime_divisors(abs(d))) != abs(d):
         raise ValueError("d must be squarefree and different from 0 and 1")
     return FieldDescriptor(2, 0, -d)
 

@@ -287,6 +287,17 @@ ARGVS += [
     _argv("quaternion", "gauss", p=3317044064679887385961813),
 ]
 
+# coefficients that are sums of several terms, which the reader adds up:
+# two or more rational parts, two or more parts of w, or both
+ARGVS += [
+    _argv("quaternion", "norm", field="q", alpha="1/2+1/3", beta="-1+3/4-2", a="1+1-1/2,2/3+1/3,0,-1/4-1/4"),
+    _argv("quaternion", "mul", field="qeps", alpha="1-1*w+2*w", beta="w+w+1/2-1/3",
+         a="1-1*w+2*w,1/2+1/2,0,-w-w", b="1,w,1/3+1/6-2*w,2"),
+    _argv("symbol", "mul", field="q", n=2, alpha="1/2+1/3", beta="7-1/7",
+         u=_grid(["1/2+1/3", "-1-1"], ["0", "5/7+2/7"]), v=Q2_V),
+]
+
+
 
 def record(argv) -> dict:
     out = io.StringIO()

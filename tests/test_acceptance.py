@@ -16,7 +16,6 @@ from symbalg.cli import _run
 from symbalg.eisenstein import (
     ONE,
     EisensteinInt,
-    EisensteinPrime,
     cubic_residue_symbol,
     factor_rational_prime,
     parse_eisenstein,
@@ -29,30 +28,8 @@ from symbalg.local import LocalAlgebraSpec, artin_symbol, classify, is_norm, pow
 from symbalg.quaternion import QuaternionAlgebra, norm_form_zero_search
 from symbalg.symbol import SymbolAlgebra, find_zero_divisor, matrix_generators, quaternion_crosscheck
 
-from residue_oracle import Residues, divides, is_associate, power
-
-# +-1, +-e, +-e^2 as (a, b) for a + b*e, with e^2 = -1 - e
-UNITS = [EisensteinInt(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))]
-
-
-def canonical_associate(z):
-    """The associate of z with a > 0 and 0 <= b < a, found among all six."""
-    if z.is_zero():
-        raise ValueError("zero has no canonical associate")
-    (t,) = [t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a]
-    return t
-
-
-def identity(desc, n):
-    return [[desc.one() if i == j else desc.zero() for j in range(n)] for i in range(n)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+from helpers import UNITS, identity, mat_mul, mat_scale, pair, primes_with_norm_upto, residue_field
+from oracles import divides, is_associate, power
 
 
 @contextmanager
@@ -77,34 +54,16 @@ def test_criterion_01_factorization_sweep():
             elif p % 3 == 1:
                 assert prime.kind == "split"
                 assert prime.pi.norm() == p
-                assert is_associate(prime.pi * prime.conjugate, EisensteinInt(p))
+                assert is_associate(pair(prime.pi * prime.conjugate), (p, 0))
             else:
                 assert prime.kind == "inert"
                 assert prime.abs_norm == p * p
 
 
-def _conjugate_prime(prime):
-    """The other prime above a split p, in its canonical window form."""
-    pi = canonical_associate(prime.pi.conjugate())
-    return EisensteinPrime(pi, prime.p)
-
-
-def _primes_with_norm_upto(bound):
-    out = []
-    for p in primes_below(bound + 1):
-        prime = factor_rational_prime(p)
-        if prime.kind == "split":
-            out.append(prime)
-            out.append(_conjugate_prime(prime))
-        elif prime.kind == "inert" and prime.abs_norm <= bound:
-            out.append(prime)
-    return out
-
-
 def test_criterion_02_symbol_vs_brute_force():
     with criterion(2, "cubic symbol vs exhaustive cube oracle, N <= 200", 10.0):
-        for prime in _primes_with_norm_upto(200):
-            field = Residues.of(prime)
+        for prime in primes_with_norm_upto(200):
+            field = residue_field(prime)
             cubes = field.cubes()
             # at a split prime b = 1 puts the image of e into every residue
             for a in range(prime.p):

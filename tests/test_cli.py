@@ -21,7 +21,7 @@ from symbalg.eisenstein import EisensteinInt, factor_rational_prime
 from symbalg.fields import MAX_SQRT_FIELD_D, ParseError
 from symbalg.intmath import MAX_SEARCH_BOUND, MILLER_RABIN_LIMIT
 
-from residue_oracle import power
+from oracles import power
 
 DATA = Path(__file__).parent / "data"
 INT_GRID = json.dumps({"n": 3, "coeffs": [[1, 2, 3], [3, 4, 5], [1, 1, 1]]})

@@ -24,28 +24,13 @@ from symbalg.eisenstein import (
 from symbalg import eisenstein, intmath
 from symbalg.intmath import MILLER_RABIN_LIMIT, euler_phi, is_prime, primes_below
 
-from residue_oracle import Residues, is_associate, pair_mul, power
+from helpers import UNITS, conjugate_prime, pair, primes_with_norm_upto, residue_field
+from oracles import canonical_associate, is_associate, pair_mul, power, strip, window_pi
 
 eisenstein_ints = st.builds(EisensteinInt, st.integers(-100, 100), st.integers(-100, 100))
 # coordinates from small to 10^24, where the products and quotients are multi-digit ints
 coordinates = st.one_of(st.integers(-100, 100), st.integers(-(10**24), 10**24))
 large_eisenstein_ints = st.builds(EisensteinInt, coordinates, coordinates)
-# +-1, +-e, +-e^2 as (a, b) for a + b*e, with e^2 = -1 - e
-UNITS = [EisensteinInt(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))]
-
-
-def canonical_associate(z):
-    """The associate of z with a > 0 and 0 <= b < a, found among all six."""
-    if z.is_zero():
-        raise ValueError("zero has no canonical associate")
-    (t,) = [t for t in (z * u for u in UNITS) if t.a > 0 and 0 <= t.b < t.a]
-    return t
-
-
-def _conjugate_prime(prime):
-    """The other prime above a split p, in its canonical window form."""
-    pi = canonical_associate(prime.pi.conjugate())
-    return EisensteinPrime(pi, prime.p)
 
 
 # ------------------------------------------------------------ ring basics
@@ -124,7 +109,7 @@ def _norm_solutions(p):
     """Oracle: exhaustive search for a^2 - a*b + b^2 = p."""
     bound = math.isqrt(4 * p // 3) + 1
     return [
-        EisensteinInt(a, b)
+        (a, b)
         for a in range(-bound, bound + 1)
         for b in range(-bound, bound + 1)
         if a * a - a * b + b * b == p
@@ -138,8 +123,8 @@ def test_factor_split_seven():
     assert pr.conjugate == EisensteinInt(2, -1)
     assert pr.abs_norm == 7
     solutions = _norm_solutions(7)
-    assert solutions and all(is_associate(s, pr.pi) or is_associate(s, pr.conjugate) for s in solutions)
-    assert is_associate(pr.pi * pr.conjugate, EisensteinInt(7))
+    assert solutions and all(is_associate(s, pair(pr.pi)) or is_associate(s, pair(pr.conjugate)) for s in solutions)
+    assert is_associate(pair(pr.pi * pr.conjugate), (7, 0))
 
 
 def test_factor_inert_five():
@@ -175,32 +160,16 @@ def test_factor_sweep_small():
         elif p % 3 == 1:
             assert pr.kind == "split"
             assert pr.pi.norm() == p
-            assert is_associate(pr.pi * pr.conjugate, EisensteinInt(p))
+            assert is_associate(pair(pr.pi * pr.conjugate), (p, 0))
         else:
             assert pr.kind == "inert"
-
-
-def _window_pi_oracle(p):
-    """Oracle: the canonical pi above a split p by an O(sqrt p) scan.  Each
-    of the two primes above p has exactly one associate a + b*e with
-    a > 0 and 0 <= b < a; pi is the smaller one, found as the first a
-    whose discriminant 4p - 3a^2 gives an integer root b in the window."""
-    for a in range(1, math.isqrt(4 * p // 3) + 1):
-        disc = 4 * p - 3 * a * a
-        r = math.isqrt(disc)
-        if r * r != disc:
-            continue
-        window = [b for b in ((a - r) // 2, (a + r) // 2) if (a + r) % 2 == 0 and 0 <= b < a]
-        if window:
-            return EisensteinInt(a, min(window))
-    raise AssertionError(f"no element of norm {p}")
 
 
 def test_factor_matches_scan_oracle_below_1e5():
     for p in primes_below(10**5):
         if p % 3 == 1:
             pr = factor_rational_prime(p)
-            assert pr.pi == _window_pi_oracle(p), p
+            assert pair(pr.pi) == window_pi(p), p
             assert pr.conjugate == pr.pi.conjugate()
 
 
@@ -212,8 +181,8 @@ def test_factor_large_split_primes(p):
     pr = factor_rational_prime(p)
     assert pr.kind == "split" and pr.pi.norm() == p
     assert pr.pi.a > 0 and 0 <= pr.pi.b < pr.pi.a
-    assert is_associate(pr.pi * pr.conjugate, EisensteinInt(p))
-    other = _conjugate_prime(pr)
+    assert is_associate(pair(pr.pi * pr.conjugate), (p, 0))
+    other = conjugate_prime(pr)
     assert (pr.pi.a, pr.pi.b) < (other.pi.a, other.pi.b)
     assert cubic_residue_symbol(EisensteinInt(p), pr).is_zero
     assert not cubic_residue_symbol(pr.conjugate, pr).is_zero
@@ -235,22 +204,22 @@ def test_prime_caches_are_bounded():
 
 def test_conjugate_prime_is_the_other_orbit():
     pr = factor_rational_prime(7)
-    other = _conjugate_prime(pr)
+    other = conjugate_prime(pr)
     assert other.pi == EisensteinInt(3, 2)
-    assert not is_associate(other.pi, pr.pi)
-    assert is_associate(other.pi, pr.conjugate)
+    assert not is_associate(pair(other.pi), pair(pr.pi))
+    assert is_associate(pair(other.pi), pair(pr.conjugate))
 
 
 # ------------------------------------------------------ canonical associate
 
 
 def test_canonical_associate_examples():
-    assert canonical_associate(EisensteinInt(-3)) == EisensteinInt(3)
-    assert canonical_associate(EPS * EisensteinInt(3, 1)) == EisensteinInt(3, 1)
+    assert canonical_associate((-3, 0)) == (3, 0)
+    assert canonical_associate(pair(EPS * EisensteinInt(3, 1))) == (3, 1)
     # the ramified generator lands on the unique window representative
-    assert canonical_associate(EisensteinInt(1, -1)) == EisensteinInt(2, 1)
+    assert canonical_associate((1, -1)) == (2, 1)
     with pytest.raises(ValueError):
-        canonical_associate(EisensteinInt(0))
+        canonical_associate((0, 0))
 
 
 def test_canonical_window_is_a_fundamental_domain():
@@ -267,11 +236,11 @@ def test_canonical_window_is_a_fundamental_domain():
 def test_canonical_associate_is_orbit_constant(z):
     if z.is_zero():
         return
-    reps = {canonical_associate(z * u) for u in UNITS}
+    reps = {canonical_associate(pair(z * u)) for u in UNITS}
     assert len(reps) == 1
     rep = reps.pop()
-    assert is_associate(rep, z)
-    assert rep.a > 0 and 0 <= rep.b < rep.a
+    assert is_associate(rep, pair(z))
+    assert rep[0] > 0 and 0 <= rep[1] < rep[0]
 
 
 # split primes near 10^4, 10^8, 10^12, 10^18 and just below MILLER_RABIN_LIMIT,
@@ -296,8 +265,8 @@ def test_factor_picks_the_least_window_associate(p):
     pi = factor_rational_prime(p).pi
     # the elements of norm p are the associates of pi and of its conjugate
     assert pi.norm() == p
-    least = min((canonical_associate(z) for z in (pi, pi.conjugate())), key=lambda t: (t.a, t.b))
-    assert pi == least
+    least = min(canonical_associate(pair(z)) for z in (pi, pi.conjugate()))
+    assert pair(pi) == least
 
 
 # ------------------------------------------------------------- residue maps
@@ -305,22 +274,22 @@ def test_factor_picks_the_least_window_associate(p):
 
 def test_reduce_split():
     pr = factor_rational_prime(7)
-    field = Residues.of(pr)
+    field = residue_field(pr)
     # e - 4 = (3 + e)(e - 1), and no other r in 0..6 has 3 + e | e - r
     assert field.r == 4
     assert (4 * 4 + 4 + 1) % 7 == 0
     assert field.reduce((7, 0)) == 0 and field.reduce((3, 1)) == 0
     # the symbol reads e as the oracle's r: pi divides e - r and no other e - s
-    for prime in _all_primes_with_norm_upto(200):
+    for prime in primes_with_norm_upto(200):
         if prime.kind == "split":
-            r = Residues.of(prime).r
+            r = residue_field(prime).r
             zeros = [s for s in range(prime.p) if cubic_residue_symbol(EisensteinInt(-s, 1), prime).is_zero]
             assert zeros == [r], prime
 
 
 def test_reduce_inert():
     # no r in 0..4 has 5 | e - r, so the field is F_5[e] and e is (0, 1)
-    field = Residues.of(factor_rational_prime(5))
+    field = residue_field(factor_rational_prime(5))
     assert field.r is None and field.reduce((0, 1)) == (0, 1)
     # e^((25 - 1)/3) = e^8 = e^2, since e^3 = 1
     assert cubic_residue_symbol(EPS, factor_rational_prime(5)) == CubicSymbol(2)
@@ -329,7 +298,7 @@ def test_reduce_inert():
 
 def test_reduce_ramified():
     # 1 - e divides e - 1 but neither e nor e - 2, of norms 1 and 7
-    field = Residues.of(factor_rational_prime(3))
+    field = residue_field(factor_rational_prime(3))
     assert field.r == 1
     assert field.reduce((1, -1)) == 0
 
@@ -340,11 +309,11 @@ def test_reduce_ramified():
 def test_symbol_two_at_split_seven():
     pr = factor_rational_prime(7)
     # cubes in F_7 are {0, 1, 6}; 2 is not one, so the symbol is nontrivial
-    assert Residues.of(pr).cubes() == {0, 1, 6}
+    assert residue_field(pr).cubes() == {0, 1, 6}
     symbol = cubic_residue_symbol(EisensteinInt(2), pr)
     assert symbol == CubicSymbol(1)
     # 2^2 = 4 is the image of e itself
-    assert pow(2, 2, 7) == Residues.of(pr).r
+    assert pow(2, 2, 7) == residue_field(pr).r
 
 
 def test_symbol_two_at_inert_five():
@@ -352,7 +321,7 @@ def test_symbol_two_at_inert_five():
     symbol = cubic_residue_symbol(EisensteinInt(2), pr)
     assert symbol == CubicSymbol(0)
     # oracle: some x in F_25 cubes to 2
-    assert (2, 0) in Residues.of(pr).cubes()
+    assert (2, 0) in residue_field(pr).cubes()
     assert pow(2, 8, 5) == 1
 
 
@@ -367,21 +336,9 @@ def test_symbol_rejects_ramified():
         cubic_residue_symbol(EisensteinInt(2), factor_rational_prime(3))
 
 
-def _all_primes_with_norm_upto(bound):
-    primes = []
-    for p in primes_below(bound + 1):
-        pr = factor_rational_prime(p)
-        if pr.kind == "split":
-            primes.append(pr)
-            primes.append(_conjugate_prime(pr))
-        elif pr.kind == "inert" and pr.abs_norm <= bound:
-            primes.append(pr)
-    return primes
-
-
-@pytest.mark.parametrize("prime", _all_primes_with_norm_upto(60), ids=str)
+@pytest.mark.parametrize("prime", primes_with_norm_upto(60), ids=str)
 def test_symbol_matches_cube_oracle_small(prime):
-    field = Residues.of(prime)
+    field = residue_field(prime)
     cubes = field.cubes()
     for a in range(prime.p):
         for b in range(prime.p):
@@ -394,9 +351,9 @@ def test_symbol_matches_cube_oracle_small(prime):
                 assert symbol.k == field.symbol((a, b))
 
 
-@pytest.mark.parametrize("prime", _all_primes_with_norm_upto(200), ids=str)
+@pytest.mark.parametrize("prime", primes_with_norm_upto(200), ids=str)
 def test_symbol_multiplicative(prime):
-    field = Residues.of(prime)
+    field = residue_field(prime)
     lift = (lambda x: EisensteinInt(x)) if field.r is not None else (lambda x: EisensteinInt(*x))
     residues = [x for x in field.elements() if x != field.zero]
     table = {x: cubic_residue_symbol(lift(x), prime) for x in residues}
@@ -454,21 +411,15 @@ def test_splitting_reads_the_valuation_when_pi_divides_alpha():
 def _brute_force_efg(alpha, field, cubes):
     """Oracle: strip pi by exact division alpha*conj(pi)/N(pi), then ask
     whether the rest is a cube in the residue field by enumeration."""
-    (a, b), (c, d), v = (alpha.a, alpha.b), field.pi, 0
-    n = c * c - c * d + d * d
-    while True:
-        t = pair_mul((a, b), (c - d, -d))
-        if t[0] % n or t[1] % n:
-            break
-        a, b, v = t[0] // n, t[1] // n, v + 1
+    v, rest = strip(field.pi, pair(alpha))
     if v % 3:
         return 3, 1, 1
-    return (1, 1, 3) if field.reduce((a, b)) in cubes else (1, 3, 1)
+    return (1, 1, 3) if field.reduce(rest) in cubes else (1, 3, 1)
 
 
-@pytest.mark.parametrize("prime", _all_primes_with_norm_upto(40), ids=str)
+@pytest.mark.parametrize("prime", primes_with_norm_upto(40), ids=str)
 def test_splitting_matches_cube_count_oracle(prime):
-    field = Residues.of(prime)
+    field = residue_field(prime)
     cubes = field.cubes()
     for k in range(5):
         for a in range(-3, 4):
@@ -480,7 +431,7 @@ def test_splitting_matches_cube_count_oracle(prime):
                 assert (data.e, data.f, data.g) == _brute_force_efg(alpha, field, cubes), (k, a, b)
 
 
-@pytest.mark.parametrize("prime", _all_primes_with_norm_upto(60), ids=str)
+@pytest.mark.parametrize("prime", primes_with_norm_upto(60), ids=str)
 def test_splitting_efg_product(prime):
     for a in range(3):
         for b in range(3):

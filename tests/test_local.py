@@ -1,5 +1,7 @@
+import os
 import random
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,10 +29,8 @@ from symbalg.local import (
     report_split_prime_power,
 )
 
-from residue_oracle import Residues, divides, power
-
-# +-1, +-e, +-e^2 as (a, b) for a + b*e, with e^2 = -1 - e
-UNITS = [EisensteinInt(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))]
+from helpers import UNITS, residue_field
+from oracles import divides, power
 
 ROOT = Path(__file__).resolve().parent.parent
 PI7 = factor_rational_prime(7)
@@ -197,7 +197,7 @@ def test_split_power_report_case_one():
 
 def test_split_power_report_p13_case_from_oracle():
     # 13 splits: the field is F_13, where 2 is a cube exactly when some x has x^3 = 2
-    is_cube = 2 in Residues.of(factor_rational_prime(13)).cubes()
+    is_cube = 2 in residue_field(factor_rational_prime(13)).cubes()
     report = report_split_prime_power(EisensteinInt(2), 13, 1)
     assert report["case"] == ("3.3-2" if is_cube else "3.3-1")
     assert report["verdict"] == "split"
@@ -248,7 +248,7 @@ def test_non_rational_alpha_at_inert_prime_is_reported_honestly():
     # a generator-like residue can have a nontrivial symbol at an inert
     # prime; the classifier must surface it and still conclude split for
     # beta = p^(3l)
-    field = Residues.of(factor_rational_prime(5))
+    field = residue_field(factor_rational_prime(5))
     cubes = field.cubes()
     nontrivial = next(EisensteinInt(*z) for z in field.elements() if z not in cubes)
     spec = power_spec(nontrivial, 5, 1)
@@ -353,3 +353,14 @@ def test_local_sweep_exits_1_when_a_claim_fails(monkeypatch, capsys, wrong):
         runpy.run_path(str(ROOT / "scripts" / "local_sweep.py"), run_name="__main__")
     assert exit_info.value.code == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_local_sweep_runs_from_a_checkout(tmp_path):
+    """With PYTHONPATH unset, from another directory and under -S, which
+    keeps an installed symbalg out of reach."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    script = ROOT / "scripts" / "local_sweep.py"
+    out = subprocess.run(
+        [sys.executable, "-S", str(script), "--pmax", "20", "--ls", "1"], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr

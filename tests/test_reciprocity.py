@@ -35,13 +35,12 @@ from symbalg.eisenstein import (
 from symbalg.intmath import is_prime, primes_below
 from symbalg.local import LocalAlgebraSpec, NormCertificate, is_norm
 
-from residue_oracle import power
+from helpers import UNITS
+from oracles import power
 
 # the primes drawn have at most 82 bits: 2^81 is about 2.4e24, and the
 # first prime past it lies far below MILLER_RABIN_LIMIT, about 3.3e24
 MAX_BITS = 81
-# +-1, +-e, +-e^2 as (a, b) for a + b*e, with e^2 = -1 - e
-UNITS = [EisensteinInt(a, b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))]
 
 
 def _primary(z):

@@ -19,6 +19,8 @@ from symbalg.symbol import (
     verify_relations,
 )
 
+from helpers import identity, mat_mul, mat_scale
+
 
 def cubic(alpha=-1, beta=1):
     lift = lambda v: v if not isinstance(v, (int, Fraction)) else QEPS.lift(v)
@@ -27,18 +29,6 @@ def cubic(alpha=-1, beta=1):
 
 def quadratic(alpha, beta, desc=QQ):
     return SymbolAlgebra(desc, 2, desc.lift(-1), desc.lift(alpha), desc.lift(beta))
-
-
-def identity(desc, n):
-    return [[desc.one() if i == j else desc.zero() for j in range(n)] for i in range(n)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _rand_element(rng, alg):
