@@ -58,24 +58,27 @@ class EisensteinInt(Record):
         return EisensteinInt(*pair_mul((self.a, self.b), (other.a, other.b), 1, 1))
 
     def __divmod__(self, other):
-        """q, r with self = q*other + r and norm(r) < norm(other).
-
-        The quotient rounds the exact quotient self*conj(other)/N(other) in
-        Q(e) to nearest integers coefficientwise, which keeps
-        norm(r) <= 3/4 * norm(other).  The conjugate and the norm of other
-        stay int pairs: it builds the records q, q*other and r only.
-        """
+        """q, r with self = q*other + r and norm(r) < norm(other), by _divide."""
         if not isinstance(other, EisensteinInt):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Z[e]")
-        conj, n = pair_conj_norm((other.a, other.b), 1, 1)
-        t0, t1 = pair_mul((self.a, self.b), conj, 1, 1)
-        q = EisensteinInt(_round_div(t0, n), _round_div(t1, n))
-        return q, self - q * other
+        return _divide(self, other, *pair_conj_norm((other.a, other.b), 1, 1))
 
     def __str__(self):
         return format_pair(self.a, self.b)
+
+
+def _divide(z: EisensteinInt, d: EisensteinInt, conj: tuple[int, int], n: int) -> tuple[EisensteinInt, EisensteinInt]:
+    """q, r with z = q*d + r, given the int pair conj(d) and n = N(d) > 0.
+
+    The quotient rounds the exact quotient z*conj(d)/n in Q(e) to nearest
+    integers coefficientwise, which keeps norm(r) <= 3/4 * n.  It builds
+    the records q, q*d and r only.
+    """
+    t0, t1 = pair_mul((z.a, z.b), conj, 1, 1)
+    q = EisensteinInt(_round_div(t0, n), _round_div(t1, n))
+    return q, z - q * d
 
 
 ONE = EisensteinInt(1)
@@ -205,10 +208,12 @@ def valuation(num: EisensteinInt, prime: EisensteinPrime, den: EisensteinInt = O
 
 
 def split_valuation(z: EisensteinInt, pi: EisensteinInt) -> tuple[int, EisensteinInt]:
-    """(v, z / pi^v) for nonzero z, where v is the largest power of pi dividing z."""
+    """(v, z / pi^v) for nonzero z, where v is the largest power of pi
+    dividing z; pi's conjugate and norm are taken once, not per division."""
+    conj, n = pair_conj_norm((pi.a, pi.b), 1, 1)
     count = 0
     while True:
-        q, r = divmod(z, pi)
+        q, r = _divide(z, pi, conj, n)
         if not r.is_zero():
             return count, z
         z = q

@@ -18,6 +18,7 @@ from symbalg.eisenstein import (
     factor_rational_prime,
     parse_eisenstein,
     parse_eisenstein_fraction,
+    split_valuation,
     splitting_in_kummer,
     valuation,
 )
@@ -382,6 +383,20 @@ def test_valuation_reads_off_exponents(m, unit_index):
     pr = factor_rational_prime(13)
     z = EisensteinInt(*power((pr.pi.a, pr.pi.b), m)) * UNITS[unit_index]
     assert valuation(z, pr) == m
+
+
+@pytest.mark.parametrize("p", [7, 5, 3], ids=["split", "inert", "ramified"])
+def test_split_valuation_takes_the_conjugate_and_norm_of_pi_once(monkeypatch, p):
+    """z = pi^30 * e takes 31 rounding divisions by pi, and pi's conjugate
+    and norm are taken once for all of them, not once per division."""
+    pi = factor_rational_prime(p).pi
+    z = pair_mul(power(pair(pi), 30), pair(EPS))
+    calls = []
+    real = eisenstein.pair_conj_norm
+    monkeypatch.setattr(eisenstein, "pair_conj_norm", lambda *args: calls.append(args) or real(*args))
+    v, unit = split_valuation(EisensteinInt(*z), pi)
+    assert (v, pair(unit)) == strip(pair(pi), z) == (30, pair(EPS))
+    assert calls == [(pair(pi), 1, 1)]
 
 
 # ----------------------------------------------- splitting data and degrees

@@ -61,10 +61,12 @@ def test_residual_degree_is_read_off_the_kummer_splitting():
 def test_classify_report_takes_its_spec_as_checked(monkeypatch):
     """A spec checks that pi does not divide alpha by evaluating the cubic
     symbol of alpha, with no Z[e] division, and keeps it: the spec and its
-    classify_report evaluate exactly one cubic symbol between them."""
+    classify_report evaluate exactly one cubic symbol between them.  Both
+    divmod and the valuation loop divide through eisenstein._divide."""
     divisions, symbols = [], []
-    real_divmod = EisensteinInt.__divmod__
+    real_divmod, real_divide = EisensteinInt.__divmod__, eisenstein._divide
     monkeypatch.setattr(EisensteinInt, "__divmod__", lambda z, w: divisions.append((z, w)) or real_divmod(z, w))
+    monkeypatch.setattr(eisenstein, "_divide", lambda z, w, *rest: divisions.append((z, w)) or real_divide(z, w, *rest))
     for module in (local, eisenstein):
         real = module.cubic_residue_symbol
         monkeypatch.setattr(module, "cubic_residue_symbol", lambda *args, real=real: symbols.append(args) or real(*args))
@@ -81,6 +83,7 @@ def test_classify_report_takes_its_spec_as_checked(monkeypatch):
         spec = build()
         assert divisions == []
         report = classify_report(spec)
+        assert divisions  # the valuations of beta divide, and the patches see them
         assert len(symbols) == 1
         assert report["symbol"] == str(cubic_residue_symbol(spec.alpha, spec.prime))
 

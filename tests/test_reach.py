@@ -45,6 +45,7 @@ BENCH_ONLY = {
     "symbol.left_regular_matrix": "the matrix L(u) of elimination's inverse op",
     "fields.FieldElement.inv": "the field inverse that elimination's field op times",
     "symbol.SymbolElement.__add__": "builds x + y + 1, the element elimination's set-up inverts",
+    "eisenstein.EisensteinInt.__divmod__": "local_sweep's divmod op times it; item 20's benchmark edit replaces that op",
 }
 
 
